@@ -1,7 +1,7 @@
 """Time the numpy kernels against their numba counterparts.
 
-Shapes mirror the desk-scale recovery runs: n=400 samples, m=20..50 columns,
-a 40k permuted-pair budget.  Run from the repo root:
+Shapes mirror the desk-scale recovery runs: n=400 samples, m=50 columns.
+Run from the repo root:
 
     python3 benchmarks/bench_backends.py [--repeats 5]
 """
@@ -15,11 +15,8 @@ from pmnet import _kernels as K
 
 
 def build_cases(rng):
-    n_perm = 40_000
     m = 50
     n_pairs = m * (m - 1) // 2
-    scores = rng.standard_normal(n_perm)
-    feats = rng.standard_normal((n_perm, n_pairs))
     flat = rng.standard_normal(n_pairs)
     x_rows = rng.standard_normal((400, m))
     codes = rng.integers(0, 4, size=(400, m)).astype(np.float64)
@@ -33,8 +30,6 @@ def build_cases(rng):
     x0 = np.zeros(4)
 
     return [
-        ("logsumexp", (scores,)),
-        ("softmax_mean", (scores, feats)),
         ("block_norms", (flat, 1)),
         ("group_soft_threshold", (flat, 1, 0.05)),
         ("product_features", (x_rows, u, v)),

@@ -18,7 +18,6 @@ draws, so for a fixed seed both backends walk the identical trajectory.
 import os
 
 import numpy as np
-from scipy.special import logsumexp as _scipy_logsumexp
 
 try:
     import numba
@@ -41,50 +40,6 @@ USE_NUMBA = HAVE_NUMBA if _choice == "auto" else _choice == "numba"
 def backend() -> str:
     """Name of the active kernel backend ("numba" or "numpy")."""
     return "numba" if USE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# log-sum-exp and softmax-weighted feature mean
-
-
-def logsumexp_numpy(scores):
-    return float(_scipy_logsumexp(scores))
-
-
-def softmax_mean_numpy(scores, feats):
-    """Return (logsumexp(scores), softmax(scores)-weighted mean of feats rows)."""
-    m = scores.max()
-    e = np.exp(scores - m)
-    z = e.sum()
-    return float(m + np.log(z)), feats.T @ (e / z)
-
-
-def _logsumexp_loop(scores):
-    m = scores[0]
-    for k in range(1, scores.shape[0]):
-        if scores[k] > m:
-            m = scores[k]
-    z = 0.0
-    for k in range(scores.shape[0]):
-        z += np.exp(scores[k] - m)
-    return m + np.log(z)
-
-
-def _softmax_mean_loop(scores, feats):
-    n_rows, dim = feats.shape
-    m = scores[0]
-    for k in range(1, n_rows):
-        if scores[k] > m:
-            m = scores[k]
-    z = 0.0
-    for k in range(n_rows):
-        z += np.exp(scores[k] - m)
-    out = np.zeros(dim)
-    for k in range(n_rows):
-        w = np.exp(scores[k] - m) / z
-        for d in range(dim):
-            out[d] += w * feats[k, d]
-    return m + np.log(z), out
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +191,6 @@ diamond_chain_numpy = _diamond_chain_impl
 
 if HAVE_NUMBA:
     _jit = numba.njit(cache=True)
-    logsumexp_numba = _jit(_logsumexp_loop)
-    softmax_mean_numba = _jit(_softmax_mean_loop)
     block_norms_numba = _jit(_block_norms_loop)
     group_soft_threshold_numba = _jit(_group_soft_threshold_loop)
     product_features_numba = _jit(_product_features_loop)
@@ -245,8 +198,6 @@ if HAVE_NUMBA:
     delta_features_numba = _jit(_delta_features_loop)
     diamond_chain_numba = _jit(_diamond_chain_impl)
 else:  # pragma: no cover - exercised only without numba
-    logsumexp_numba = None
-    softmax_mean_numba = None
     block_norms_numba = None
     group_soft_threshold_numba = None
     product_features_numba = None
@@ -255,8 +206,6 @@ else:  # pragma: no cover - exercised only without numba
     diamond_chain_numba = None
 
 if USE_NUMBA:
-    logsumexp = logsumexp_numba
-    softmax_mean = softmax_mean_numba
     block_norms = block_norms_numba
     group_soft_threshold = group_soft_threshold_numba
     product_features = product_features_numba
@@ -264,8 +213,6 @@ if USE_NUMBA:
     delta_features = delta_features_numba
     diamond_chain = diamond_chain_numba
 else:
-    logsumexp = logsumexp_numpy
-    softmax_mean = softmax_mean_numpy
     block_norms = block_norms_numpy
     group_soft_threshold = group_soft_threshold_numpy
     product_features = product_features_numpy

@@ -2,7 +2,9 @@
 
 Every command writes its primary output plus a ``.manifest.json`` capturing
 the exact argv, so reruns (and manifest replays) are byte-identical.
-Errors exit nonzero with a one-line reason on stderr.
+Errors exit 2 with a one-line reason on stderr.  ``fit``, ``path`` and
+``align`` still write their outputs when a fit lacks a KKT certificate, then
+name each such fit on stderr and exit 3.
 """
 
 import argparse
@@ -38,7 +40,13 @@ from .solver import (
     fit,
     lambda_path,
 )
-from .structure import cross_group_edges, envelope_and_auc, extract_support
+from .structure import (
+    SupportSet,
+    cross_group_edges,
+    envelope_and_auc,
+    extract_support,
+    tpr_tnr,
+)
 from .synth import (
     DiamondSpec,
     McmcConfig,
@@ -85,6 +93,18 @@ def _manifest(args, argv, inputs, outputs) -> RunManifest:
         inputs=inputs,
         outputs=outputs,
     )
+
+
+def _report_uncertified(fits) -> int:
+    """One stderr line per fit without a KKT certificate; exit 3 if any."""
+    bad = [res for res in fits if not res.converged]
+    for res in bad:
+        print(
+            f"pmnet: warning: fit at lambda {res.lam!r} is not certified after "
+            f"{res.iterations} iterations (max KKT residual {res.kkt.max_residual!r})",
+            file=sys.stderr,
+        )
+    return 3 if bad else 0
 
 
 def _cmd_gen(args, argv):
@@ -146,7 +166,7 @@ def _cmd_fit(args, argv):
     result = fit(data, feature, lam, cfg=cfg, pair_policy=policy)
     fit_to_json(result, data.partition, feature, args.out, extras=extras)
     write_manifest(_manifest(args, argv, {"data": args.data}, {"fit": args.out}), args.out)
-    return 0
+    return _report_uncertified([result])
 
 
 def _cmd_path(args, argv):
@@ -156,7 +176,7 @@ def _cmd_path(args, argv):
     result = lambda_path(data, feature, schedule, cfg=cfg, pair_policy=_policy_from_args(args))
     path_to_json(result, data.partition, feature, args.out)
     write_manifest(_manifest(args, argv, {"data": args.data}, {"path": args.out}), args.out)
-    return 0
+    return _report_uncertified(e.fit for e in result.entries)
 
 
 def _cmd_roc(args, argv):
@@ -166,18 +186,13 @@ def _cmd_roc(args, argv):
 
     # operating points come straight from the serialized supports
     universe = set(truth.universe)
-    n_true = truth.size
-    n_comp = truth.complement_size
     rows = []
     for entry in payload["entries"]:
         support = {tuple(p) for p in entry["support"]}
         if not support <= universe:
             raise ParseError("path support contains pairs outside the truth universe")
-        tp = len(support & truth.active)
-        fp = len(support - truth.active)
-        tpr = float("nan") if n_true == 0 else tp / n_true
-        tnr = float("nan") if n_comp == 0 else (n_comp - fp) / n_comp
-        rows.append((entry["lambda"], tnr, tpr))
+        rep = tpr_tnr(SupportSet(frozenset(support), truth.universe), truth)
+        rows.append((entry["lambda"], rep.tnr, rep.tpr))
 
     _, auc = envelope_and_auc(np.array([r[1] for r in rows]), np.array([r[2] for r in rows]))
     if np.isnan(auc):
@@ -269,7 +284,7 @@ def _cmd_align(args, argv):
         _manifest(args, argv, {"seq1": args.seq1, "seq2": args.seq2}, {"align": args.out}),
         args.out,
     )
-    return 0
+    return _report_uncertified(e.fit for e in result.entries)
 
 
 def _cmd_diag(args, argv):

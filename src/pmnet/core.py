@@ -59,7 +59,8 @@ class Dataset:
     """Immutable (n, m) sample matrix with its variable partition.
 
     ``domain_tag`` is "continuous" or "categorical"; categorical data must be
-    integer-coded in [0, categories).
+    integer-coded in [0, categories).  Every value must be finite; the error
+    names the first bad sample row and column (both 1-based).
     """
 
     samples: np.ndarray
@@ -79,10 +80,14 @@ class Dataset:
             )
         if self.domain_tag not in (CONTINUOUS, CATEGORICAL):
             raise DomainError(f"unknown domain_tag {self.domain_tag!r}")
+        bad = ~np.isfinite(x)
+        if bad.any():
+            i, j = (int(k) for k in np.argwhere(bad)[0])
+            raise DomainError(f"non-finite value {x[i, j]} at sample row {i + 1}, column {j + 1}")
         if self.domain_tag == CATEGORICAL:
             if self.categories is None or self.categories < 2:
                 raise DomainError("categorical data needs categories >= 2")
-            if not np.all(np.isfinite(x)) or np.any(x != np.floor(x)):
+            if np.any(x != np.floor(x)):
                 raise DomainError("categorical data must be integer-coded")
             if x.min() < 0 or x.max() >= self.categories:
                 raise DomainError(
@@ -306,6 +311,39 @@ def pair_feature_matrix(f: FeatureMap, x_rows: np.ndarray, index: PairIndex) -> 
     codes = x_rows.astype(np.int64)
     out = f.table[codes[:, u], codes[:, v]]
     return out.reshape(x_rows.shape[0], index.dim)
+
+
+def variable_embedding(f: FeatureMap, data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-variable embeddings in which every feature kind is bilinear.
+
+    Returns ``(phi1, phi2, forms)``: ``phi1`` has shape (C, n, m1) and embeds
+    the group-1 columns, ``phi2`` has shape (C, n, m2) for group 2, and
+    ``forms`` has shape (block_dim, C, C), so that for a from group 1 and b
+    from group 2, psi(a, b)[d] = sum over c, c' of phi(a)[c] forms[d, c, c']
+    phi(b)[c'].  phi is x for product (forms [[1]]), x^2 for squared product,
+    and a one-hot code for delta (forms I_C) and table (forms the table).
+    Delta keeps only the codes seen in both groups, since no other code can
+    match across them; with ``categories=None`` its codes are data values.
+    """
+    x = data.samples
+    x1 = x[:, list(data.partition.group1)]
+    x2 = x[:, list(data.partition.group2)]
+    if f.kind == PRODUCT:
+        return x1[None], x2[None], np.ones((1, 1, 1))
+    if f.kind == SQUARED_PRODUCT:
+        return (x1 * x1)[None], (x2 * x2)[None], np.ones((1, 1, 1))
+    if f.kind == KRONECKER_DELTA:
+        if f.categories is not None:
+            _check_codes(f, x)
+        codes = np.intersect1d(x1, x2)
+        forms = np.eye(codes.size)[None]
+    else:
+        _check_codes(f, x)
+        codes = np.arange(f.categories, dtype=np.float64)
+        forms = np.moveaxis(f.table, 2, 0)
+    onehot1 = (x1[None] == codes[:, None, None]).astype(np.float64)
+    onehot2 = (x2[None] == codes[:, None, None]).astype(np.float64)
+    return onehot1, onehot2, forms
 
 
 def observed_feature_bounds(f: FeatureMap, x_rows: np.ndarray, index: PairIndex) -> tuple[float, float]:

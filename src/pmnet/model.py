@@ -14,6 +14,14 @@ whose gradient is the permuted-pair softmax-weighted feature mean minus the
 per-sample feature mean.  A raw variant with an unaveraged data term is
 available for reporting; it rescales the penalty by n but changes nothing
 else.  All pair sums run in the log domain.
+
+Two backings evaluate the permuted pairs.  When the pair set is every
+ordered pair, ``PairScoreGrid`` scores all of them as an n x n grid built
+from per-row within-group scores and per-variable embeddings, in which every
+feature kind is bilinear; no permuted sample is ever materialized.  A
+subsampled pair set keeps its feature rows in ``DensePairRows``.  Both
+expose the pair scores F v and the weighted feature sum F^T w, and every
+evaluation here is written on those two.
 """
 
 from dataclasses import dataclass
@@ -30,6 +38,7 @@ from .core import (
     observed_feature_bounds,
     pair_feature_matrix,
     permuted_matrix,
+    variable_embedding,
 )
 from .errors import DimensionError, NumericError, SizeError
 
@@ -40,7 +49,8 @@ HESSIAN_DIM_CAP = 4096
 class PairPolicy:
     """How permuted pairs are enumerated for the normalizer estimate.
 
-    "all_ordered" uses every ordered pair j != k.  "subsample" draws up to
+    "all_ordered" uses every ordered pair j != k, evaluated as an n x n score
+    grid without materializing the permuted samples.  "subsample" draws up to
     ``cap`` distinct ordered pairs with a fixed seed.  "auto" (default)
     switches from all_ordered to subsample once n exceeds ``threshold``.
     """
@@ -123,12 +133,133 @@ class NormalizerEstimate:
         return float(np.exp(self.log_value))
 
 
-class ModelTerms:
-    """Cached feature matrices for repeated evaluations on one dataset.
+class DensePairRows:
+    """Materialized feature rows of a subsampled permuted-pair set."""
 
-    Building the per-sample and permuted-pair feature matrices dominates the
-    cost of a fit, so the solver constructs this once and reuses it across
-    iterations, path points, and cross-validation scoring.
+    def __init__(self, data: Dataset, feature: FeatureMap, index: PairIndex, pair_j, pair_k):
+        x_perm = permuted_matrix(data, pair_j, pair_k)
+        self.f_perm = pair_feature_matrix(feature, x_perm, index)
+        self.count = self.f_perm.shape[0]
+
+    def scores(self, v: np.ndarray, excluded: float = 0.0) -> np.ndarray:
+        """F v, one entry per pair (nothing is excluded)."""
+        return self.f_perm @ v
+
+    def weighted_sum(self, w: np.ndarray) -> np.ndarray:
+        """F^T w for pair weights shaped like ``scores``."""
+        return self.f_perm.T @ w
+
+    def bad_pair_features(self, scores: np.ndarray) -> np.ndarray | None:
+        """Feature row of the first non-finite pair score, or None."""
+        bad = ~np.isfinite(scores)
+        if not bad.any():
+            return None
+        return self.f_perm[int(np.argmax(bad))]
+
+
+class PairScoreGrid:
+    """Every ordered pair j != k, scored as an n x n grid.
+
+    score(x^[j,k]) = s1[j] + s2[k] + sum_t phi1_t[j] M_t phi2_t[k]: s1 and s2
+    are the within-group scores of rows j and k, taken from the data-row
+    features, and the cross pairs enter through the per-variable embeddings
+    of ``core.variable_embedding``.  Each term t is one nonzero (c, c') entry
+    of the feature's bilinear forms, and M_t holds the cross-pair blocks
+    contracted with it.  A cross pair whose first variable is in group 2 sees
+    the forms transposed.  The diagonal j == k is no permuted pair:
+    ``scores`` fills it with ``excluded``, and weights must be zero there.
+    """
+
+    def __init__(self, data: Dataset, feature: FeatureMap, index: PairIndex, f_data: np.ndarray):
+        part = data.partition
+        self.n = data.n
+        self.count = data.n * (data.n - 1)
+        self._data, self._feature, self._index = data, feature, index
+        mask2 = part.group2_mask
+        cross = index.cross_mask(part)
+        first_in2 = mask2[index.u_idx]
+        cols = np.arange(index.dim).reshape(index.n_pairs, index.block_dim)
+        self._cols1 = cols[~cross & ~first_in2].ravel()
+        self._cols2 = cols[~cross & first_in2].ravel()
+        self._cols_x = cols[cross].ravel()
+        self._f1 = np.ascontiguousarray(f_data[:, self._cols1])
+        self._f2 = np.ascontiguousarray(f_data[:, self._cols2])
+
+        pos = np.empty(index.m, dtype=np.int64)
+        pos[list(part.group1)] = np.arange(len(part.group1))
+        pos[list(part.group2)] = np.arange(len(part.group2))
+        u, v = index.u_idx[cross], index.v_idx[cross]
+        flipped = mask2[u]
+        m1, m2 = len(part.group1), len(part.group2)
+        # flat position of each cross pair in an m1 x m2 block matrix
+        self._pq = pos[np.where(flipped, v, u)] * m2 + pos[np.where(flipped, u, v)]
+
+        self._phi1, self._phi2, forms = variable_embedding(feature, data)
+        used = (forms != 0.0).any(axis=0)
+        c1, c2 = np.nonzero(used | used.T)
+        self._terms = list(zip(c1.tolist(), c2.tolist()))
+        # coef[i, d, t]: weight of theta[i, d] in M_t for cross pair i
+        self._coef = np.where(flipped[:, None, None], forms[:, c2, c1], forms[:, c1, c2])
+        self._block_shape = (m1, m2)
+
+    def scores(self, v: np.ndarray, excluded: float = 0.0) -> np.ndarray:
+        """F v as an n x n grid; the diagonal holds ``excluded``."""
+        blocks = v[self._cols_x].reshape(self._coef.shape[:2])
+        mats = np.zeros((len(self._terms), self._block_shape[0] * self._block_shape[1]))
+        mats[:, self._pq] = np.einsum("id,idt->ti", blocks, self._coef)
+        # fresh n x n arrays are costly, so the first term's product is the grid
+        grid = None
+        for (c1, c2), mat in zip(self._terms, mats):
+            term = self._phi1[c1] @ (mat.reshape(self._block_shape) @ self._phi2[c2].T)
+            grid = term if grid is None else np.add(grid, term, out=grid)
+        if grid is None:  # delta features with no code seen in both groups
+            grid = np.zeros((self.n, self.n))
+        grid += (self._f1 @ v[self._cols1])[:, None]
+        grid += self._f2 @ v[self._cols2]
+        np.fill_diagonal(grid, excluded)
+        return grid
+
+    def weighted_sum(self, w: np.ndarray) -> np.ndarray:
+        """F^T w for an n x n weight grid with a zero diagonal."""
+        out = np.empty(self._index.dim)
+        out[self._cols1] = self._f1.T @ w.sum(axis=1)
+        out[self._cols2] = self._f2.T @ w.sum(axis=0)
+        cross = np.empty((len(self._terms), self._pq.size))
+        for t, (c1, c2) in enumerate(self._terms):
+            cross[t] = (self._phi1[c1].T @ (w @ self._phi2[c2])).ravel()[self._pq]
+        out[self._cols_x] = np.einsum("ti,idt->id", cross, self._coef).ravel()
+        return out
+
+    def bad_pair_features(self, scores: np.ndarray) -> np.ndarray | None:
+        """Rebuilt feature row of the first non-finite pair score, or None."""
+        bad = ~np.isfinite(scores)
+        np.fill_diagonal(bad, False)
+        if not bad.any():
+            return None
+        j, k = divmod(int(np.argmax(bad)), self.n)
+        x_pair = permuted_matrix(self._data, np.array([j]), np.array([k]))
+        return pair_feature_matrix(self._feature, x_pair, self._index)[0]
+
+
+def _shifted_exp(scores: np.ndarray) -> tuple[float, float]:
+    """Overwrite pair scores with exp(scores - max); return (max, their sum).
+
+    A log-sum-exp without the log; in place, since the arrays are large.
+    """
+    top = float(scores.max())
+    scores -= top
+    np.exp(scores, out=scores)
+    return top, float(scores.sum())
+
+
+class ModelTerms:
+    """Cached per-dataset terms for repeated evaluations on one dataset.
+
+    Holds the data-row features ``f_data`` and one pair backing: a
+    ``PairScoreGrid`` when the policy keeps every ordered pair, otherwise
+    ``DensePairRows`` with the subsampled permuted feature rows.  The solver
+    builds this once and reuses it across iterations, path points, and
+    cross-validation scoring.
     """
 
     def __init__(
@@ -147,8 +278,10 @@ class ModelTerms:
         self.f_data = pair_feature_matrix(feature, data.samples, self.index)
         self.mean_f = self.f_data.mean(axis=0)
         self.pair_j, self.pair_k = select_ordered_pairs(data.n, self.policy)
-        x_perm = permuted_matrix(data, self.pair_j, self.pair_k)
-        self.f_perm = pair_feature_matrix(feature, x_perm, self.index)
+        if self.pair_j.size == data.n * (data.n - 1):
+            self.backing = PairScoreGrid(data, feature, self.index, self.f_data)
+        else:
+            self.backing = DensePairRows(data, feature, self.index, self.pair_j, self.pair_k)
 
     @property
     def n(self) -> int:
@@ -156,7 +289,7 @@ class ModelTerms:
 
     @property
     def n_pairs_used(self) -> int:
-        return self.f_perm.shape[0]
+        return self.backing.count
 
     @cached_property
     def log_pair_count(self) -> float:
@@ -171,12 +304,11 @@ class ModelTerms:
         return flat
 
     def _guard_finite(self, scores: np.ndarray, flat: np.ndarray):
-        bad = ~np.isfinite(scores)
-        if not bad.any():
+        row = self.backing.bad_pair_features(scores)
+        if row is None:
             return
-        row = int(np.argmax(bad))
         with np.errstate(over="ignore", invalid="ignore"):
-            contrib = self.f_perm[row] * flat
+            contrib = row * flat
         per_block = np.abs(contrib.reshape(self.index.n_pairs, -1)).sum(axis=1)
         per_block = np.where(np.isfinite(per_block), per_block, np.inf)
         pair = self.index.pairs[int(np.argmax(per_block))]
@@ -185,16 +317,18 @@ class ModelTerms:
         )
 
     def perm_scores(self, flat: np.ndarray) -> np.ndarray:
+        """Scores over the pair set, shaped as the backing lays them out;
+        the grid's excluded diagonal holds -inf."""
         flat = self._check_flat(flat)
         # overflow is caught by the guard below; the numpy warning is noise
         with np.errstate(over="ignore", invalid="ignore"):
-            scores = self.f_perm @ flat
+            scores = self.backing.scores(flat, excluded=-np.inf)
         self._guard_finite(scores, flat)
         return scores
 
     def log_normalizer(self, flat: np.ndarray) -> float:
-        scores = self.perm_scores(flat)
-        return float(_kernels.logsumexp(scores)) - self.log_pair_count
+        top, total = _shifted_exp(self.perm_scores(flat))
+        return top + float(np.log(total)) - self.log_pair_count
 
     def value(self, flat: np.ndarray, normalized: bool = True) -> float:
         flat = self._check_flat(flat)
@@ -206,16 +340,17 @@ class ModelTerms:
 
     def value_grad(self, flat: np.ndarray) -> tuple[float, np.ndarray]:
         """Normalized objective and its gradient in one permuted-pair pass."""
-        scores = self.perm_scores(flat)
-        lse, weighted_mean = _kernels.softmax_mean(scores, self.f_perm)
-        value = -float(self.mean_f @ flat) + float(lse) - self.log_pair_count
-        return value, weighted_mean - self.mean_f
+        weights = self.perm_scores(flat)
+        top, total = _shifted_exp(weights)
+        value = -float(self.mean_f @ flat) + top + float(np.log(total)) - self.log_pair_count
+        weights /= total
+        return value, self.backing.weighted_sum(weights) - self.mean_f
 
     def softmax_weights(self, flat: np.ndarray) -> np.ndarray:
-        scores = self.perm_scores(flat)
-        scores = scores - scores.max()
-        w = np.exp(scores)
-        return w / w.sum()
+        weights = self.perm_scores(flat)
+        _, total = _shifted_exp(weights)
+        weights /= total
+        return weights
 
 
 def _terms_for(theta: ParamBlocks, data: Dataset, f: FeatureMap, pair_policy) -> ModelTerms:
@@ -270,12 +405,22 @@ def gradient(
     return terms.value_grad(theta.flat)[1]
 
 
-def _hessian_from_terms(terms: ModelTerms, flat: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _hessian_columns(terms: ModelTerms, flat: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """H[:, cols], one column at a time: F^T (w * F e_c) - g g_c with g = F^T w."""
     w = terms.softmax_weights(flat)
-    sub = terms.f_perm[:, cols]
-    weighted = sub * w[:, None]
-    mean = weighted.sum(axis=0)
-    hess = weighted.T @ sub - np.outer(mean, mean)
+    pairs = terms.backing
+    mean = pairs.weighted_sum(w)
+    out = np.empty((terms.index.dim, cols.size))
+    unit = np.zeros(terms.index.dim)
+    for i, c in enumerate(cols):
+        unit[c] = 1.0
+        out[:, i] = pairs.weighted_sum(w * pairs.scores(unit)) - mean * mean[c]
+        unit[c] = 0.0
+    return out
+
+
+def _hessian_from_terms(terms: ModelTerms, flat: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    hess = _hessian_columns(terms, flat, cols)[cols]
     return (hess + hess.T) / 2.0
 
 
@@ -378,11 +523,8 @@ def diagnostics(
     if s_cols.size > dim_cap:
         raise SizeError(f"support dimension {s_cols.size} exceeds cap {dim_cap}")
 
-    w = terms.softmax_weights(theta_star.flat)
-    weighted_all = terms.f_perm * w[:, None]
-    mean_all = weighted_all.sum(axis=0)
-    # H[:, S] in one pass; rows for the complement come from the same product
-    h_cols = weighted_all.T @ terms.f_perm[:, s_cols] - np.outer(mean_all, mean_all[s_cols])
+    # H[:, S]; rows for the complement come from the same columns
+    h_cols = _hessian_columns(terms, theta_star.flat, s_cols)
     h_ss = (h_cols[s_cols] + h_cols[s_cols].T) / 2.0
 
     eigvals = np.linalg.eigvalsh(h_ss)
@@ -410,6 +552,8 @@ def diagnostics(
     log_norm = terms.log_normalizer(theta_star.flat)
     scores_data = terms.f_data @ theta_star.flat
     scores_perm = terms.perm_scores(theta_star.flat)
+    # every pair score passed the finite guard; -inf marks the grid's diagonal
+    scores_perm = scores_perm[np.isfinite(scores_perm)]
     log_ratios = np.concatenate([scores_data, scores_perm]) - log_norm
     ratios = RatioBounds(float(np.exp(log_ratios.min())), float(np.exp(log_ratios.max())))
 

@@ -104,17 +104,18 @@ def _penalty(flat: np.ndarray, block_dim: int) -> float:
 
 
 def _initial_step(terms: ModelTerms) -> float:
-    """1 / (largest eigenvalue of F'F) via a few power iterations.
+    """1 / (largest eigenvalue of F'F) via a few power iterations on F^T (F v).
 
     The softmax covariance is dominated by the permuted-pair feature Gram
     matrix, so this lands within a small factor of the true curvature and
     the backtracking line search absorbs the rest.
     """
-    a = terms.f_perm
-    v = np.ones(a.shape[1]) / math.sqrt(a.shape[1])
+    pairs = terms.backing
+    dim = terms.index.dim
+    v = np.ones(dim) / math.sqrt(dim)
     est = 1.0
     for _ in range(8):
-        w = a.T @ (a @ v)
+        w = pairs.weighted_sum(pairs.scores(v))
         nrm = float(np.linalg.norm(w))
         if nrm == 0.0:
             return 1.0

@@ -4,7 +4,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pmnet import (
+    FeatureMap,
+    GeometricSchedule,
+    build_gaussian_spec,
+    lambda_path,
+    roc_curve,
+    sample_gaussian,
+    truth_support,
+)
 from pmnet.cli import main
+from pmnet.pipelines import path_to_json, truth_to_json
 
 GEN_ARGS = [
     "gen", "gaussian", "--m", "8", "--split", "6,2", "--rho", "0.5",
@@ -72,6 +82,20 @@ class TestPipelines:
         assert len(lines) == 7  # header + one row per path point
         aucs = {ln.split(",")[3] for ln in lines[1:]}
         assert len(aucs) == 1  # single summary value repeated per row
+
+    def test_roc_matches_roc_curve(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        spec = build_gaussian_spec(m=8, split=(6, 2), rho=0.5, passage_size=2, eig_rank=3)
+        data = sample_gaussian(spec, 60, seed=5)
+        truth = truth_support(spec)
+        path = lambda_path(data, FeatureMap.product(), GeometricSchedule(factor=0.6, count=8))
+        path_to_json(path, data.partition, FeatureMap.product(), "path.json")
+        truth_to_json(truth, data.m, "truth.json")
+        assert main(["roc", "--path", "path.json", "--truth", "truth.json", "--out", "roc.csv"]) == 0
+        rows = [ln.split(",") for ln in (tmp_path / "roc.csv").read_text().splitlines()[1:]]
+        curve = roc_curve(path, truth)
+        np.testing.assert_array_equal(np.array([r[:3] for r in rows], dtype=float), curve.points)
+        assert {float(r[3]) for r in rows} == {curve.auc}
 
     def test_gen_diamond(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -142,7 +166,72 @@ class TestAlign:
         assert "pmnet: error" in capsys.readouterr().err
 
 
+class TestUncertified:
+    """Fits without a KKT certificate still write outputs, then exit 3."""
+
+    def _warnings(self, capsys):
+        return [ln for ln in capsys.readouterr().err.splitlines() if "not certified" in ln]
+
+    def test_fit(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(GEN_ARGS) == 0
+        rc = main([
+            "fit", "--data", "data.csv", "--partition", "1-6|7-8",
+            "--lambda", "0.01", "--max-iter", "1", "--out", "fit.json",
+        ])
+        assert rc == 3
+        payload = json.loads((tmp_path / "fit.json").read_text())
+        assert payload["converged"] is False
+        (line,) = self._warnings(capsys)
+        assert f"lambda {payload['lambda']!r}" in line
+        assert "after 1 iterations" in line
+        assert f"max KKT residual {payload['kkt_max_residual']!r}" in line
+
+    def test_path(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(GEN_ARGS) == 0
+        rc = main([
+            "path", "--data", "data.csv", "--partition", "1-6|7-8",
+            "--schedule", "geom:auto,0.6,4", "--max-iter", "1", "--out", "path.json",
+        ])
+        assert rc == 3
+        entries = json.loads((tmp_path / "path.json").read_text())["entries"]
+        uncertified = [e for e in entries if not e["converged"]]
+        assert uncertified
+        lines = self._warnings(capsys)
+        assert len(lines) == len(uncertified)
+        for entry, line in zip(uncertified, lines):
+            assert f"lambda {entry['lambda']!r}" in line
+
+    def test_align(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(8)
+        base = rng.standard_normal(40)
+        (tmp_path / "s1.txt").write_text("\n".join(str(v) for v in base) + "\n")
+        (tmp_path / "s2.txt").write_text("\n".join(str(v) for v in base + 0.1 * rng.standard_normal(40)) + "\n")
+        rc = main([
+            "align", "--seq1", "s1.txt", "--seq2", "s2.txt", "--window", "12",
+            "--step", "4", "--schedule", "until:3", "--max-iter", "1", "--out", "align.json",
+        ])
+        assert rc == 3
+        assert (tmp_path / "align.json").exists()
+        assert (tmp_path / "align.json.manifest.json").exists()
+        assert self._warnings(capsys)
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_csv(self, tmp_path, monkeypatch, capsys, bad):
+        monkeypatch.chdir(tmp_path)
+        rows = ["1.0,2.0,3.0", "0.5,0.25,-1.0", f"2.0,{bad},0.0", "1.5,1.0,2.0"]
+        (tmp_path / "data.csv").write_text("\n".join(rows) + "\n")
+        rc = main(["fit", "--data", "data.csv", "--partition", "1-2|3", "--lambda", "0.1", "--out", "f.json"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "non-finite" in err
+        assert "row 3, column 2" in err
+        assert not (tmp_path / "f.json").exists()
+
     def test_fit_needs_lambda_or_cv(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(GEN_ARGS) == 0

@@ -67,6 +67,13 @@ class TestDataset:
         with pytest.raises(DimensionError):
             Dataset(np.ones((3, 3)), Partition((0,), (1,)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        x = np.zeros((3, 2))
+        x[2, 1] = bad
+        with pytest.raises(DomainError, match=r"row 3, column 2"):
+            Dataset(x, Partition((0,), (1,)))
+
     def test_categorical_checks(self):
         p = Partition((0,), (1,))
         Dataset([[0, 1], [2, 0]], p, domain_tag="categorical", categories=3)

@@ -19,28 +19,11 @@ def test_backend_name_matches_flag():
 
 def test_active_aliases_point_at_selected_variant():
     suffix = "_numba" if K.USE_NUMBA else "_numpy"
-    for name in ("logsumexp", "block_norms", "product_features", "diamond_chain"):
+    for name in ("block_norms", "group_soft_threshold", "product_features", "diamond_chain"):
         assert getattr(K, name) is getattr(K, name + suffix)
 
 
 class TestNumpyVariants:
-    def test_logsumexp_matches_naive(self):
-        scores = rng.standard_normal(200) * 30
-        naive = np.log(np.sum(np.exp(scores - scores.max()))) + scores.max()
-        assert K.logsumexp_numpy(scores) == pytest.approx(naive, rel=1e-12)
-
-    def test_logsumexp_extreme_scores(self):
-        scores = np.array([-2000.0, -2000.0, 800.0])
-        assert np.isfinite(K.logsumexp_numpy(scores))
-        assert K.logsumexp_numpy(scores) == pytest.approx(800.0)
-
-    def test_softmax_mean_uniform_weights(self):
-        scores = np.zeros(6)
-        feats = rng.standard_normal((6, 3))
-        lse, mean = K.softmax_mean_numpy(scores, feats)
-        assert lse == pytest.approx(np.log(6.0))
-        np.testing.assert_allclose(mean, feats.mean(axis=0), rtol=1e-14)
-
     def test_block_norms(self):
         flat = np.array([3.0, 4.0, 0.0, 0.0, 1.0, -1.0])
         np.testing.assert_allclose(
@@ -72,21 +55,6 @@ class TestNumpyVariants:
 @needs_numba
 class TestBackendAgreement:
     """The jitted loops must reproduce the vectorized results."""
-
-    def test_logsumexp(self):
-        for size in (1, 2, 17, 400):
-            scores = rng.standard_normal(size) * 50
-            assert K.logsumexp_numba(scores) == pytest.approx(
-                K.logsumexp_numpy(scores), rel=1e-13, abs=1e-13
-            )
-
-    def test_softmax_mean(self):
-        scores = rng.standard_normal(300) * 5
-        feats = rng.standard_normal((300, 7))
-        lse_a, mean_a = K.softmax_mean_numpy(scores, feats)
-        lse_b, mean_b = K.softmax_mean_numba(scores, feats)
-        assert lse_b == pytest.approx(lse_a, rel=1e-13)
-        np.testing.assert_allclose(mean_b, mean_a, rtol=1e-12, atol=1e-13)
 
     def test_block_norms(self):
         flat = rng.standard_normal(3 * 50)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pmnet import (
     Dataset,
@@ -12,6 +14,7 @@ from pmnet import (
     SizeError,
     build_pair_index,
     diagnostics,
+    feature_eval,
     gradient,
     hessian,
     negative_log_likelihood,
@@ -19,8 +22,9 @@ from pmnet import (
     ratio_hat,
     unnormalized_log_ratio,
 )
+from pmnet import model as model_mod
 from pmnet.core import permuted_pair
-from pmnet.model import ModelTerms, select_ordered_pairs
+from pmnet.model import DensePairRows, ModelTerms, PairScoreGrid, select_ordered_pairs
 from pmnet.synth import finite_difference_gradient, normalizer_enumeration_oracle
 
 from conftest import make_coded_dataset, make_dataset
@@ -183,12 +187,25 @@ class TestGradient:
         np.testing.assert_allclose(g, fd, rtol=0, atol=1e-8)
 
     def test_at_zero_is_mean_gap(self, small_data):
-        # softmax weights at zero are uniform over permuted pairs
+        # softmax weights at zero are uniform over permuted pairs, so the
+        # gradient is the plain-loop permuted feature mean minus the data mean
         idx = build_pair_index(small_data.m)
         f = FeatureMap.product()
-        terms = ModelTerms(small_data, f, pair_policy=ALL)
+        n = small_data.n
+        perm_mean = np.mean(
+            [
+                [feature_eval(f, permuted_pair(small_data, j, k).value, p)[0] for p in idx.pairs]
+                for j in range(n)
+                for k in range(n)
+                if j != k
+            ],
+            axis=0,
+        )
+        data_mean = np.mean(
+            [[feature_eval(f, x, p)[0] for p in idx.pairs] for x in small_data.samples], axis=0
+        )
         g = gradient(ParamBlocks.zeros(idx), small_data, f, pair_policy=ALL)
-        np.testing.assert_allclose(g, terms.f_perm.mean(axis=0) - terms.mean_f, atol=1e-14)
+        np.testing.assert_allclose(g, perm_mean - data_mean, atol=1e-14)
 
 
 class TestHessian:
@@ -277,3 +294,104 @@ class TestDiagnostics:
         f = FeatureMap.kronecker_delta(categories=3)
         rep = diagnostics(theta, data, f, [(0, 2)], pair_policy=ALL)
         assert rep.feature_bounds.within_declared
+
+
+def dense_twin(terms):
+    """Same terms with the pair set held as dense permuted feature rows."""
+    twin = ModelTerms(terms.data, terms.feature, index=terms.index, pair_policy=ALL)
+    twin.backing = DensePairRows(terms.data, terms.feature, terms.index, terms.pair_j, terms.pair_k)
+    return twin
+
+
+@st.composite
+def grid_problems(draw):
+    """Random data, partition, feature kind and theta for the score grid.
+
+    Groups come from a random permutation, so a group-2 variable often has a
+    lower index than a group-1 variable and its cross pairs are stored as
+    (group-2, group-1).
+    """
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(3, 7))
+    order = draw(st.permutations(list(range(m))))
+    cut = draw(st.integers(1, m - 1))
+    partition = Partition(tuple(order[:cut]), tuple(order[cut:]))
+    kind = draw(st.sampled_from(["product", "squared_product", "delta", "delta_uncoded", "table"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("product", "squared_product"):
+        data = Dataset(rng.standard_normal((n, m)), partition)
+        f = FeatureMap(kind)
+    else:
+        categories = draw(st.integers(2, 4))
+        codes = rng.integers(0, categories, size=(n, m)).astype(np.float64)
+        data = Dataset(codes, partition, "categorical", categories)
+        if kind == "table":
+            # asymmetric in its two code arguments, so a flipped pair matters
+            f = FeatureMap.from_table(rng.standard_normal((categories, categories, draw(st.integers(1, 2)))))
+        else:
+            f = FeatureMap.kronecker_delta(categories if kind == "delta" else None)
+    index = build_pair_index(m, include_diagonal=draw(st.booleans()), block_dim=f.block_dim)
+    return data, f, ParamBlocks(0.4 * rng.standard_normal(index.dim), index)
+
+
+class TestScoreGrid:
+    @given(grid_problems())
+    def test_matches_dense_rows_and_oracle(self, problem):
+        data, f, theta = problem
+        terms = ModelTerms(data, f, index=theta.index, pair_policy=ALL)
+        assert isinstance(terms.backing, PairScoreGrid)
+        dense = dense_twin(terms)
+        value, grad = terms.value_grad(theta.flat)
+        dense_value, dense_grad = dense.value_grad(theta.flat)
+        data_score = np.mean([unnormalized_log_ratio(theta, x, f) for x in data.samples])
+        oracle = -data_score + np.log(normalizer_enumeration_oracle(theta, data, f))
+        assert value == pytest.approx(dense_value, rel=1e-12, abs=1e-12)
+        assert value == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+        assert terms.value(theta.flat) == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(grad, dense_grad, rtol=1e-10, atol=1e-12)
+
+    def test_flipped_table_pair_sees_transposed_table(self):
+        # the only pair is (0, 1) with variable 0 in group 2: psi = table[x_0, x_1]
+        codes = np.random.default_rng(4).integers(0, 3, size=(6, 2)).astype(np.float64)
+        data = Dataset(codes, Partition((1,), (0,)), "categorical", 3)
+        table = FeatureMap.from_table(np.arange(18.0).reshape(3, 3, 2) / 10.0)
+        theta = ParamBlocks([0.3, -0.2], build_pair_index(2, block_dim=2))
+        est = normalizer_hat(theta, data, table, ALL)
+        assert est.value == pytest.approx(normalizer_enumeration_oracle(theta, data, table), rel=1e-12)
+
+    def test_delta_without_shared_codes(self):
+        # no code appears in both groups, so the grid has no cross term
+        data = Dataset([[0.0, 1.0], [0.0, 1.0], [2.0, 1.0]], Partition((0,), (1,)))
+        f = FeatureMap.kronecker_delta()
+        theta = ParamBlocks([-0.7], build_pair_index(2))
+        value, grad = ModelTerms(data, f, pair_policy=ALL).value_grad(theta.flat)
+        assert value == pytest.approx(np.log(normalizer_enumeration_oracle(theta, data, f)), abs=1e-15)
+        np.testing.assert_array_equal(grad, [0.0])
+
+    def test_grid_keeps_no_permuted_rows(self, small_data):
+        terms = ModelTerms(small_data, FeatureMap.product(), pair_policy=ALL)
+        assert isinstance(terms.backing, PairScoreGrid)
+        assert not hasattr(terms, "f_perm")
+        assert not hasattr(terms.backing, "f_perm")
+        assert terms.n_pairs_used == small_data.n * (small_data.n - 1)
+
+    def test_subsample_keeps_dense_rows(self, small_data):
+        pol = PairPolicy(kind="subsample", cap=50, seed=1)
+        terms = ModelTerms(small_data, FeatureMap.product(), pair_policy=pol)
+        assert isinstance(terms.backing, DensePairRows)
+        assert terms.n_pairs_used == 50
+
+    def test_hessian_matches_dense_rows(self):
+        data = make_coded_dataset(9, 2, 3, categories=3, seed=8)
+        table = FeatureMap.from_table(np.random.default_rng(2).standard_normal((3, 3, 2)))
+        idx = build_pair_index(5, block_dim=2)
+        theta = random_theta(idx, 9)
+        terms = ModelTerms(data, table, index=idx, pair_policy=ALL)
+        dense = dense_twin(terms)
+        cols = np.arange(idx.dim)
+        np.testing.assert_allclose(
+            model_mod._hessian_from_terms(terms, theta.flat, cols),
+            model_mod._hessian_from_terms(dense, theta.flat, cols),
+            rtol=1e-10,
+            atol=1e-12,
+        )
