@@ -8,7 +8,6 @@ surviving cross-group blocks into discovered interaction structure.
 
 __version__ = "0.1.0"
 
-from ._kernels import backend
 from .core import (
     Dataset,
     FeatureMap,
@@ -82,5 +81,11 @@ from .synth import (
     sample_gaussian,
     truth_support,
 )
+
+
+def backend() -> str:
+    """Name of the kernel implementation, recorded in benchmark results."""
+    return "numpy"
+
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,56 +1,19 @@
-"""Numeric kernels with numba acceleration and pure-numpy fallbacks.
+"""Small numeric kernels shared by the model, the solver and the sampler.
 
-The backend is picked once at import time from the ``PMNET_BACKEND``
-environment variable:
-
-* ``auto`` (default): use numba when it imports, numpy otherwise
-* ``numba``: require numba, fail loudly if it is missing
-* ``numpy``: force the fallback implementations
-
-Both variants stay importable under ``*_numpy`` / ``*_numba`` names so the
-test suite and ``benchmarks/bench_backends.py`` can compare them directly.
-The unsuffixed names are the active aliases used by the rest of the package.
-
-The random-walk chain consumes pre-drawn proposal increments and log-uniform
-draws, so for a fixed seed both backends walk the identical trajectory.
+Block norms and the group soft-threshold act on a flat parameter vector laid
+out as consecutive blocks of ``block_dim`` entries.  ``diamond_chain`` walks
+one random-walk Metropolis chain over pre-drawn proposal increments and
+log-uniform acceptance draws, so a seed fixes its trajectory exactly.
 """
-
-import os
 
 import numpy as np
 
-try:
-    import numba
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    HAVE_NUMBA = False
-
-_ENV_FLAG = "PMNET_BACKEND"
-_choice = os.environ.get(_ENV_FLAG, "auto").strip().lower()
-if _choice not in ("auto", "numba", "numpy"):
-    raise ValueError(f"{_ENV_FLAG} must be auto, numba, or numpy (got {_choice!r})")
-if _choice == "numba" and not HAVE_NUMBA:
-    raise ImportError(f"{_ENV_FLAG}=numba but numba is not installed")
-
-USE_NUMBA = HAVE_NUMBA if _choice == "auto" else _choice == "numba"
-
-
-def backend() -> str:
-    """Name of the active kernel backend ("numba" or "numpy")."""
-    return "numba" if USE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# block norms and the group soft-threshold operator
-
-
-def block_norms_numpy(flat, block_dim):
+def block_norms(flat, block_dim):
     return np.sqrt((flat.reshape(-1, block_dim) ** 2).sum(axis=1))
 
 
-def group_soft_threshold_numpy(flat, block_dim, tau):
+def group_soft_threshold(flat, block_dim, tau):
     blocks = flat.reshape(-1, block_dim)
     norms = np.sqrt((blocks**2).sum(axis=1))
     scale = np.zeros_like(norms)
@@ -59,88 +22,7 @@ def group_soft_threshold_numpy(flat, block_dim, tau):
     return (blocks * scale[:, None]).ravel()
 
 
-def _block_norms_loop(flat, block_dim):
-    n_blocks = flat.shape[0] // block_dim
-    out = np.empty(n_blocks)
-    for t in range(n_blocks):
-        acc = 0.0
-        for d in range(block_dim):
-            v = flat[t * block_dim + d]
-            acc += v * v
-        out[t] = np.sqrt(acc)
-    return out
-
-
-def _group_soft_threshold_loop(flat, block_dim, tau):
-    n_blocks = flat.shape[0] // block_dim
-    out = np.zeros_like(flat)
-    for t in range(n_blocks):
-        acc = 0.0
-        for d in range(block_dim):
-            v = flat[t * block_dim + d]
-            acc += v * v
-        norm = np.sqrt(acc)
-        if norm > tau:
-            scale = 1.0 - tau / norm
-            for d in range(block_dim):
-                out[t * block_dim + d] = scale * flat[t * block_dim + d]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# pairwise feature matrices (scalar feature per pair)
-
-
-def product_features_numpy(x_rows, u_idx, v_idx):
-    return x_rows[:, u_idx] * x_rows[:, v_idx]
-
-
-def squared_product_features_numpy(x_rows, u_idx, v_idx):
-    sq = x_rows * x_rows
-    return sq[:, u_idx] * sq[:, v_idx]
-
-
-def delta_features_numpy(x_rows, u_idx, v_idx):
-    return (x_rows[:, u_idx] == x_rows[:, v_idx]).astype(np.float64)
-
-
-def _product_features_loop(x_rows, u_idx, v_idx):
-    n_rows = x_rows.shape[0]
-    n_pairs = u_idx.shape[0]
-    out = np.empty((n_rows, n_pairs))
-    for r in range(n_rows):
-        for t in range(n_pairs):
-            out[r, t] = x_rows[r, u_idx[t]] * x_rows[r, v_idx[t]]
-    return out
-
-
-def _squared_product_features_loop(x_rows, u_idx, v_idx):
-    n_rows = x_rows.shape[0]
-    n_pairs = u_idx.shape[0]
-    out = np.empty((n_rows, n_pairs))
-    for r in range(n_rows):
-        for t in range(n_pairs):
-            a = x_rows[r, u_idx[t]]
-            b = x_rows[r, v_idx[t]]
-            out[r, t] = (a * a) * (b * b)  # match the vectorized association order
-    return out
-
-
-def _delta_features_loop(x_rows, u_idx, v_idx):
-    n_rows = x_rows.shape[0]
-    n_pairs = u_idx.shape[0]
-    out = np.empty((n_rows, n_pairs))
-    for r in range(n_rows):
-        for t in range(n_pairs):
-            out[r, t] = 1.0 if x_rows[r, u_idx[t]] == x_rows[r, v_idx[t]] else 0.0
-    return out
-
-
-# ---------------------------------------------------------------------------
-# random-walk Metropolis chain for one 4-variable generator block
-
-
-def _diamond_chain_impl(rho, gauss_coeff, x0, steps, log_u, burn_in, thinning, n_keep):
+def diamond_chain(rho, gauss_coeff, x0, steps, log_u, burn_in, thinning, n_keep):
     """Walk one chain over pre-drawn randomness; returns (kept states, accepts).
 
     ``steps`` has one proposal increment per iteration, ``log_u`` the matching
@@ -185,37 +67,3 @@ def _diamond_chain_impl(rho, gauss_coeff, x0, steps, log_u, burn_in, thinning, n
             kept[kept_i, 3] = xd
             kept_i += 1
     return kept, accepted
-
-
-diamond_chain_numpy = _diamond_chain_impl
-
-if HAVE_NUMBA:
-    _jit = numba.njit(cache=True)
-    block_norms_numba = _jit(_block_norms_loop)
-    group_soft_threshold_numba = _jit(_group_soft_threshold_loop)
-    product_features_numba = _jit(_product_features_loop)
-    squared_product_features_numba = _jit(_squared_product_features_loop)
-    delta_features_numba = _jit(_delta_features_loop)
-    diamond_chain_numba = _jit(_diamond_chain_impl)
-else:  # pragma: no cover - exercised only without numba
-    block_norms_numba = None
-    group_soft_threshold_numba = None
-    product_features_numba = None
-    squared_product_features_numba = None
-    delta_features_numba = None
-    diamond_chain_numba = None
-
-if USE_NUMBA:
-    block_norms = block_norms_numba
-    group_soft_threshold = group_soft_threshold_numba
-    product_features = product_features_numba
-    squared_product_features = squared_product_features_numba
-    delta_features = delta_features_numba
-    diamond_chain = diamond_chain_numba
-else:
-    block_norms = block_norms_numpy
-    group_soft_threshold = group_soft_threshold_numpy
-    product_features = product_features_numpy
-    squared_product_features = squared_product_features_numpy
-    delta_features = delta_features_numpy
-    diamond_chain = diamond_chain_numpy

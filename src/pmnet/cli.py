@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, ParseError, PmnetError
-from .model import PairPolicy, diagnostics
+from .model import ModelTerms, PairPolicy, diagnostics
 from .pipelines import (
     RunManifest,
     SequencePairConfig,
@@ -152,18 +152,20 @@ def _load_for_fit(args):
 def _cmd_fit(args, argv):
     data, feature = _load_for_fit(args)
     cfg = SolverConfig(max_iter=args.max_iter, tol_rel_obj=args.tol_obj, tol_kkt=args.tol_kkt)
+    if not args.cv and args.lam is None:
+        raise ConfigError("fit needs --lambda or --cv")
     policy = _policy_from_args(args)
+    terms = ModelTerms(data, feature, pair_policy=policy)
+    lam = args.lam
     extras = {}
     if args.cv:
-        cv = cross_validate(data, feature, folds=args.cv, cfg=cfg, seed=args.seed, pair_policy=policy)
+        cv = cross_validate(
+            data, feature, folds=args.cv, cfg=cfg, seed=args.seed, pair_policy=policy, terms=terms
+        )
         lam = cv.best_lambda
         extras["cv_folds"] = args.cv
         extras["cv_lambda"] = lam
-    elif args.lam is not None:
-        lam = args.lam
-    else:
-        raise ConfigError("fit needs --lambda or --cv")
-    result = fit(data, feature, lam, cfg=cfg, pair_policy=policy)
+    result = fit(data, feature, lam, cfg=cfg, terms=terms)
     fit_to_json(result, data.partition, feature, args.out, extras=extras)
     write_manifest(_manifest(args, argv, {"data": args.data}, {"fit": args.out}), args.out)
     return _report_uncertified([result])
@@ -321,6 +323,10 @@ def _add_solver_flags(p):
     p.add_argument("--max-iter", type=int, default=2000)
     p.add_argument("--tol-obj", type=float, default=1e-8)
     p.add_argument("--tol-kkt", type=float, default=1e-6)
+    _add_pair_flags(p)
+
+
+def _add_pair_flags(p):
     p.add_argument("--pair-seed", type=int, default=0, help="seed for permuted-pair subsampling")
     p.add_argument("--pair-cap", type=int, default=40_000, help="max permuted pairs kept")
 
@@ -412,8 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     dg.add_argument("--fit", required=True)
     dg.add_argument("--data", required=True)
     dg.add_argument("--out", required=True)
-    dg.add_argument("--pair-seed", type=int, default=0)
-    dg.add_argument("--pair-cap", type=int, default=40_000)
+    _add_pair_flags(dg)
     dg.set_defaults(func=_cmd_diag)
 
     return parser

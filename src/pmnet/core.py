@@ -11,7 +11,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _kernels
 from .errors import DimensionError, DomainError
 
 CONTINUOUS = "continuous"
@@ -300,13 +299,14 @@ def pair_feature_matrix(f: FeatureMap, x_rows: np.ndarray, index: PairIndex) -> 
         raise DimensionError("feature block_dim and index block_dim differ")
     u, v = index.u_idx, index.v_idx
     if f.kind == PRODUCT:
-        return _kernels.product_features(x_rows, u, v)
+        return x_rows[:, u] * x_rows[:, v]
     if f.kind == SQUARED_PRODUCT:
-        return _kernels.squared_product_features(x_rows, u, v)
+        sq = x_rows * x_rows
+        return sq[:, u] * sq[:, v]
     if f.kind == KRONECKER_DELTA:
         if f.categories is not None:
             _check_codes(f, x_rows)
-        return _kernels.delta_features(x_rows, u, v)
+        return (x_rows[:, u] == x_rows[:, v]).astype(np.float64)
     _check_codes(f, x_rows)
     codes = x_rows.astype(np.int64)
     out = f.table[codes[:, u], codes[:, v]]

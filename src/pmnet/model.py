@@ -49,32 +49,28 @@ HESSIAN_DIM_CAP = 4096
 class PairPolicy:
     """How permuted pairs are enumerated for the normalizer estimate.
 
-    "all_ordered" uses every ordered pair j != k, evaluated as an n x n score
-    grid without materializing the permuted samples.  "subsample" draws up to
-    ``cap`` distinct ordered pairs with a fixed seed.  "auto" (default)
-    switches from all_ordered to subsample once n exceeds ``threshold``.
+    "all_ordered" uses every ordered pair j != k.  "auto" (default) does the
+    same while the n(n-1) ordered pairs number at most ``cap``, and otherwise
+    draws ``cap`` distinct ordered pairs with ``seed``.  Every-pair sets are
+    evaluated as an n x n score grid without materializing permuted samples.
     """
 
     kind: str = "auto"
     seed: int = 0
     cap: int = 40_000
-    threshold: int = 200
 
     def __post_init__(self):
-        if self.kind not in ("auto", "all_ordered", "subsample"):
+        if self.kind not in ("auto", "all_ordered"):
             raise DimensionError(f"unknown pair policy {self.kind!r}")
-        if self.cap < 1 or self.threshold < 2:
-            raise DimensionError("pair policy needs cap >= 1 and threshold >= 2")
+        if self.cap < 1:
+            raise DimensionError("pair policy needs cap >= 1")
 
 
 def select_ordered_pairs(n: int, policy: PairPolicy | None = None):
     """Ordered index pairs (j, k), j != k, per the policy; deterministic."""
     policy = policy or PairPolicy()
     total = n * (n - 1)
-    kind = policy.kind
-    if kind == "auto":
-        kind = "all_ordered" if n <= policy.threshold else "subsample"
-    if kind == "subsample" and total > policy.cap:
+    if policy.kind == "auto" and total > policy.cap:
         rng = np.random.default_rng(policy.seed)
         codes = np.empty(0, dtype=np.int64)
         while codes.size < policy.cap:

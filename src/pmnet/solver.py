@@ -395,12 +395,14 @@ def cross_validate(
     seed: int = 0,
     index: PairIndex | None = None,
     pair_policy: PairPolicy | None = None,
+    terms: ModelTerms | None = None,
 ) -> CvResult:
     """K-fold selection of the penalty by held-out objective value.
 
     Each validation fold is scored with its own permuted-pair normalizer, so
     every fold needs at least two samples; ties in the mean score resolve to
-    the largest penalty.
+    the largest penalty.  ``terms``, the full-data ModelTerms, are reused for
+    lambda_max when no grid is given.
     """
     if folds < 2:
         raise ConfigError("folds must be >= 2")
@@ -409,7 +411,9 @@ def cross_validate(
             f"n={data.n} is too small for {folds} folds; every fold needs >= 2 samples"
         )
     if lambdas is None:
-        lambdas = default_lambda_grid(lambda_max(data, f, index=index, pair_policy=pair_policy))
+        lambdas = default_lambda_grid(
+            lambda_max(data, f, index=index, pair_policy=pair_policy, terms=terms)
+        )
     lambdas = np.sort(np.asarray(lambdas, dtype=np.float64))[::-1]
     if lambdas.size == 0 or lambdas[-1] < 0.0:
         raise ConfigError("lambda grid must be nonempty and nonnegative")

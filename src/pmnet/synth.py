@@ -164,8 +164,8 @@ def sample_diamond(spec: DiamondSpec, n: int) -> Dataset:
     """Metropolis sample of n rows; blocks use independent seeded substreams.
 
     Proposal increments and acceptance draws are pre-generated with numpy,
-    so both kernel backends walk identical chains.  Warns when any block's
-    acceptance rate leaves [0.1, 0.7].
+    so the seed alone fixes every chain's trajectory.  Warns when any
+    block's acceptance rate leaves [0.1, 0.7].
     """
     if n < 2:
         raise DimensionError("need at least two samples")

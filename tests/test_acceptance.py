@@ -2,15 +2,12 @@
 
 Each test prints one [PASS]/[FAIL] line (visible under ``pytest -s``) and
 asserts the same condition, so the suite is both a report and a gate.
-Timed checks depend on the jit warmup fixture below; without it the first
-kernel call would pay compilation inside a timing window.
 """
 
 import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from pmnet import (
     DiamondSpec,
@@ -45,20 +42,6 @@ ALL_ORDERED = PairPolicy(kind="all_ordered")
 
 def report(num, name, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num} ({name}): {detail}")
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # compile every jitted kernel before any timed window
-    data = make_dataset(30, 3, 2, seed=0)
-    lam = 0.5 * lambda_max(data, FeatureMap.product())
-    fit(data, FeatureMap.product(), lam)
-    fit(data, FeatureMap.squared_product(), 0.5 * lambda_max(data, FeatureMap.squared_product()))
-    coded = make_coded_dataset(30, 3, 2, categories=3, seed=0)
-    fit(coded, FeatureMap.kronecker_delta(3), 0.3)
-    sample_diamond(
-        DiamondSpec(blocks=2, mcmc=McmcConfig(burn_in=50, thinning=2, seed=0)), 5
-    )
 
 
 def random_instance(rng, kind, n_lo, n_hi, theta_scale):

@@ -14,6 +14,7 @@ from pmnet import (
     truth_support,
 )
 from pmnet.cli import main
+from pmnet.model import ModelTerms
 from pmnet.pipelines import path_to_json, truth_to_json
 
 GEN_ARGS = [
@@ -118,6 +119,24 @@ class TestPipelines:
         payload = json.loads((tmp_path / "cv.json").read_text())
         assert payload["cv_folds"] == 3
         assert payload["lambda"] == payload["cv_lambda"]
+
+    def test_cv_fit_builds_full_data_terms_once(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(GEN_ARGS) == 0
+        builds = []
+        init = ModelTerms.__init__
+
+        def counting_init(self, data, *args, **kwargs):
+            builds.append(data.n)
+            init(self, data, *args, **kwargs)
+
+        monkeypatch.setattr(ModelTerms, "__init__", counting_init)
+        assert main([
+            "fit", "--data", "data.csv", "--partition", "1-6|7-8",
+            "--cv", "3", "--out", "cv.json",
+        ]) == 0
+        # one full-data build, then a train and a validation build per fold
+        assert builds == [60, 40, 20, 40, 20, 40, 20]
 
 
 class TestAlign:

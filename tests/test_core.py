@@ -209,13 +209,16 @@ class TestFeatures:
 
     def test_matrix_agrees_with_scalar_eval(self):
         d = make_dataset(8, 3, 2, seed=5)
+        coded = make_coded_dataset(8, 3, 2, categories=3, seed=5)
         idx = build_pair_index(5)
-        for f in (FeatureMap.product(), FeatureMap.squared_product()):
-            mat = pair_feature_matrix(f, d.samples, idx)
+        cases = ((FeatureMap.product(), d), (FeatureMap.squared_product(), d),
+                 (FeatureMap.kronecker_delta(3), coded))
+        for f, data in cases:
+            mat = pair_feature_matrix(f, data.samples, idx)
             assert mat.shape == (8, idx.n_pairs)
             for r in (0, 3):
                 for t, pair in enumerate(idx.pairs):
-                    np.testing.assert_allclose(mat[r, t], feature_eval(f, d.samples[r], pair)[0])
+                    np.testing.assert_allclose(mat[r, t], feature_eval(f, data.samples[r], pair)[0])
 
     def test_table_matrix_agrees_with_scalar_eval(self):
         d = make_coded_dataset(6, 2, 2, categories=3, seed=8)

@@ -45,7 +45,7 @@ class TestPairSelection:
         assert len({(a, b) for a, b in zip(j, k)}) == 20
 
     def test_subsample_is_capped_and_deterministic(self):
-        pol = PairPolicy(kind="subsample", cap=50, seed=4)
+        pol = PairPolicy(cap=50, seed=4)
         j1, k1 = select_ordered_pairs(30, pol)
         j2, k2 = select_ordered_pairs(30, pol)
         assert j1.shape == (50,)
@@ -56,15 +56,22 @@ class TestPairSelection:
         assert len({(a, b) for a, b in zip(j1, k1)}) == 50
 
     def test_auto_switches_on_threshold(self):
-        pol = PairPolicy(kind="auto", cap=100, threshold=10)
-        j_small, _ = select_ordered_pairs(10, pol)
-        assert j_small.shape == (90,)
-        j_big, _ = select_ordered_pairs(11, pol)
-        assert j_big.shape == (100,)
+        # the default cap keeps every ordered pair up to n = 200 (39,800 pairs)
+        j_small, _ = select_ordered_pairs(200)
+        assert j_small.shape == (200 * 199,)
+        j_big, _ = select_ordered_pairs(201)
+        assert j_big.shape == (40_000,)
+
+    def test_auto_honours_cap_at_small_n(self):
+        j, k = select_ordered_pairs(100, PairPolicy(cap=500))
+        assert j.shape == (500,)
+        assert len({(a, b) for a, b in zip(j, k)}) == 500
 
     def test_policy_guards(self):
         with pytest.raises(DimensionError):
             PairPolicy(kind="sometimes")
+        with pytest.raises(DimensionError):
+            PairPolicy(kind="subsample")
         with pytest.raises(DimensionError):
             PairPolicy(cap=0)
 
@@ -376,7 +383,7 @@ class TestScoreGrid:
         assert terms.n_pairs_used == small_data.n * (small_data.n - 1)
 
     def test_subsample_keeps_dense_rows(self, small_data):
-        pol = PairPolicy(kind="subsample", cap=50, seed=1)
+        pol = PairPolicy(cap=50, seed=1)
         terms = ModelTerms(small_data, FeatureMap.product(), pair_policy=pol)
         assert isinstance(terms.backing, DensePairRows)
         assert terms.n_pairs_used == 50
