@@ -24,6 +24,7 @@ expose the pair scores F v and the weighted feature sum F^T w, and every
 evaluation here is written on those two.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -248,6 +249,21 @@ def _shifted_exp(scores: np.ndarray) -> tuple[float, float]:
     return top, float(scores.sum())
 
 
+@dataclass(eq=False)
+class _Evaluated:
+    """The log-sum-exp parts of one parameter point, keyed on its bytes.
+
+    ``weights`` holds exp(scores - top) until the gradient is taken; then
+    only ``grad`` is kept.
+    """
+
+    key: bytes
+    top: float
+    total: float
+    weights: np.ndarray | None
+    grad: np.ndarray | None = None
+
+
 class ModelTerms:
     """Cached per-dataset terms for repeated evaluations on one dataset.
 
@@ -256,6 +272,11 @@ class ModelTerms:
     ``DensePairRows`` with the subsampled permuted feature rows.  The solver
     builds this once and reuses it across iterations, path points, and
     cross-validation scoring.
+
+    The last evaluated point is remembered, so a ``value_grad`` at the point
+    whose ``value`` was just taken (the solver's accepted iterate), or a
+    repeat at one whose gradient is known, skips the pair scoring; results
+    are bit-identical to a fresh evaluation.
     """
 
     def __init__(
@@ -278,6 +299,7 @@ class ModelTerms:
             self.backing = PairScoreGrid(data, feature, self.index, self.f_data)
         else:
             self.backing = DensePairRows(data, feature, self.index, self.pair_j, self.pair_k)
+        self._last: _Evaluated | None = None
 
     @property
     def n(self) -> int:
@@ -290,6 +312,29 @@ class ModelTerms:
     @cached_property
     def log_pair_count(self) -> float:
         return float(np.log(self.n_pairs_used))
+
+    @cached_property
+    def initial_step(self) -> float:
+        """1 / (largest eigenvalue of F'F) via a few power iterations on F^T (F v).
+
+        The softmax covariance is dominated by the permuted-pair feature Gram
+        matrix, so this lands within a small factor of the true curvature and
+        the solver's backtracking line search absorbs the rest.  It depends
+        only on the dataset, so it is computed once per ``ModelTerms``.
+        """
+        pairs = self.backing
+        dim = self.index.dim
+        v = np.ones(dim) / math.sqrt(dim)
+        est = 1.0
+        for _ in range(8):
+            w = pairs.weighted_sum(pairs.scores(v))
+            nrm = float(np.linalg.norm(w))
+            if nrm == 0.0:
+                return 1.0
+            est = nrm
+            v = w / nrm
+        # est approximates ||F||_2^2; softmax weights divide by the pair count
+        return self.n_pairs_used / est
 
     def _check_flat(self, flat: np.ndarray) -> np.ndarray:
         flat = np.asarray(flat, dtype=np.float64).ravel()
@@ -322,9 +367,20 @@ class ModelTerms:
         self._guard_finite(scores, flat)
         return scores
 
+    def _evaluated(self, flat: np.ndarray) -> _Evaluated:
+        """The remembered point if ``flat`` is it, else a freshly scored one."""
+        key = flat.tobytes()
+        if self._last is None or self._last.key != key:
+            # free the old pair scores before allocating new ones
+            self._last = None
+            weights = self.perm_scores(flat)
+            top, total = _shifted_exp(weights)
+            self._last = _Evaluated(key, top, total, weights)
+        return self._last
+
     def log_normalizer(self, flat: np.ndarray) -> float:
-        top, total = _shifted_exp(self.perm_scores(flat))
-        return top + float(np.log(total)) - self.log_pair_count
+        last = self._evaluated(self._check_flat(flat))
+        return last.top + float(np.log(last.total)) - self.log_pair_count
 
     def value(self, flat: np.ndarray, normalized: bool = True) -> float:
         flat = self._check_flat(flat)
@@ -336,11 +392,18 @@ class ModelTerms:
 
     def value_grad(self, flat: np.ndarray) -> tuple[float, np.ndarray]:
         """Normalized objective and its gradient in one permuted-pair pass."""
-        weights = self.perm_scores(flat)
-        top, total = _shifted_exp(weights)
-        value = -float(self.mean_f @ flat) + top + float(np.log(total)) - self.log_pair_count
-        weights /= total
-        return value, self.backing.weighted_sum(weights) - self.mean_f
+        flat = self._check_flat(flat)
+        last = self._evaluated(flat)
+        value = -float(self.mean_f @ flat) + last.top + float(np.log(last.total)) - self.log_pair_count
+        if last.grad is None:
+            # unset while the weights are divided in place, so an interrupted
+            # gradient never leaves half-updated weights behind
+            self._last = None
+            last.weights /= last.total
+            last.grad = self.backing.weighted_sum(last.weights) - self.mean_f
+            last.weights = None
+            self._last = last
+        return value, last.grad.copy()
 
     def softmax_weights(self, flat: np.ndarray) -> np.ndarray:
         weights = self.perm_scores(flat)
@@ -496,6 +559,27 @@ class DiagnosticsReport:
     support_size: int
 
 
+# feature floats per panel of permuted samples in the bound scan (8 MB)
+BOUND_PANEL_FLOATS = 1 << 20
+
+
+def _observed_pair_bounds(terms: ModelTerms) -> tuple[float, float]:
+    """``observed_feature_bounds`` over the data rows and every permuted sample.
+
+    The permuted samples are built one panel of pairs at a time and the
+    maxima kept running, which gives the same result as one scan of all rows
+    without holding every permuted sample at once.
+    """
+    data, f, index = terms.data, terms.feature, terms.index
+    obs_inf, obs_l2 = observed_feature_bounds(f, data.samples, index)
+    panel = max(1, BOUND_PANEL_FLOATS // index.dim)
+    for lo in range(0, terms.pair_j.size, panel):
+        rows = permuted_matrix(data, terms.pair_j[lo : lo + panel], terms.pair_k[lo : lo + panel])
+        panel_inf, panel_l2 = observed_feature_bounds(f, rows, index)
+        obs_inf, obs_l2 = max(obs_inf, panel_inf), max(obs_l2, panel_l2)
+    return obs_inf, obs_l2
+
+
 def diagnostics(
     theta_star: ParamBlocks,
     data: Dataset,
@@ -541,8 +625,7 @@ def diagnostics(
             worst = max(worst, float(np.abs(y).sum()))
         margin = 1.0 - worst
 
-    all_rows = np.vstack([data.samples, permuted_matrix(data, terms.pair_j, terms.pair_k)])
-    obs_inf, obs_l2 = observed_feature_bounds(f, all_rows, index)
+    obs_inf, obs_l2 = _observed_pair_bounds(terms)
     bounds = FeatureBoundReport(obs_inf, obs_l2, f.bound_inf, f.bound_l2)
 
     log_norm = terms.log_normalizer(theta_star.flat)

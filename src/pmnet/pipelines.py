@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .core import CATEGORICAL, CONTINUOUS, Dataset, FeatureMap, Partition, build_pair_index
+from .core import CATEGORICAL, CONTINUOUS, TABLE, Dataset, FeatureMap, Partition, build_pair_index
 from .errors import ConfigError, DimensionError, DomainError, ParseError
 from .model import ParamBlocks
 from .solver import FitResult, PathResult
@@ -365,6 +365,8 @@ def fit_to_json(
         "support_size": len(blocks),
         "theta": blocks,
     }
+    if feature.kind == TABLE:
+        payload["table"] = feature.table.tolist()
     payload.update(extras or {})
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -383,7 +385,12 @@ def fit_from_json(path: str) -> tuple[ParamBlocks, Partition, FeatureMap, dict]:
         flat[sl] = entry["coef"]
     theta = ParamBlocks(flat, index)
     partition = parse_partition_spec(payload["partition"], payload["m"])
-    feature = feature_by_name(payload["feature"])
+    if payload["feature"] == TABLE:
+        if "table" not in payload:
+            raise ParseError(f"{path}: table fit has no 'table' entry")
+        feature = FeatureMap.from_table(payload["table"])
+    else:
+        feature = feature_by_name(payload["feature"])
     return theta, partition, feature, payload
 
 

@@ -103,28 +103,6 @@ def _penalty(flat: np.ndarray, block_dim: int) -> float:
     return float(_kernels.block_norms(flat, block_dim).sum())
 
 
-def _initial_step(terms: ModelTerms) -> float:
-    """1 / (largest eigenvalue of F'F) via a few power iterations on F^T (F v).
-
-    The softmax covariance is dominated by the permuted-pair feature Gram
-    matrix, so this lands within a small factor of the true curvature and
-    the backtracking line search absorbs the rest.
-    """
-    pairs = terms.backing
-    dim = terms.index.dim
-    v = np.ones(dim) / math.sqrt(dim)
-    est = 1.0
-    for _ in range(8):
-        w = pairs.weighted_sum(pairs.scores(v))
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            return 1.0
-        est = nrm
-        v = w / nrm
-    # est approximates ||F||_2^2; softmax weights divide by the pair count
-    return terms.n_pairs_used / est
-
-
 def fit(
     data: Dataset,
     f: FeatureMap,
@@ -163,7 +141,7 @@ def fit(
         raise NumericError("objective is not finite at the starting point")
 
     trace = [obj_x]
-    step = cfg.fixed_step if cfg.fixed_step is not None else _initial_step(terms)
+    step = cfg.fixed_step if cfg.fixed_step is not None else terms.initial_step
     step_cap = 64.0 * step
     y = x.copy()
     f_y, g_y = f_x, g_x

@@ -4,7 +4,8 @@ from hypothesis import settings
 
 from pmnet import Dataset, Partition
 
-# JIT warmup on the first kernel call can blow per-example deadlines
+# examples that fit a model or score a pair grid can outlast the default
+# 200 ms per-example deadline on a slow machine
 settings.register_profile("pmnet", deadline=None, max_examples=50)
 settings.load_profile("pmnet")
 

@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,23 +9,27 @@ from pmnet import (
     Dataset,
     DimensionError,
     FeatureMap,
+    GeometricSchedule,
     NumericError,
     PairPolicy,
     ParamBlocks,
     Partition,
     SizeError,
+    SolverConfig,
     build_pair_index,
     diagnostics,
     feature_eval,
+    fit,
     gradient,
     hessian,
+    lambda_path,
     negative_log_likelihood,
     normalizer_hat,
     ratio_hat,
     unnormalized_log_ratio,
 )
 from pmnet import model as model_mod
-from pmnet.core import permuted_pair
+from pmnet.core import observed_feature_bounds, permuted_matrix, permuted_pair
 from pmnet.model import DensePairRows, ModelTerms, PairScoreGrid, select_ordered_pairs
 from pmnet.synth import finite_difference_gradient, normalizer_enumeration_oracle
 
@@ -302,6 +308,30 @@ class TestDiagnostics:
         rep = diagnostics(theta, data, f, [(0, 2)], pair_policy=ALL)
         assert rep.feature_bounds.within_declared
 
+    @pytest.mark.parametrize("kind", ["product", "table"])
+    def test_panelled_bound_scan_equals_full_scan(self, kind, monkeypatch):
+        if kind == "product":
+            data = make_dataset(12, 2, 2, seed=45)
+            x = data.samples.copy()
+            # the largest feature is x[11, 0] * x[10, 2], met only by the last pair (11, 10)
+            x[11, 0], x[10, 2] = 10.0, 10.0
+            data = Dataset(x, data.partition)
+            f = FeatureMap.product()
+        else:
+            data = make_coded_dataset(12, 2, 2, categories=3, seed=46)
+            f = FeatureMap.from_table(np.random.default_rng(46).standard_normal((3, 3, 2)))
+        idx = build_pair_index(4, block_dim=f.block_dim)
+        theta = random_theta(idx, 45, scale=0.1)
+        monkeypatch.setattr(model_mod, "BOUND_PANEL_FLOATS", 7 * idx.dim)
+        # 132 pairs in panels of 7: the last panel is partial
+        assert (12 * 11) % 7 != 0
+        rep = diagnostics(theta, data, f, [(0, 2)], pair_policy=ALL)
+        j, k = select_ordered_pairs(12, ALL)
+        full = observed_feature_bounds(f, np.vstack([data.samples, permuted_matrix(data, j, k)]), idx)
+        assert (rep.feature_bounds.observed_inf, rep.feature_bounds.observed_l2) == full
+        if kind == "product":
+            assert full[0] == 100.0
+
 
 def dense_twin(terms):
     """Same terms with the pair set held as dense permuted feature rows."""
@@ -402,3 +432,86 @@ class TestScoreGrid:
             rtol=1e-10,
             atol=1e-12,
         )
+
+
+class Forgetful(ModelTerms):
+    """ModelTerms that drops its remembered point before every evaluation."""
+
+    def value(self, flat, normalized=True):
+        self._last = None
+        return super().value(flat, normalized)
+
+    def value_grad(self, flat):
+        self._last = None
+        return super().value_grad(flat)
+
+
+MEMO_POLICIES = [pytest.param(ALL, id="grid"), pytest.param(PairPolicy(cap=50, seed=1), id="dense")]
+
+
+class TestLastPointMemo:
+    @pytest.mark.parametrize("policy", MEMO_POLICIES)
+    def test_repeats_are_bit_equal_to_fresh_terms(self, small_data, policy):
+        f = FeatureMap.product()
+        idx = build_pair_index(small_data.m)
+        p, q = random_theta(idx, 1).flat, random_theta(idx, 2).flat
+        terms = ModelTerms(small_data, f, pair_policy=policy)
+        calls = [
+            ("value", p), ("value_grad", p), ("value_grad", p), ("log_normalizer", p),
+            ("log_normalizer", q), ("value_grad", q), ("value", q),
+            ("value_grad", p), ("value", p), ("value", q), ("value_grad", q),
+        ]
+        for method, point in calls:
+            got = getattr(terms, method)(point)
+            want = getattr(ModelTerms(small_data, f, pair_policy=policy), method)(point)
+            if method == "value_grad":
+                assert got[0] == want[0]
+                assert got[1].tobytes() == want[1].tobytes()
+            else:
+                assert got == want
+        assert terms.value(q, normalized=False) == ModelTerms(
+            small_data, f, pair_policy=policy
+        ).value(q, normalized=False)
+
+    @pytest.mark.parametrize("policy", MEMO_POLICIES)
+    def test_returned_gradient_is_a_copy(self, small_data, policy):
+        terms = ModelTerms(small_data, FeatureMap.product(), pair_policy=policy)
+        p = random_theta(terms.index, 3).flat
+        _, grad = terms.value_grad(p)
+        want = grad.copy()
+        grad[:] = 7.0
+        assert terms.value_grad(p)[1].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("policy", MEMO_POLICIES)
+    def test_fit_and_path_bytes_match_forgetful_terms(self, small_data, policy):
+        f = FeatureMap.product()
+        path = lambda_path(small_data, f, GeometricSchedule(factor=0.5, count=4),
+                           terms=ModelTerms(small_data, f, pair_policy=policy))
+        twin = lambda_path(small_data, f, GeometricSchedule(factor=0.5, count=4),
+                           terms=Forgetful(small_data, f, pair_policy=policy))
+        assert path.lambdas.tobytes() == twin.lambdas.tobytes()
+        for a, b in zip(path.entries, twin.entries):
+            assert a.fit.theta_hat.flat.tobytes() == b.fit.theta_hat.flat.tobytes()
+            assert a.fit.objective_trace.tobytes() == b.fit.objective_trace.tobytes()
+            assert a.fit.iterations == b.fit.iterations
+        assert path.entries[-1].support_size > 0
+
+    def test_step_estimate_runs_once_per_terms(self, small_data, monkeypatch):
+        runs = []
+        estimate = ModelTerms.__dict__["initial_step"].func
+
+        def counted(self):
+            runs.append(self)
+            return estimate(self)
+
+        prop = cached_property(counted)
+        prop.__set_name__(ModelTerms, "initial_step")
+        monkeypatch.setattr(ModelTerms, "initial_step", prop)
+        f = FeatureMap.product()
+        terms = ModelTerms(small_data, f, pair_policy=ALL)
+        path = lambda_path(small_data, f, GeometricSchedule(factor=0.5, count=4), terms=terms)
+        assert len(path.entries) == 4
+        assert runs == [terms]
+        fixed = ModelTerms(small_data, f, pair_policy=ALL)
+        fit(small_data, f, 0.01, cfg=SolverConfig(fixed_step=0.1), terms=fixed)
+        assert runs == [terms]

@@ -39,8 +39,9 @@ from pmnet.pipelines import (
     window_sequences,
     write_manifest,
 )
+from pmnet.core import pair_feature_matrix
 
-from conftest import make_dataset
+from conftest import make_coded_dataset, make_dataset
 
 
 class TestFeatureNames:
@@ -256,6 +257,50 @@ class TestModelSerialization:
         assert payload["note"] == 1
         assert payload["support_size"] == len(result.theta_hat.nonzero_pairs())
         assert payload["lambda"] == result.lam
+
+    @pytest.mark.parametrize("kind", ["product", "sq", "delta", "table"])
+    def test_fit_roundtrip_every_feature_kind(self, tmp_path, kind):
+        if kind in ("product", "sq"):
+            data = make_dataset(16, 2, 2, seed=72)
+            f = feature_by_name(kind)
+        else:
+            data = make_coded_dataset(16, 2, 2, categories=3, seed=72)
+            if kind == "delta":
+                f = FeatureMap.kronecker_delta(categories=3)
+            else:
+                f = FeatureMap.from_table(np.random.default_rng(72).standard_normal((3, 3, 2)) / 3)
+        policy = PairPolicy(kind="all_ordered")
+        idx = build_pair_index(data.m, block_dim=f.block_dim)
+        lam = 0.3 * lambda_max(data, f, index=idx, pair_policy=policy)
+        result = fit(data, f, lam, index=idx, pair_policy=policy)
+        assert result.theta_hat.nonzero_pairs()
+        path = tmp_path / "fit.json"
+        fit_to_json(result, data.partition, f, str(path))
+        theta, partition, feature, payload = fit_from_json(str(path))
+        # only nonzero blocks are written, so a -0.0 entry reads back as 0.0
+        np.testing.assert_array_equal(theta.flat, result.theta_hat.flat)
+        assert theta.index == idx
+        assert partition == data.partition
+        assert feature.kind == f.kind
+        assert ("table" in payload) == (kind == "table")
+        if kind == "table":
+            np.testing.assert_array_equal(feature.table, f.table)
+            assert (feature.bound_inf, feature.bound_l2) == (f.bound_inf, f.bound_l2)
+        np.testing.assert_array_equal(
+            pair_feature_matrix(feature, data.samples, idx), pair_feature_matrix(f, data.samples, idx)
+        )
+
+    def test_table_fit_without_table_is_rejected(self, tmp_path):
+        data = make_coded_dataset(12, 1, 2, categories=2, seed=74)
+        f = FeatureMap.from_table(np.ones((2, 2, 1)))
+        result = fit(data, f, 1.0, pair_policy=PairPolicy(kind="all_ordered"))
+        path = tmp_path / "fit.json"
+        fit_to_json(result, data.partition, f, str(path))
+        payload = json.loads(path.read_text())
+        del payload["table"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match="table"):
+            fit_from_json(str(path))
 
     def test_path_payload(self, tmp_path):
         from pmnet import GeometricSchedule, lambda_path
