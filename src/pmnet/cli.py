@@ -291,7 +291,10 @@ def _cmd_align(args, argv):
 
 def _cmd_diag(args, argv):
     theta, partition, feature, payload = fit_from_json(args.fit)
-    data = load_csv_dataset(args.data, payload["partition"])
+    # a feature with a category count (delta fitted with one, or table) was fitted on coded data
+    categories = feature.categories
+    domain = "categorical" if categories else "continuous"
+    data = load_csv_dataset(args.data, payload["partition"], domain_tag=domain, categories=categories)
     support = extract_support(theta)
     if support.size == 0:
         raise ConfigError("fitted model has empty support; nothing to diagnose")

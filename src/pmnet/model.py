@@ -25,6 +25,7 @@ evaluation here is written on those two.
 """
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -66,18 +67,24 @@ class PairPolicy:
         if self.cap < 1:
             raise DimensionError("pair policy needs cap >= 1")
 
+    def pair_count(self, n: int) -> int:
+        """Number of ordered pairs kept for n rows."""
+        total = n * (n - 1)
+        return min(total, self.cap) if self.kind == "auto" else total
+
 
 def select_ordered_pairs(n: int, policy: PairPolicy | None = None):
     """Ordered index pairs (j, k), j != k, per the policy; deterministic."""
     policy = policy or PairPolicy()
     total = n * (n - 1)
-    if policy.kind == "auto" and total > policy.cap:
+    count = policy.pair_count(n)
+    if count < total:
         rng = np.random.default_rng(policy.seed)
         codes = np.empty(0, dtype=np.int64)
-        while codes.size < policy.cap:
-            draw = rng.integers(0, total, size=2 * policy.cap, dtype=np.int64)
+        while codes.size < count:
+            draw = rng.integers(0, total, size=2 * count, dtype=np.int64)
             codes = np.unique(np.concatenate([codes, draw]))
-        codes = codes[: policy.cap]
+        codes = codes[:count]
     else:
         codes = np.arange(total, dtype=np.int64)
     j_idx = codes // (n - 1)
@@ -137,10 +144,13 @@ class DensePairRows:
         x_perm = permuted_matrix(data, pair_j, pair_k)
         self.f_perm = pair_feature_matrix(feature, x_perm, index)
         self.count = self.f_perm.shape[0]
+        # max |F| per column, from two reductions rather than an |F| temporary
+        self._col_max = np.maximum(self.f_perm.max(axis=0), -self.f_perm.min(axis=0))
 
-    def scores(self, v: np.ndarray, excluded: float = 0.0) -> np.ndarray:
-        """F v, one entry per pair (nothing is excluded)."""
-        return self.f_perm @ v
+    def scores(self, v: np.ndarray, excluded: float = 0.0) -> tuple[np.ndarray, float]:
+        """F v, one entry per pair (nothing is excluded), and a bound on its
+        magnitude: |F_i v| <= sum over d of max|F[:, d]| |v_d|."""
+        return self.f_perm @ v, float(self._col_max @ np.abs(v))
 
     def weighted_sum(self, w: np.ndarray) -> np.ndarray:
         """F^T w for pair weights shaped like ``scores``."""
@@ -165,6 +175,11 @@ class PairScoreGrid:
     contracted with it.  A cross pair whose first variable is in group 2 sees
     the forms transposed.  The diagonal j == k is no permuted pair:
     ``scores`` fills it with ``excluded``, and weights must be zero there.
+
+    The grid is one product A B^T of two n x (T m2 + 2) factors,
+    A = [phi1_t M_t for each term | s1 | 1] and B = [phi2_t for each term |
+    1 | s2], held in buffers reused across calls.  The gradient side is one
+    product too: w [phi2_t ... | 1] gives every cross term and the row sums.
     """
 
     def __init__(self, data: Dataset, feature: FeatureMap, index: PairIndex, f_data: np.ndarray):
@@ -191,7 +206,7 @@ class PairScoreGrid:
         # flat position of each cross pair in an m1 x m2 block matrix
         self._pq = pos[np.where(flipped, v, u)] * m2 + pos[np.where(flipped, u, v)]
 
-        self._phi1, self._phi2, forms = variable_embedding(feature, data)
+        self._phi1, phi2, forms = variable_embedding(feature, data)
         used = (forms != 0.0).any(axis=0)
         c1, c2 = np.nonzero(used | used.T)
         self._terms = list(zip(c1.tolist(), c2.tolist()))
@@ -199,31 +214,44 @@ class PairScoreGrid:
         self._coef = np.where(flipped[:, None, None], forms[:, c2, c1], forms[:, c1, c2])
         self._block_shape = (m1, m2)
 
-    def scores(self, v: np.ndarray, excluded: float = 0.0) -> np.ndarray:
-        """F v as an n x n grid; the diagonal holds ``excluded``."""
+        width = len(self._terms) * m2
+        self._a = np.empty((self.n, width + 2))
+        self._a[:, width + 1] = 1.0
+        self._b = np.empty((self.n, width + 2))
+        for t, c in enumerate(c2.tolist()):
+            self._b[:, t * m2 : (t + 1) * m2] = phi2[c]
+        self._b[:, width] = 1.0
+
+    def scores(self, v: np.ndarray, excluded: float = 0.0) -> tuple[np.ndarray, float]:
+        """F v as an n x n grid, the diagonal holding ``excluded``, and a bound
+        on the magnitude of its other entries: max_j ||A_j||_1 max|B|."""
+        m1, m2 = self._block_shape
+        a, b = self._a, self._b
         blocks = v[self._cols_x].reshape(self._coef.shape[:2])
-        mats = np.zeros((len(self._terms), self._block_shape[0] * self._block_shape[1]))
+        mats = np.zeros((len(self._terms), m1 * m2))
         mats[:, self._pq] = np.einsum("id,idt->ti", blocks, self._coef)
-        # fresh n x n arrays are costly, so the first term's product is the grid
-        grid = None
-        for (c1, c2), mat in zip(self._terms, mats):
-            term = self._phi1[c1] @ (mat.reshape(self._block_shape) @ self._phi2[c2].T)
-            grid = term if grid is None else np.add(grid, term, out=grid)
-        if grid is None:  # delta features with no code seen in both groups
-            grid = np.zeros((self.n, self.n))
-        grid += (self._f1 @ v[self._cols1])[:, None]
-        grid += self._f2 @ v[self._cols2]
+        for t, (c1, _) in enumerate(self._terms):
+            a[:, t * m2 : (t + 1) * m2] = self._phi1[c1] @ mats[t].reshape(m1, m2)
+        a[:, -2] = self._f1 @ v[self._cols1]
+        b[:, -1] = self._f2 @ v[self._cols2]
+        grid = a @ b.T
         np.fill_diagonal(grid, excluded)
-        return grid
+        # a non-finite entry of A or B makes the bound inf or NaN
+        bound = float(np.abs(a).sum(axis=1).max()) * float(np.abs(b).max())
+        return grid, bound
 
     def weighted_sum(self, w: np.ndarray) -> np.ndarray:
         """F^T w for an n x n weight grid with a zero diagonal."""
+        m2 = self._block_shape[1]
+        width = self._b.shape[1] - 2
+        # [w phi2_t for each term | row sums of w]
+        prod = w @ self._b[:, : width + 1]
         out = np.empty(self._index.dim)
-        out[self._cols1] = self._f1.T @ w.sum(axis=1)
+        out[self._cols1] = self._f1.T @ prod[:, width]
         out[self._cols2] = self._f2.T @ w.sum(axis=0)
         cross = np.empty((len(self._terms), self._pq.size))
-        for t, (c1, c2) in enumerate(self._terms):
-            cross[t] = (self._phi1[c1].T @ (w @ self._phi2[c2])).ravel()[self._pq]
+        for t, (c1, _) in enumerate(self._terms):
+            cross[t] = (self._phi1[c1].T @ prod[:, t * m2 : (t + 1) * m2]).ravel()[self._pq]
         out[self._cols_x] = np.einsum("ti,idt->id", cross, self._coef).ravel()
         return out
 
@@ -249,12 +277,39 @@ def _shifted_exp(scores: np.ndarray) -> tuple[float, float]:
     return top, float(scores.sum())
 
 
+# A pair-score bound below this leaves every score finite, so the scan for
+# non-finite scores is skipped; float64 overflows near 1.8e308.
+FINITE_SCORE_BOUND = 1e300
+
+
+def physical_memory_bytes() -> int:
+    """Physical memory of this machine, in bytes."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, exact: bool) -> int:
+    """Estimated peak bytes of the arrays ``ModelTerms`` builds for a dataset.
+
+    Counts the data-row features and the pair backing.  The grid's peak is
+    either the build of its pair indices (four int64 arrays of pair_count)
+    or an evaluation (the two kept indices and the n x n scores).  Dense
+    rows hold the permuted samples, the two gathered feature operands and
+    the feature rows at once.
+    """
+    n, m, dim = data.n, index.m, index.dim
+    if exact:
+        floats = max(4 * pair_count, 2 * pair_count + n * n)
+    else:
+        floats = 2 * pair_count + pair_count * (3 * m + 2 * index.n_pairs + dim)
+    return 8 * (n * dim + floats)
+
+
 @dataclass(eq=False)
 class _Evaluated:
     """The log-sum-exp parts of one parameter point, keyed on its bytes.
 
-    ``weights`` holds exp(scores - top) until the gradient is taken; then
-    only ``grad`` is kept.
+    ``weights`` holds exp(scores - top), never divided, until the gradient
+    is taken; then only ``grad`` is kept.
     """
 
     key: bytes
@@ -271,12 +326,19 @@ class ModelTerms:
     ``PairScoreGrid`` when the policy keeps every ordered pair, otherwise
     ``DensePairRows`` with the subsampled permuted feature rows.  The solver
     builds this once and reuses it across iterations, path points, and
-    cross-validation scoring.
+    cross-validation scoring.  A dataset whose estimated peak (see
+    ``_peak_bytes``) exceeds physical memory raises ``SizeError`` before
+    anything is allocated.
 
     The last evaluated point is remembered, so a ``value_grad`` at the point
     whose ``value`` was just taken (the solver's accepted iterate), or a
     repeat at one whose gradient is known, skips the pair scoring; results
-    are bit-identical to a fresh evaluation.
+    are bit-identical to a fresh evaluation.  ``scorings`` counts the
+    evaluations that did score the pair set (memo misses).
+
+    Each scoring also bounds |score|; only a bound that is not below
+    ``FINITE_SCORE_BOUND`` sends the scores through the scan that names the
+    dominant block of a non-finite score.
     """
 
     def __init__(
@@ -292,14 +354,23 @@ class ModelTerms:
         if self.index.m != data.m:
             raise DimensionError("pair index and dataset disagree on m")
         self.policy = pair_policy or PairPolicy()
+        pair_count = self.policy.pair_count(data.n)
+        exact = pair_count == data.n * (data.n - 1)
+        need, have = _peak_bytes(data, self.index, pair_count, exact), physical_memory_bytes()
+        if need > have:
+            raise SizeError(
+                f"{pair_count} permuted pairs over {self.index.dim} features need about "
+                f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of physical memory"
+            )
         self.f_data = pair_feature_matrix(feature, data.samples, self.index)
         self.mean_f = self.f_data.mean(axis=0)
         self.pair_j, self.pair_k = select_ordered_pairs(data.n, self.policy)
-        if self.pair_j.size == data.n * (data.n - 1):
+        if exact:
             self.backing = PairScoreGrid(data, feature, self.index, self.f_data)
         else:
             self.backing = DensePairRows(data, feature, self.index, self.pair_j, self.pair_k)
         self._last: _Evaluated | None = None
+        self.scorings = 0
 
     @property
     def n(self) -> int:
@@ -327,7 +398,7 @@ class ModelTerms:
         v = np.ones(dim) / math.sqrt(dim)
         est = 1.0
         for _ in range(8):
-            w = pairs.weighted_sum(pairs.scores(v))
+            w = pairs.weighted_sum(pairs.scores(v)[0])
             nrm = float(np.linalg.norm(w))
             if nrm == 0.0:
                 return 1.0
@@ -363,8 +434,9 @@ class ModelTerms:
         flat = self._check_flat(flat)
         # overflow is caught by the guard below; the numpy warning is noise
         with np.errstate(over="ignore", invalid="ignore"):
-            scores = self.backing.scores(flat, excluded=-np.inf)
-        self._guard_finite(scores, flat)
+            scores, bound = self.backing.scores(flat, excluded=-np.inf)
+        if not bound < FINITE_SCORE_BOUND:  # also when the bound is NaN
+            self._guard_finite(scores, flat)
         return scores
 
     def _evaluated(self, flat: np.ndarray) -> _Evaluated:
@@ -373,6 +445,7 @@ class ModelTerms:
         if self._last is None or self._last.key != key:
             # free the old pair scores before allocating new ones
             self._last = None
+            self.scorings += 1
             weights = self.perm_scores(flat)
             top, total = _shifted_exp(weights)
             self._last = _Evaluated(key, top, total, weights)
@@ -391,18 +464,16 @@ class ModelTerms:
         return -self.n * data_term + log_norm
 
     def value_grad(self, flat: np.ndarray) -> tuple[float, np.ndarray]:
-        """Normalized objective and its gradient in one permuted-pair pass."""
+        """Normalized objective and its gradient in one permuted-pair pass.
+
+        The softmax normalization divides the dim-long F^T exp(scores - top)
+        by its total, not the pair weights themselves."""
         flat = self._check_flat(flat)
         last = self._evaluated(flat)
         value = -float(self.mean_f @ flat) + last.top + float(np.log(last.total)) - self.log_pair_count
         if last.grad is None:
-            # unset while the weights are divided in place, so an interrupted
-            # gradient never leaves half-updated weights behind
-            self._last = None
-            last.weights /= last.total
-            last.grad = self.backing.weighted_sum(last.weights) - self.mean_f
+            last.grad = self.backing.weighted_sum(last.weights) / last.total - self.mean_f
             last.weights = None
-            self._last = last
         return value, last.grad.copy()
 
     def softmax_weights(self, flat: np.ndarray) -> np.ndarray:
@@ -473,7 +544,7 @@ def _hessian_columns(terms: ModelTerms, flat: np.ndarray, cols: np.ndarray) -> n
     unit = np.zeros(terms.index.dim)
     for i, c in enumerate(cols):
         unit[c] = 1.0
-        out[:, i] = pairs.weighted_sum(w * pairs.scores(unit)) - mean * mean[c]
+        out[:, i] = pairs.weighted_sum(w * pairs.scores(unit)[0]) - mean * mean[c]
         unit[c] = 0.0
     return out
 

@@ -367,6 +367,8 @@ def fit_to_json(
     }
     if feature.kind == TABLE:
         payload["table"] = feature.table.tolist()
+    elif feature.categories is not None:  # a delta fit on coded data
+        payload["categories"] = feature.categories
     payload.update(extras or {})
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -390,7 +392,10 @@ def fit_from_json(path: str) -> tuple[ParamBlocks, Partition, FeatureMap, dict]:
             raise ParseError(f"{path}: table fit has no 'table' entry")
         feature = FeatureMap.from_table(payload["table"])
     else:
-        feature = feature_by_name(payload["feature"])
+        categories = payload.get("categories")
+        if categories is not None and (type(categories) is not int or categories < 2):
+            raise ParseError(f"{path}: 'categories' must be an integer >= 2, got {categories!r}")
+        feature = feature_by_name(payload["feature"], categories)
     return theta, partition, feature, payload
 
 

@@ -17,6 +17,8 @@ from pmnet.cli import main
 from pmnet.model import ModelTerms
 from pmnet.pipelines import path_to_json, truth_to_json
 
+from conftest import make_coded_dataset
+
 GEN_ARGS = [
     "gen", "gaussian", "--m", "8", "--split", "6,2", "--rho", "0.5",
     "--passages", "2", "--eig-rank", "3", "--n", "60", "--seed", "5",
@@ -307,3 +309,31 @@ class TestErrorPaths:
         ])
         assert rc == 2
         assert "unknown schedule" in capsys.readouterr().err
+
+
+class TestCodedDiag:
+    """``pmnet diag`` loads the data of a fit on coded data as coded data."""
+
+    def write_delta_fit(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        codes = make_coded_dataset(40, 3, 2, categories=3, seed=9).samples.copy()
+        np.savetxt("coded.csv", codes, fmt="%d", delimiter=",")
+        assert main([
+            "fit", "--data", "coded.csv", "--partition", "1-3|4-5", "--feature", "delta",
+            "--categories", "3", "--lambda", "0.001", "--out", "fit.json",
+        ]) == 0
+        assert json.loads(Path("fit.json").read_text())["categories"] == 3
+        return codes
+
+    def test_diag_on_the_fitted_codes(self, tmp_path, monkeypatch):
+        self.write_delta_fit(tmp_path, monkeypatch)
+        assert main(["diag", "--fit", "fit.json", "--data", "coded.csv", "--out", "diag.json"]) == 0
+
+    @pytest.mark.parametrize("cell", [3.0, 0.5])
+    def test_diag_rejects_codes_outside_the_fit(self, tmp_path, monkeypatch, capsys, cell):
+        codes = self.write_delta_fit(tmp_path, monkeypatch)
+        codes[4, 1] = cell
+        np.savetxt("bad.csv", codes, delimiter=",")
+        rc = main(["diag", "--fit", "fit.json", "--data", "bad.csv", "--out", "diag.json"])
+        assert rc == 2
+        assert "categorical" in capsys.readouterr().err

@@ -515,3 +515,134 @@ class TestLastPointMemo:
         fixed = ModelTerms(small_data, f, pair_policy=ALL)
         fit(small_data, f, 0.01, cfg=SolverConfig(fixed_step=0.1), terms=fixed)
         assert runs == [terms]
+
+
+class TestScorings:
+    @pytest.mark.parametrize(
+        "policy, scorings, iterations",
+        [
+            pytest.param(ALL, 122, [1, 11, 17, 22], id="grid"),
+            pytest.param(PairPolicy(cap=100, seed=1), 120, [1, 10, 17, 24], id="dense"),
+        ],
+    )
+    def test_path_scorings_are_pinned(self, small_data, policy, scorings, iterations):
+        f = FeatureMap.product()
+        terms = ModelTerms(small_data, f, pair_policy=policy)
+        path = lambda_path(small_data, f, GeometricSchedule(factor=0.5, count=4), terms=terms)
+        assert [e.fit.iterations for e in path.entries] == iterations
+        assert terms.scorings == scorings
+
+    @pytest.mark.parametrize("policy", MEMO_POLICIES)
+    def test_only_memo_misses_count(self, small_data, policy):
+        terms = ModelTerms(small_data, FeatureMap.product(), pair_policy=policy)
+        p, q = random_theta(terms.index, 1).flat, random_theta(terms.index, 2).flat
+        assert terms.scorings == 0
+        terms.value(p)
+        terms.value_grad(p)
+        terms.value_grad(p)
+        terms.log_normalizer(p)
+        assert terms.scorings == 1
+        terms.value_grad(q)
+        terms.value(p)
+        assert terms.scorings == 3
+
+
+def loop_objective(theta, data, f, terms):
+    """Objective summed pair by pair over the terms' pair set, in plain Python."""
+    scores = np.array([
+        unnormalized_log_ratio(theta, permuted_pair(data, j, k).value, f)
+        for j, k in zip(terms.pair_j.tolist(), terms.pair_k.tolist())
+    ])
+    top = scores.max()
+    data_term = np.mean([unnormalized_log_ratio(theta, x, f) for x in data.samples])
+    return -data_term + top + np.log(np.exp(scores - top).sum()) - np.log(scores.size)
+
+
+class TestFiniteGuard:
+    """The scan for non-finite scores runs only when the score bound is not
+    below ``FINITE_SCORE_BOUND``, and still names the dominant block."""
+
+    PAIR = (0, 3)  # a cross pair of small_data's partition (0, 1, 2 | 3, 4)
+
+    def theta_on_pair(self, index, value):
+        flat = 0.01 * np.ones(index.dim)
+        flat[index.slice_of(self.PAIR)] = value
+        return flat
+
+    def spy_scan(self, terms, monkeypatch):
+        scans = []
+        scan = terms.backing.bad_pair_features
+
+        def spied(scores):
+            scans.append(scores.shape)
+            return scan(scores)
+
+        monkeypatch.setattr(terms.backing, "bad_pair_features", spied)
+        return scans
+
+    @pytest.mark.parametrize("policy", MEMO_POLICIES)
+    @pytest.mark.parametrize("value", [1e308, -1e308, np.inf, np.nan])
+    def test_non_finite_scores_name_the_block(self, small_data, policy, value):
+        terms = ModelTerms(small_data, FeatureMap.product(), pair_policy=policy)
+        flat = self.theta_on_pair(terms.index, value)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores, bound = terms.backing.scores(flat, excluded=0.0)
+        assert not np.isfinite(scores).all()
+        assert not bound < model_mod.FINITE_SCORE_BOUND
+        if np.isnan(value):
+            assert np.isnan(bound)
+        for method in ("value", "value_grad"):
+            with pytest.raises(NumericError, match=r"dominant block is pair \(0, 3\)"):
+                getattr(ModelTerms(small_data, FeatureMap.product(), pair_policy=policy), method)(flat)
+
+    @pytest.mark.parametrize("policy", MEMO_POLICIES)
+    def test_large_bound_with_finite_scores_evaluates(self, small_data, policy, monkeypatch):
+        f = FeatureMap.product()
+        terms = ModelTerms(small_data, f, pair_policy=policy)
+        flat = self.theta_on_pair(terms.index, 1e300)
+        scores, bound = terms.backing.scores(flat)
+        assert np.isfinite(scores).all()
+        assert bound >= model_mod.FINITE_SCORE_BOUND
+        scans = self.spy_scan(terms, monkeypatch)
+        value, grad = terms.value_grad(flat)
+        assert len(scans) == 1
+        assert np.isfinite(grad).all()
+        theta = ParamBlocks(flat, terms.index)
+        assert value == pytest.approx(loop_objective(theta, small_data, f, terms), rel=1e-12)
+
+    @pytest.mark.parametrize("policy", MEMO_POLICIES)
+    def test_small_bound_skips_the_scan(self, small_data, policy, monkeypatch):
+        terms = ModelTerms(small_data, FeatureMap.product(), pair_policy=policy)
+        scans = self.spy_scan(terms, monkeypatch)
+        terms.value_grad(random_theta(terms.index, 5).flat)
+        terms.value(random_theta(terms.index, 6).flat)
+        assert scans == []
+
+
+class TestPreflightSize:
+    @pytest.mark.parametrize("policy", MEMO_POLICIES)
+    def test_over_physical_memory_raises_before_allocating(self, small_data, policy, monkeypatch):
+        n, dim = small_data.n, build_pair_index(small_data.m).dim
+        pairs = policy.pair_count(n)
+        # at least the n x n grid, or the dense feature rows, is counted
+        result = 8 * (n * n if pairs == n * (n - 1) else pairs * dim)
+        monkeypatch.setattr(model_mod, "physical_memory_bytes", lambda: result)
+
+        def allocates(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(model_mod, "pair_feature_matrix", allocates)
+        monkeypatch.setattr(model_mod, "select_ordered_pairs", allocates)
+        with pytest.raises(SizeError, match="physical memory"):
+            ModelTerms(small_data, FeatureMap.product(), pair_policy=policy)
+
+    @pytest.mark.parametrize("policy", MEMO_POLICIES)
+    def test_fits_within_physical_memory(self, small_data, policy, monkeypatch):
+        monkeypatch.setattr(model_mod, "physical_memory_bytes", lambda: 1 << 30)
+        assert ModelTerms(small_data, FeatureMap.product(), pair_policy=policy).n_pairs_used == policy.pair_count(12)
+
+    def test_exact_pairs_at_large_n_exceed_this_machine(self):
+        # 300,000 rows have 9e10 ordered pairs; their indices alone need 1.4 TB
+        data = Dataset(np.random.default_rng(0).standard_normal((300_000, 2)), Partition((0,), (1,)))
+        with pytest.raises(SizeError, match="physical memory"):
+            ModelTerms(data, FeatureMap.product(), pair_policy=ALL)

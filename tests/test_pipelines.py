@@ -302,6 +302,33 @@ class TestModelSerialization:
         with pytest.raises(ParseError, match="table"):
             fit_from_json(str(path))
 
+    @pytest.mark.parametrize("categories", [3, None])
+    def test_delta_fit_keeps_its_category_count(self, tmp_path, categories):
+        data = make_coded_dataset(12, 1, 2, categories=3, seed=75)
+        f = FeatureMap.kronecker_delta(categories)
+        result = fit(data, f, 1.0, pair_policy=PairPolicy(kind="all_ordered"))
+        path = tmp_path / "fit.json"
+        fit_to_json(result, data.partition, f, str(path))
+        _, _, feature, payload = fit_from_json(str(path))
+        assert feature.categories == categories
+        # a delta fit without a category count writes the same keys as before
+        assert ("categories" in payload) == (categories is not None)
+        if categories is not None:
+            with pytest.raises(DomainError, match=r"\[0, 3\)"):
+                pair_feature_matrix(feature, np.array([[0.0, 1.0, 3.0]]), build_pair_index(3))
+
+    @pytest.mark.parametrize("bad", [1, 2.5, "3", True])
+    def test_delta_fit_with_bad_category_count_is_rejected(self, tmp_path, bad):
+        data = make_coded_dataset(12, 1, 2, categories=3, seed=75)
+        f = FeatureMap.kronecker_delta(3)
+        path = tmp_path / "fit.json"
+        fit_to_json(fit(data, f, 1.0, pair_policy=PairPolicy(kind="all_ordered")), data.partition, f, str(path))
+        payload = json.loads(path.read_text())
+        payload["categories"] = bad
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match="categories"):
+            fit_from_json(str(path))
+
     def test_path_payload(self, tmp_path):
         from pmnet import GeometricSchedule, lambda_path
 
