@@ -1,7 +1,8 @@
 """Command-line pipelines: generate, fit, trace paths, score, export.
 
 Every command writes its primary output plus a ``.manifest.json`` capturing
-the exact argv, so reruns (and manifest replays) are byte-identical.
+its argv, paths under the working directory relative to it, so reruns (and
+manifest replays from that directory) are byte-identical.
 Errors exit 2 with a one-line reason on stderr.  ``fit``, ``path`` and
 ``align`` still write their outputs when a fit lacks a KKT certificate, then
 name each such fit on stderr and exit 3.
@@ -26,6 +27,7 @@ from .pipelines import (
     load_csv_dataset,
     partition_spec_string,
     path_to_json,
+    relative_to_cwd,
     save_csv_dataset,
     truth_from_json,
     truth_to_json,
@@ -88,10 +90,10 @@ def _policy_from_args(args) -> PairPolicy:
 def _manifest(args, argv, inputs, outputs) -> RunManifest:
     return RunManifest(
         command=args.command if args.command != "gen" else f"gen {args.family}",
-        argv=list(argv),
+        argv=[relative_to_cwd(arg) for arg in argv],
         seed=getattr(args, "seed", None),
-        inputs=inputs,
-        outputs=outputs,
+        inputs={key: relative_to_cwd(path) for key, path in inputs.items()},
+        outputs={key: relative_to_cwd(path) for key, path in outputs.items()},
     )
 
 
@@ -151,7 +153,7 @@ def _load_for_fit(args):
 
 def _cmd_fit(args, argv):
     data, feature = _load_for_fit(args)
-    cfg = SolverConfig(max_iter=args.max_iter, tol_rel_obj=args.tol_obj, tol_kkt=args.tol_kkt)
+    cfg = SolverConfig(max_iter=args.max_iter, tol_kkt=args.tol_kkt)
     if not args.cv and args.lam is None:
         raise ConfigError("fit needs --lambda or --cv")
     policy = _policy_from_args(args)
@@ -173,7 +175,7 @@ def _cmd_fit(args, argv):
 
 def _cmd_path(args, argv):
     data, feature = _load_for_fit(args)
-    cfg = SolverConfig(max_iter=args.max_iter, tol_rel_obj=args.tol_obj, tol_kkt=args.tol_kkt)
+    cfg = SolverConfig(max_iter=args.max_iter, tol_kkt=args.tol_kkt)
     schedule = _parse_schedule(args.schedule)
     result = lambda_path(data, feature, schedule, cfg=cfg, pair_policy=_policy_from_args(args))
     path_to_json(result, data.partition, feature, args.out)
@@ -252,7 +254,7 @@ def _cmd_align(args, argv):
     data = window_sequences(seq1, seq2, cfg)
     feature_name = args.feature or ("delta" if kind1 == "coded" else "product")
     feature = feature_by_name(feature_name, data.categories)
-    solver_cfg = SolverConfig(max_iter=args.max_iter, tol_rel_obj=args.tol_obj, tol_kkt=args.tol_kkt)
+    solver_cfg = SolverConfig(max_iter=args.max_iter, tol_kkt=args.tol_kkt)
     schedule = _parse_schedule(args.schedule)
     result = lambda_path(data, feature, schedule, cfg=solver_cfg, pair_policy=_policy_from_args(args))
     last = result.entries[-1]
@@ -324,7 +326,6 @@ def _cmd_diag(args, argv):
 
 def _add_solver_flags(p):
     p.add_argument("--max-iter", type=int, default=2000)
-    p.add_argument("--tol-obj", type=float, default=1e-8)
     p.add_argument("--tol-kkt", type=float, default=1e-6)
     _add_pair_flags(p)
 

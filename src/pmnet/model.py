@@ -20,11 +20,11 @@ ordered pair, ``PairScoreGrid`` scores all of them as an n x n grid built
 from per-row within-group scores and per-variable embeddings, in which every
 feature kind is bilinear; no permuted sample is ever materialized.  A
 subsampled pair set keeps its feature rows in ``DensePairRows``.  Both
-expose the pair scores F v and the weighted feature sum F^T w, and every
-evaluation here is written on those two.
+expose the pair scores F v, the weighted feature sum F^T w and the weighted
+Gram block F[:, rows]^T diag(w) F[:, cols]; every evaluation here, the
+Hessian included, is written on those three.
 """
 
-import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,6 +45,8 @@ from .core import (
 from .errors import DimensionError, NumericError, SizeError
 
 HESSIAN_DIM_CAP = 4096
+# floats in each temporary of a Hessian panel (2 MB)
+GRAM_PANEL_FLOATS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -87,10 +89,14 @@ def select_ordered_pairs(n: int, policy: PairPolicy | None = None):
         codes = codes[:count]
     else:
         codes = np.arange(total, dtype=np.int64)
+    return _decode_pairs(codes, n)
+
+
+def _decode_pairs(codes: np.ndarray, n: int):
+    """(j, k) of ordered-pair codes: code = j (n - 1) + k, less one when k > j."""
     j_idx = codes // (n - 1)
     rem = codes % (n - 1)
-    k_idx = rem + (rem >= j_idx)
-    return j_idx, k_idx
+    return j_idx, rem + (rem >= j_idx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,6 +147,7 @@ class DensePairRows:
     """Materialized feature rows of a subsampled permuted-pair set."""
 
     def __init__(self, data: Dataset, feature: FeatureMap, index: PairIndex, pair_j, pair_k):
+        self.pair_j, self.pair_k = pair_j, pair_k
         x_perm = permuted_matrix(data, pair_j, pair_k)
         self.f_perm = pair_feature_matrix(feature, x_perm, index)
         self.count = self.f_perm.shape[0]
@@ -155,6 +162,25 @@ class DensePairRows:
     def weighted_sum(self, w: np.ndarray) -> np.ndarray:
         """F^T w for pair weights shaped like ``scores``."""
         return self.f_perm.T @ w
+
+    def gram(self, w: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """F[:, rows]^T diag(w) F[:, cols], a panel of pairs at a time, as
+        products of sqrt(w) F; a square block (rows equal to cols) is one
+        symmetric product per panel."""
+        out = np.zeros((rows.size, cols.size))
+        root = np.sqrt(w)
+        square = np.array_equal(rows, cols)
+        panel = max(1, GRAM_PANEL_FLOATS // max(rows.size, cols.size))
+        for lo in range(0, self.count, panel):
+            right = self.f_perm[lo : lo + panel, cols]
+            right *= root[lo : lo + panel, None]
+            left = right if square else self.f_perm[lo : lo + panel, rows] * root[lo : lo + panel, None]
+            out += left.T @ right
+        return out
+
+    def pairs(self, lo: int, hi: int):
+        """(j, k) rows of the pairs at positions lo..hi."""
+        return self.pair_j[lo:hi], self.pair_k[lo:hi]
 
     def bad_pair_features(self, scores: np.ndarray) -> np.ndarray | None:
         """Feature row of the first non-finite pair score, or None."""
@@ -194,8 +220,6 @@ class PairScoreGrid:
         self._cols1 = cols[~cross & ~first_in2].ravel()
         self._cols2 = cols[~cross & first_in2].ravel()
         self._cols_x = cols[cross].ravel()
-        self._f1 = np.ascontiguousarray(f_data[:, self._cols1])
-        self._f2 = np.ascontiguousarray(f_data[:, self._cols2])
 
         pos = np.empty(index.m, dtype=np.int64)
         pos[list(part.group1)] = np.arange(len(part.group1))
@@ -206,7 +230,15 @@ class PairScoreGrid:
         # flat position of each cross pair in an m1 x m2 block matrix
         self._pq = pos[np.where(flipped, v, u)] * m2 + pos[np.where(flipped, u, v)]
 
-        self._phi1, phi2, forms = variable_embedding(feature, data)
+        phi1, phi2, forms = variable_embedding(feature, data)
+        n_emb, ones = phi1.shape[0], np.ones((self.n, 1))
+        # row-j factors [phi1_c for each c | within-group-1 features | 1] and
+        # row-k factors [phi2_c for each c | 1 | within-group-2 features]
+        self._alpha = np.hstack([phi1.transpose(1, 0, 2).reshape(self.n, -1), f_data[:, self._cols1], ones])
+        self._beta = np.hstack([phi2.transpose(1, 0, 2).reshape(self.n, -1), ones, f_data[:, self._cols2]])
+        self._f1 = self._alpha[:, n_emb * m1 : -1]
+        self._f2 = self._beta[:, n_emb * m2 + 1 :]
+        self._phi1 = [self._alpha[:, c * m1 : (c + 1) * m1] for c in range(n_emb)]
         used = (forms != 0.0).any(axis=0)
         c1, c2 = np.nonzero(used | used.T)
         self._terms = list(zip(c1.tolist(), c2.tolist()))
@@ -219,7 +251,7 @@ class PairScoreGrid:
         self._a[:, width + 1] = 1.0
         self._b = np.empty((self.n, width + 2))
         for t, c in enumerate(c2.tolist()):
-            self._b[:, t * m2 : (t + 1) * m2] = phi2[c]
+            self._b[:, t * m2 : (t + 1) * m2] = self._beta[:, c * m2 : (c + 1) * m2]
         self._b[:, width] = 1.0
 
     def scores(self, v: np.ndarray, excluded: float = 0.0) -> tuple[np.ndarray, float]:
@@ -254,6 +286,71 @@ class PairScoreGrid:
             cross[t] = (self._phi1[c1].T @ prod[:, t * m2 : (t + 1) * m2]).ravel()[self._pq]
         out[self._cols_x] = np.einsum("ti,idt->id", cross, self._coef).ravel()
         return out
+
+    @cached_property
+    def _gram_terms(self):
+        """Every feature column e as a sum over its terms of
+        coef[e, t] alpha[:, a[e, t]] (row j) times beta[:, b[e, t]] (row k).
+
+        A within-group column is one term against a column of ones; a cross
+        column has one term per nonzero entry of its bilinear form.  Columns
+        with fewer terms than the widest are padded with zero-weight terms.
+        """
+        (m1, m2), n_emb = self._block_shape, len(self._phi1)
+        one_a, one_b = self._alpha.shape[1] - 1, n_emb * m2
+        used = self._coef != 0.0  # (cross pairs, block_dim, terms)
+        width = max(1, int(used.sum(axis=2).max(initial=0)))
+        dim = self._index.dim
+        a = np.full((dim, width), one_a)
+        b = np.full((dim, width), one_b)
+        coef = np.zeros((dim, width))
+        a[self._cols1, 0] = n_emb * m1 + np.arange(self._cols1.size)
+        b[self._cols2, 0] = one_b + 1 + np.arange(self._cols2.size)
+        coef[self._cols1, 0] = coef[self._cols2, 0] = 1.0
+        i, d, t = np.nonzero(used)
+        e = self._cols_x.reshape(used.shape[:2])[i, d]
+        slot = (np.cumsum(used, axis=2) - 1)[i, d, t]
+        p, q = np.divmod(self._pq[i], m2)
+        c1, c2 = np.array(self._terms, dtype=np.int64).reshape(-1, 2)[t].T
+        a[e, slot] = c1 * m1 + p
+        b[e, slot] = c2 * m2 + q
+        coef[e, slot] = self._coef[i, d, t]
+        return a, b, coef
+
+    def gram(self, w: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """F[:, rows]^T diag(w) F[:, cols] for an n x n weight grid with a zero
+        diagonal, from the factor columns that ``_gram_terms`` indexes.
+
+        For terms r and c of two columns, sum_jk w_jk alpha_r[j] alpha_c[j]
+        beta_r[k] beta_c[k] is one product of w with the row-wise products
+        beta_r * beta_c (a Khatri-Rao product over the distinct group-2
+        factors), then a sum over j against alpha_r * alpha_c.  Columns are
+        done in panels sized so that each temporary holds about
+        ``GRAM_PANEL_FLOATS`` floats, or one column's worth if that is more.
+        """
+        alpha, beta = self._alpha, self._beta
+        t_a, t_b, t_coef = self._gram_terms
+        n, width = self.n, t_a.shape[1]
+        row_a, row_coef = alpha[:, t_a[rows].ravel()], t_coef[rows].ravel()
+        row_q, row_pos = np.unique(t_b[rows], return_inverse=True)
+        beta_r = beta[:, row_q]
+        out = np.empty((rows.size, cols.size))
+        panel = max(1, GRAM_PANEL_FLOATS // (n * row_coef.size * width))
+        for lo in range(0, cols.size, panel):
+            part = cols[lo : lo + panel]
+            col_q, col_pos = np.unique(t_b[part], return_inverse=True)
+            prods = (beta_r[:, :, None] * beta[:, None, col_q]).reshape(n, -1)
+            wv = (w @ prods).reshape(n, row_q.size, col_q.size)
+            k = wv[:, row_pos.reshape(-1, 1), col_pos.reshape(1, -1)]
+            k *= row_a[:, :, None]
+            k *= alpha[:, None, t_a[part].ravel()]
+            k = k.sum(axis=0) * row_coef[:, None] * t_coef[part].reshape(1, -1)
+            out[:, lo : lo + panel] = k.reshape(rows.size, width, part.size, width).sum(axis=(1, 3))
+        return out
+
+    def pairs(self, lo: int, hi: int):
+        """(j, k) rows of the pairs at positions lo..hi, in row-major order."""
+        return _decode_pairs(np.arange(lo, min(hi, self.count), dtype=np.int64), self.n)
 
     def bad_pair_features(self, scores: np.ndarray) -> np.ndarray | None:
         """Rebuilt feature row of the first non-finite pair score, or None."""
@@ -291,14 +388,13 @@ def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, exact: bool) -
     """Estimated peak bytes of the arrays ``ModelTerms`` builds for a dataset.
 
     Counts the data-row features and the pair backing.  The grid's peak is
-    either the build of its pair indices (four int64 arrays of pair_count)
-    or an evaluation (the two kept indices and the n x n scores).  Dense
-    rows hold the permuted samples, the two gathered feature operands and
-    the feature rows at once.
+    an evaluation: the n x n scores plus the Hessian's panels (three of
+    ``GRAM_PANEL_FLOATS`` at once).  Dense rows hold the permuted samples,
+    the two gathered feature operands and the feature rows at once.
     """
     n, m, dim = data.n, index.m, index.dim
     if exact:
-        floats = max(4 * pair_count, 2 * pair_count + n * n)
+        floats = n * n + 3 * GRAM_PANEL_FLOATS
     else:
         floats = 2 * pair_count + pair_count * (3 * m + 2 * index.n_pairs + dim)
     return 8 * (n * dim + floats)
@@ -308,14 +404,14 @@ def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, exact: bool) -
 class _Evaluated:
     """The log-sum-exp parts of one parameter point, keyed on its bytes.
 
-    ``weights`` holds exp(scores - top), never divided, until the gradient
-    is taken; then only ``grad`` is kept.
+    ``weights`` holds exp(scores - top), never divided; ``grad`` is filled
+    in when the gradient is first taken.
     """
 
     key: bytes
     top: float
     total: float
-    weights: np.ndarray | None
+    weights: np.ndarray
     grad: np.ndarray | None = None
 
 
@@ -330,11 +426,12 @@ class ModelTerms:
     ``_peak_bytes``) exceeds physical memory raises ``SizeError`` before
     anything is allocated.
 
-    The last evaluated point is remembered, so a ``value_grad`` at the point
-    whose ``value`` was just taken (the solver's accepted iterate), or a
-    repeat at one whose gradient is known, skips the pair scoring; results
-    are bit-identical to a fresh evaluation.  ``scorings`` counts the
-    evaluations that did score the pair set (memo misses).
+    The last evaluated point is remembered with its pair weights, so a
+    ``value_grad`` or ``hessian`` at the point whose ``value`` was just
+    taken (the solver's accepted iterate), or a repeat at one whose gradient
+    is known, skips the pair scoring; results are bit-identical to a fresh
+    evaluation.  ``scorings`` counts the evaluations that did score the pair
+    set (memo misses).
 
     Each scoring also bounds |score|; only a bound that is not below
     ``FINITE_SCORE_BOUND`` sends the scores through the scan that names the
@@ -364,11 +461,11 @@ class ModelTerms:
             )
         self.f_data = pair_feature_matrix(feature, data.samples, self.index)
         self.mean_f = self.f_data.mean(axis=0)
-        self.pair_j, self.pair_k = select_ordered_pairs(data.n, self.policy)
         if exact:
             self.backing = PairScoreGrid(data, feature, self.index, self.f_data)
         else:
-            self.backing = DensePairRows(data, feature, self.index, self.pair_j, self.pair_k)
+            pair_j, pair_k = select_ordered_pairs(data.n, self.policy)
+            self.backing = DensePairRows(data, feature, self.index, pair_j, pair_k)
         self._last: _Evaluated | None = None
         self.scorings = 0
 
@@ -383,29 +480,6 @@ class ModelTerms:
     @cached_property
     def log_pair_count(self) -> float:
         return float(np.log(self.n_pairs_used))
-
-    @cached_property
-    def initial_step(self) -> float:
-        """1 / (largest eigenvalue of F'F) via a few power iterations on F^T (F v).
-
-        The softmax covariance is dominated by the permuted-pair feature Gram
-        matrix, so this lands within a small factor of the true curvature and
-        the solver's backtracking line search absorbs the rest.  It depends
-        only on the dataset, so it is computed once per ``ModelTerms``.
-        """
-        pairs = self.backing
-        dim = self.index.dim
-        v = np.ones(dim) / math.sqrt(dim)
-        est = 1.0
-        for _ in range(8):
-            w = pairs.weighted_sum(pairs.scores(v)[0])
-            nrm = float(np.linalg.norm(w))
-            if nrm == 0.0:
-                return 1.0
-            est = nrm
-            v = w / nrm
-        # est approximates ||F||_2^2; softmax weights divide by the pair count
-        return self.n_pairs_used / est
 
     def _check_flat(self, flat: np.ndarray) -> np.ndarray:
         flat = np.asarray(flat, dtype=np.float64).ravel()
@@ -471,16 +545,28 @@ class ModelTerms:
         flat = self._check_flat(flat)
         last = self._evaluated(flat)
         value = -float(self.mean_f @ flat) + last.top + float(np.log(last.total)) - self.log_pair_count
+        return value, self._gradient(last).copy()
+
+    def _gradient(self, last: _Evaluated) -> np.ndarray:
         if last.grad is None:
             last.grad = self.backing.weighted_sum(last.weights) / last.total - self.mean_f
-            last.weights = None
-        return value, last.grad.copy()
+        return last.grad
 
-    def softmax_weights(self, flat: np.ndarray) -> np.ndarray:
-        weights = self.perm_scores(flat)
-        _, total = _shifted_exp(weights)
-        weights /= total
-        return weights
+    def hessian(self, flat: np.ndarray, cols: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """H[rows, cols] of the normalized objective, every row by default.
+
+        H = F^T diag(w) F - g g^T with w the softmax pair weights and
+        g = F^T w; the backing's ``gram`` gives the first term, and the
+        weights come from the remembered point, so a Hessian at the point
+        just evaluated scores nothing."""
+        flat = self._check_flat(flat)
+        last = self._evaluated(flat)
+        mean = self._gradient(last) + self.mean_f
+        rows = np.arange(self.index.dim) if rows is None else rows
+        out = self.backing.gram(last.weights, rows, cols)
+        out /= last.total
+        out -= np.outer(mean[rows], mean[cols])
+        return out
 
 
 def _terms_for(theta: ParamBlocks, data: Dataset, f: FeatureMap, pair_policy) -> ModelTerms:
@@ -535,22 +621,8 @@ def gradient(
     return terms.value_grad(theta.flat)[1]
 
 
-def _hessian_columns(terms: ModelTerms, flat: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """H[:, cols], one column at a time: F^T (w * F e_c) - g g_c with g = F^T w."""
-    w = terms.softmax_weights(flat)
-    pairs = terms.backing
-    mean = pairs.weighted_sum(w)
-    out = np.empty((terms.index.dim, cols.size))
-    unit = np.zeros(terms.index.dim)
-    for i, c in enumerate(cols):
-        unit[c] = 1.0
-        out[:, i] = pairs.weighted_sum(w * pairs.scores(unit)[0]) - mean * mean[c]
-        unit[c] = 0.0
-    return out
-
-
 def _hessian_from_terms(terms: ModelTerms, flat: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    hess = _hessian_columns(terms, flat, cols)[cols]
+    hess = terms.hessian(flat, cols, rows=cols)
     return (hess + hess.T) / 2.0
 
 
@@ -575,8 +647,10 @@ def hessian(
     """Dense Hessian of the normalized objective, optionally block-restricted.
 
     The data term is linear, so this is the softmax-weighted feature
-    covariance over permuted pairs (positive semidefinite).  Refuses to
-    materialize more than ``dim_cap`` rows.
+    covariance over permuted pairs, F^T diag(w) F - g g^T (positive
+    semidefinite), built by ``ModelTerms.hessian`` in one call: closed form
+    from the grid's factors, or one weighted product of the dense feature
+    rows.  Refuses to materialize more than ``dim_cap`` rows.
     """
     terms = _terms_for(theta, data, f, pair_policy)
     cols = _restrict_columns(theta.index, restrict)
@@ -637,15 +711,16 @@ BOUND_PANEL_FLOATS = 1 << 20
 def _observed_pair_bounds(terms: ModelTerms) -> tuple[float, float]:
     """``observed_feature_bounds`` over the data rows and every permuted sample.
 
-    The permuted samples are built one panel of pairs at a time and the
-    maxima kept running, which gives the same result as one scan of all rows
-    without holding every permuted sample at once.
+    The permuted samples are built one panel of pairs at a time, each panel's
+    (j, k) from the backing's ``pairs``, and the maxima kept running, which
+    gives the same result as one scan of all rows without holding every
+    permuted sample or pair index at once.
     """
     data, f, index = terms.data, terms.feature, terms.index
     obs_inf, obs_l2 = observed_feature_bounds(f, data.samples, index)
     panel = max(1, BOUND_PANEL_FLOATS // index.dim)
-    for lo in range(0, terms.pair_j.size, panel):
-        rows = permuted_matrix(data, terms.pair_j[lo : lo + panel], terms.pair_k[lo : lo + panel])
+    for lo in range(0, terms.n_pairs_used, panel):
+        rows = permuted_matrix(data, *terms.backing.pairs(lo, lo + panel))
         panel_inf, panel_l2 = observed_feature_bounds(f, rows, index)
         obs_inf, obs_l2 = max(obs_inf, panel_inf), max(obs_l2, panel_l2)
     return obs_inf, obs_l2
@@ -659,7 +734,13 @@ def diagnostics(
     pair_policy: PairPolicy | None = None,
     dim_cap: int = HESSIAN_DIM_CAP,
 ) -> DiagnosticsReport:
-    """Measure restricted curvature, incoherence, and boundedness at theta_star."""
+    """Measure restricted curvature, incoherence, and boundedness at theta_star.
+
+    The Hessian columns H[:, S] of the support come from one
+    ``ModelTerms.hessian`` call (closed form on the grid's factors, one
+    weighted product on dense rows); H_SS and the complement's rows are
+    slices of them.  Feature bounds scan the permuted samples in panels.
+    """
     index = theta_star.index
     support_pairs = [tuple(p) for p in support]
     if not support_pairs:
@@ -675,7 +756,7 @@ def diagnostics(
         raise SizeError(f"support dimension {s_cols.size} exceeds cap {dim_cap}")
 
     # H[:, S]; rows for the complement come from the same columns
-    h_cols = _hessian_columns(terms, theta_star.flat, s_cols)
+    h_cols = terms.hessian(theta_star.flat, s_cols)
     h_ss = (h_cols[s_cols] + h_cols[s_cols].T) / 2.0
 
     eigvals = np.linalg.eigvalsh(h_ss)

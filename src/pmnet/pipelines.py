@@ -9,6 +9,7 @@ byte.
 import csv
 import io
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,6 +340,17 @@ def _edges_csv(edges: EdgeList, labels) -> str:
 # fitted-model and path serialization
 
 
+def _solver_counters(result: FitResult) -> dict:
+    """The fit's deterministic work counters, as written to fit and path JSON."""
+    return {
+        "iterations": result.iterations,
+        "scorings": result.scorings,
+        "sweeps": result.sweeps,
+        "backtracks": result.backtracks,
+        "working_set": result.working_set,
+    }
+
+
 def fit_to_json(
     result: FitResult,
     partition: Partition,
@@ -359,11 +371,11 @@ def fit_to_json(
         "feature": canonical_feature_name(feature),
         "lambda": result.lam,
         "objective": result.objective,
-        "iterations": result.iterations,
         "converged": result.converged,
         "kkt_max_residual": result.kkt.max_residual,
         "support_size": len(blocks),
         "theta": blocks,
+        **_solver_counters(result),
     }
     if feature.kind == TABLE:
         payload["table"] = feature.table.tolist()
@@ -415,6 +427,7 @@ def path_to_json(
                 "support": sorted([u, v] for (u, v) in e.fit.theta_hat.nonzero_pairs()),
                 "objective": e.fit.objective,
                 "converged": e.fit.converged,
+                **_solver_counters(e.fit),
             }
         )
     payload = {
@@ -455,7 +468,11 @@ def truth_from_json(path: str) -> SupportSet:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Everything needed to replay one CLI invocation byte for byte."""
+    """Everything needed to replay one CLI invocation byte for byte.
+
+    Paths under the working directory are stored relative to it (see
+    ``relative_to_cwd``), so a replay runs from that directory.
+    """
 
     command: str
     argv: list
@@ -474,6 +491,22 @@ class RunManifest:
             "inputs": dict(self.inputs),
             "outputs": dict(self.outputs),
         }
+
+
+def relative_to_cwd(arg: str) -> str:
+    """An absolute path under the working directory, relative to it.
+
+    ``--flag=path`` arguments have their path part rewritten; every other
+    argument is returned unchanged.  Manifests store their paths this way,
+    so their bytes do not depend on where a checkout lives, and a replay
+    from the same directory finds the same files.
+    """
+    flag, sep, value = arg.partition("=") if arg.startswith("--") else ("", "", arg)
+    if os.path.isabs(value):
+        cwd = os.getcwd()
+        if os.path.commonpath([cwd, os.path.normpath(value)]) == cwd:
+            value = os.path.relpath(value, cwd)
+    return flag + sep + value
 
 
 def write_manifest(manifest: RunManifest, out_path: str):

@@ -78,6 +78,45 @@ class TestPipelines:
         assert main(manifest["argv"]) == 0
         assert (tmp_path / "data.csv").read_bytes() == first
 
+    def test_manifest_does_not_depend_on_the_directory(self, tmp_path, monkeypatch):
+        manifests = []
+        for name in ("a", "a-much-longer-directory-name"):
+            workdir = tmp_path / name
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)
+            argv = [str(workdir / arg) if arg in ("data.csv", "truth.json") else arg for arg in GEN_ARGS]
+            assert main(argv) == 0
+            manifests.append((workdir / "data.csv.manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        payload = json.loads(manifests[1])
+        assert "data.csv" in payload["argv"] and payload["outputs"]["data"] == "data.csv"
+        # replayed from its directory, the manifest rewrites the same bytes
+        first = (workdir / "data.csv").read_bytes()
+        (workdir / "data.csv").unlink()
+        assert main(payload["argv"]) == 0
+        assert (workdir / "data.csv").read_bytes() == first
+
+    def test_manifest_keeps_paths_outside_the_directory(self, tmp_path, monkeypatch):
+        inner = tmp_path / "inner"
+        inner.mkdir()
+        monkeypatch.chdir(inner)
+        out = str(tmp_path / "data.csv")
+        assert main([*GEN_ARGS[:-4], "--out=" + out]) == 0
+        payload = json.loads((tmp_path / "data.csv.manifest.json").read_text())
+        assert payload["argv"][-1] == "--out=" + out
+        assert payload["outputs"]["data"] == out
+
+    def test_fit_and_path_json_carry_solver_counters(self, tmp_path, monkeypatch):
+        run_pipeline(tmp_path, monkeypatch)
+        keys = {"iterations", "scorings", "sweeps", "backtracks", "working_set"}
+        fitted = json.loads((tmp_path / "fit.json").read_text())
+        assert keys <= set(fitted)
+        assert fitted["iterations"] > 0 and fitted["scorings"] > 0 and fitted["working_set"] > 0
+        entries = json.loads((tmp_path / "path.json").read_text())["entries"]
+        for entry in entries:
+            assert keys <= set(entry)
+        assert entries[0]["iterations"] == 0  # lambda_max: zero is already optimal
+
     def test_roc_output_shape(self, tmp_path, monkeypatch):
         run_pipeline(tmp_path, monkeypatch)
         lines = (tmp_path / "roc.csv").read_text().splitlines()

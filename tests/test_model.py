@@ -1,5 +1,3 @@
-from functools import cached_property
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,7 +13,6 @@ from pmnet import (
     ParamBlocks,
     Partition,
     SizeError,
-    SolverConfig,
     build_pair_index,
     diagnostics,
     feature_eval,
@@ -29,7 +26,7 @@ from pmnet import (
     unnormalized_log_ratio,
 )
 from pmnet import model as model_mod
-from pmnet.core import observed_feature_bounds, permuted_matrix, permuted_pair
+from pmnet.core import observed_feature_bounds, pair_feature_matrix, permuted_matrix, permuted_pair
 from pmnet.model import DensePairRows, ModelTerms, PairScoreGrid, select_ordered_pairs
 from pmnet.synth import finite_difference_gradient, normalizer_enumeration_oracle
 
@@ -336,7 +333,7 @@ class TestDiagnostics:
 def dense_twin(terms):
     """Same terms with the pair set held as dense permuted feature rows."""
     twin = ModelTerms(terms.data, terms.feature, index=terms.index, pair_policy=ALL)
-    twin.backing = DensePairRows(terms.data, terms.feature, terms.index, terms.pair_j, terms.pair_k)
+    twin.backing = DensePairRows(terms.data, terms.feature, terms.index, *select_ordered_pairs(terms.n, ALL))
     return twin
 
 
@@ -434,6 +431,59 @@ class TestScoreGrid:
         )
 
 
+def loop_hessian(theta, data, f, pairs):
+    """Softmax-weighted feature covariance over the given (j, k) pairs, pair
+    by pair in plain Python: sum w f f^T - g g^T with g = sum w f.  Also
+    returns the largest entry of sum w f f^T, the size of the terms whose
+    difference the covariance is."""
+    feats = [pair_feature_matrix(f, permuted_pair(data, j, k).value[None], theta.index)[0] for j, k in pairs]
+    scores = np.array([feat @ theta.flat for feat in feats])
+    weights = np.exp(scores - scores.max())
+    weights /= weights.sum()
+    mean = sum(w * feat for w, feat in zip(weights, feats))
+    second = sum(w * np.outer(feat, feat) for w, feat in zip(weights, feats))
+    return second - np.outer(mean, mean), max(1.0, float(np.abs(second).max()))
+
+
+class TestHessianPrimitive:
+    """``ModelTerms.hessian`` on both backings against a plain loop over the
+    permuted pairs and against central differences of ``value_grad``."""
+
+    @given(grid_problems(), st.integers(0, 2**32 - 1))
+    def test_matches_loop_and_differences(self, problem, seed):
+        data, f, theta = problem
+        n, dim = data.n, theta.index.dim
+        rng = np.random.default_rng(seed)
+        grid = ModelTerms(data, f, index=theta.index, pair_policy=ALL)
+        assert isinstance(grid.backing, PairScoreGrid)
+        sampled = PairPolicy(cap=int(rng.integers(1, n * (n - 1))), seed=seed)
+        dense = ModelTerms(data, f, index=theta.index, pair_policy=sampled)
+        assert isinstance(dense.backing, DensePairRows)
+        every = np.arange(dim)
+        rows = rng.permutation(dim)[: rng.integers(1, dim + 1)]
+        cols = rng.permutation(dim)[: rng.integers(1, dim + 1)]
+        for terms in (grid, dense_twin(grid), dense):
+            want, scale = loop_hessian(theta, data, f, zip(*select_ordered_pairs(n, terms.policy)))
+            got = terms.hessian(theta.flat, every)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(terms.hessian(theta.flat, cols, rows=rows), want[np.ix_(rows, cols)],
+                                       rtol=0, atol=1e-12 * scale)
+            eps = 1e-6
+            diffs = np.column_stack([
+                terms.value_grad(theta.flat + eps * unit)[1] - terms.value_grad(theta.flat - eps * unit)[1]
+                for unit in np.eye(dim)
+            ]) / (2 * eps)
+            np.testing.assert_allclose(got, diffs, rtol=0, atol=1e-6 * scale)
+
+    def test_hessian_at_the_evaluated_point_scores_nothing(self, small_data):
+        terms = ModelTerms(small_data, FeatureMap.product(), pair_policy=ALL)
+        flat = random_theta(terms.index, 7).flat
+        terms.value(flat)
+        terms.hessian(flat, np.arange(3), rows=np.arange(3))
+        terms.value_grad(flat)
+        assert terms.scorings == 1
+
+
 class Forgetful(ModelTerms):
     """ModelTerms that drops its remembered point before every evaluation."""
 
@@ -496,33 +546,13 @@ class TestLastPointMemo:
             assert a.fit.iterations == b.fit.iterations
         assert path.entries[-1].support_size > 0
 
-    def test_step_estimate_runs_once_per_terms(self, small_data, monkeypatch):
-        runs = []
-        estimate = ModelTerms.__dict__["initial_step"].func
-
-        def counted(self):
-            runs.append(self)
-            return estimate(self)
-
-        prop = cached_property(counted)
-        prop.__set_name__(ModelTerms, "initial_step")
-        monkeypatch.setattr(ModelTerms, "initial_step", prop)
-        f = FeatureMap.product()
-        terms = ModelTerms(small_data, f, pair_policy=ALL)
-        path = lambda_path(small_data, f, GeometricSchedule(factor=0.5, count=4), terms=terms)
-        assert len(path.entries) == 4
-        assert runs == [terms]
-        fixed = ModelTerms(small_data, f, pair_policy=ALL)
-        fit(small_data, f, 0.01, cfg=SolverConfig(fixed_step=0.1), terms=fixed)
-        assert runs == [terms]
-
 
 class TestScorings:
     @pytest.mark.parametrize(
         "policy, scorings, iterations",
         [
-            pytest.param(ALL, 122, [1, 11, 17, 22], id="grid"),
-            pytest.param(PairPolicy(cap=100, seed=1), 120, [1, 10, 17, 24], id="dense"),
+            pytest.param(ALL, 11, [0, 3, 4, 3], id="grid"),
+            pytest.param(PairPolicy(cap=100, seed=1), 13, [0, 4, 4, 4], id="dense"),
         ],
     )
     def test_path_scorings_are_pinned(self, small_data, policy, scorings, iterations):
@@ -531,6 +561,8 @@ class TestScorings:
         path = lambda_path(small_data, f, GeometricSchedule(factor=0.5, count=4), terms=terms)
         assert [e.fit.iterations for e in path.entries] == iterations
         assert terms.scorings == scorings
+        # lambda_max scores zero once; each fit counts its own scorings
+        assert sum(e.fit.scorings for e in path.entries) == scorings - 1
 
     @pytest.mark.parametrize("policy", MEMO_POLICIES)
     def test_only_memo_misses_count(self, small_data, policy):
@@ -551,7 +583,7 @@ def loop_objective(theta, data, f, terms):
     """Objective summed pair by pair over the terms' pair set, in plain Python."""
     scores = np.array([
         unnormalized_log_ratio(theta, permuted_pair(data, j, k).value, f)
-        for j, k in zip(terms.pair_j.tolist(), terms.pair_k.tolist())
+        for j, k in zip(*(a.tolist() for a in select_ordered_pairs(data.n, terms.policy)))
     ])
     top = scores.max()
     data_term = np.mean([unnormalized_log_ratio(theta, x, f) for x in data.samples])
@@ -642,7 +674,7 @@ class TestPreflightSize:
         assert ModelTerms(small_data, FeatureMap.product(), pair_policy=policy).n_pairs_used == policy.pair_count(12)
 
     def test_exact_pairs_at_large_n_exceed_this_machine(self):
-        # 300,000 rows have 9e10 ordered pairs; their indices alone need 1.4 TB
+        # 300,000 rows have 9e10 ordered pairs; their n x n score grid alone needs 720 GB
         data = Dataset(np.random.default_rng(0).standard_normal((300_000, 2)), Partition((0,), (1,)))
         with pytest.raises(SizeError, match="physical memory"):
             ModelTerms(data, FeatureMap.product(), pair_policy=ALL)

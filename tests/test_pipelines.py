@@ -341,7 +341,12 @@ class TestModelSerialization:
         assert payload["stop_reason"] == "grid_exhausted"
         assert len(payload["entries"]) == 3
         e = payload["entries"][0]
-        assert set(e) == {"lambda", "support_size", "support", "objective", "converged"}
+        assert set(e) == {
+            "lambda", "support_size", "support", "objective", "converged",
+            "iterations", "scorings", "sweeps", "backtracks", "working_set",
+        }
+        for key in ("iterations", "scorings", "sweeps", "backtracks", "working_set"):
+            assert [entry[key] for entry in payload["entries"]] == [getattr(x.fit, key) for x in res.entries]
 
     def test_truth_roundtrip(self, tmp_path):
         from pmnet import support_from_pairs

@@ -8,6 +8,7 @@ from pmnet import (
     FeatureMap,
     GeometricSchedule,
     PairPolicy,
+    ParamBlocks,
     SolverConfig,
     UntilSupportSchedule,
     build_pair_index,
@@ -20,6 +21,7 @@ from pmnet import (
     lambda_path,
     theory_lambda_bound,
 )
+from pmnet.model import ModelTerms
 from pmnet.solver import default_lambda_grid
 
 from conftest import make_dataset
@@ -93,7 +95,7 @@ class TestFit:
         res = fit(small_data, f, 1.01 * lmax, pair_policy=ALL)
         assert res.converged
         assert np.count_nonzero(res.theta_hat.flat) == 0
-        assert res.iterations == 1
+        assert res.iterations == 0
 
     def test_below_lambda_max_activates(self, small_data):
         f = FeatureMap.product()
@@ -128,22 +130,79 @@ class TestFit:
         np.testing.assert_allclose(warm.theta_hat.flat, cold.theta_hat.flat, atol=1e-5)
         assert warm.objective == pytest.approx(cold.objective, abs=1e-8)
 
-    def test_no_acceleration_reaches_same_objective(self, small_data):
+    def test_above_lambda_max_builds_no_hessian(self, small_data, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a Hessian at a certified start")
+
+        monkeypatch.setattr(ModelTerms, "hessian", refuse)
         f = FeatureMap.product()
-        lam = 0.3 * lambda_max(small_data, f, pair_policy=ALL)
-        plain = fit(small_data, f, lam, cfg=SolverConfig(acceleration=False), pair_policy=ALL)
-        accel = fit(small_data, f, lam, pair_policy=ALL)
-        assert plain.objective == pytest.approx(accel.objective, abs=1e-7)
+        terms = ModelTerms(small_data, f, pair_policy=ALL)
+        lmax = lambda_max(small_data, f, terms=terms)
+        for lam in (lmax, 1.01 * lmax, 10.0 * lmax):
+            res = fit(small_data, f, lam, terms=terms)
+            assert res.converged and res.iterations == 0 and res.working_set == 0
+            assert not res.theta_hat.flat.any()
+        assert res.scorings == 0  # the start is the point lambda_max scored
+
+    def test_working_set_grows_and_certifies(self, monkeypatch):
+        data = make_dataset(30, 3, 3, seed=3)
+        f = FeatureMap.product()
+        terms = ModelTerms(data, f, pair_policy=ALL)
+        sizes = []
+        hessian = ModelTerms.hessian
+
+        def spied(self, flat, cols, rows=None):
+            sizes.append(cols.size)
+            return hessian(self, flat, cols, rows=rows)
+
+        monkeypatch.setattr(ModelTerms, "hessian", spied)
+        lam = 0.6 * lambda_max(data, f, terms=terms)
+        res = fit(data, f, lam, terms=terms)
+        # one block violates at zero; a second joins after the first step
+        assert sizes[0] == 1 and max(sizes) == 2
+        assert res.converged and res.working_set == 2
+        assert res.iterations == len(sizes)
+        g = gradient(res.theta_hat, data, f, pair_policy=ALL)
+        assert kkt_residuals(res.theta_hat.flat, g, res.theta_hat.index, lam).satisfied(1e-6)
+        assert len(res.theta_hat.nonzero_pairs()) == 2
+
+    def test_table_fit_certifies(self, coded_data):
+        table = FeatureMap.from_table(np.random.default_rng(5).standard_normal((3, 3, 2)))
+        index = build_pair_index(coded_data.m, block_dim=2)
+        lam = 0.4 * lambda_max(coded_data, table, index=index, pair_policy=ALL)
+        res = fit(coded_data, table, lam, index=index, pair_policy=ALL)
+        assert res.converged
+        assert 0 < len(res.theta_hat.nonzero_pairs()) < index.n_pairs
+        g = gradient(res.theta_hat, coded_data, table, pair_policy=ALL)
+        assert kkt_residuals(res.theta_hat.flat, g, index, lam).satisfied(1e-6)
+
+    def test_counters_describe_the_work(self, small_data):
+        f = FeatureMap.product()
+        terms = ModelTerms(small_data, f, pair_policy=ALL)
+        lam = 0.3 * lambda_max(small_data, f, terms=terms)
+        before = terms.scorings
+        res = fit(small_data, f, lam, terms=terms)
+        assert res.scorings == terms.scorings - before
+        # one scoring per trial point; the start was scored by lambda_max
+        assert res.scorings == res.iterations + res.backtracks
+        assert res.sweeps >= res.iterations > 0
+        assert res.working_set == len(res.theta_hat.nonzero_pairs())
+
+    def test_far_start_backtracks_and_descends(self):
+        # from a poor warm start the full Newton step overshoots on sq features
+        data = make_dataset(20, 2, 2, seed=0)
+        f = FeatureMap.squared_product()
+        terms = ModelTerms(data, f, pair_policy=ALL)
+        lam = 0.3 * lambda_max(data, f, terms=terms)
+        start = ParamBlocks(np.random.default_rng(0).standard_normal(terms.index.dim), terms.index)
+        res = fit(data, f, lam, warm_start=start, terms=terms)
+        assert res.backtracks > 0
+        assert (np.diff(res.objective_trace) < 0.0).all()
+        assert res.converged
 
     def test_config_guards(self):
         with pytest.raises(ConfigError):
             SolverConfig(max_iter=0)
-        with pytest.raises(ConfigError):
-            SolverConfig(step_shrink=1.0)
-        with pytest.raises(ConfigError):
-            SolverConfig(sufficient_decrease=1.0)
-        with pytest.raises(ConfigError):
-            SolverConfig(fixed_step=-1.0)
         with pytest.raises(ConfigError):
             SolverConfig(tol_kkt=0.0)
 
