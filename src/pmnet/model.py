@@ -15,14 +15,15 @@ per-sample feature mean.  A raw variant with an unaveraged data term is
 available for reporting; it rescales the penalty by n but changes nothing
 else.  All pair sums run in the log domain.
 
-Two backings evaluate the permuted pairs.  When the pair set is every
-ordered pair, ``PairScoreGrid`` scores all of them as an n x n grid built
-from per-row within-group scores and per-variable embeddings, in which every
-feature kind is bilinear; no permuted sample is ever materialized.  A
-subsampled pair set keeps its feature rows in ``DensePairRows``.  Both
-expose the pair scores F v, the weighted feature sum F^T w and the weighted
-Gram block F[:, rows]^T diag(w) F[:, cols]; every evaluation here, the
-Hessian included, is written on those three.
+Two backings evaluate the permuted pairs.  ``PairScoreGrid`` scores pairs
+as an n x n grid built from per-row within-group scores and per-variable
+embeddings, in which every feature kind is bilinear; no permuted sample is
+ever materialized.  It backs the set of every ordered pair, and a sampled
+set that keeps at least 1 in ``CELLS_MAX_SPARSITY`` of them, which it holds
+as the sorted grid cells j n + k.  A sparser sample keeps its feature rows
+in ``DensePairRows``.  Both expose the pair scores F v, the weighted feature
+sum F^T w and the weighted Gram block F[:, rows]^T diag(w) F[:, cols]; every
+evaluation here, the Hessian included, is written on those three.
 """
 
 import os
@@ -47,6 +48,13 @@ from .errors import DimensionError, NumericError, SizeError
 HESSIAN_DIM_CAP = 4096
 # floats in each temporary of a Hessian panel (2 MB)
 GRAM_PANEL_FLOATS = 1 << 18
+# A sampled pair set is scored on the factor grid while the n(n-1) ordered
+# pairs number at most this many times the kept ones; a sparser one keeps
+# dense feature rows.  Measured crossover, whole lambda paths at n = 400
+# (2|6 partition with sq and product features, 10|10 with product on a
+# short and a long path): at density 1/5 the grid was 12-73% faster in all
+# four; at 1/6 it was 12% slower in one, and at 1/8 10-74% slower in three.
+CELLS_MAX_SPARSITY = 5
 
 
 @dataclass(frozen=True)
@@ -56,7 +64,11 @@ class PairPolicy:
     "all_ordered" uses every ordered pair j != k.  "auto" (default) does the
     same while the n(n-1) ordered pairs number at most ``cap``, and otherwise
     draws ``cap`` distinct ordered pairs with ``seed``.  Every-pair sets are
-    evaluated as an n x n score grid without materializing permuted samples.
+    evaluated as an n x n score grid without materializing permuted samples,
+    and so is a sample that keeps at least 1 in ``CELLS_MAX_SPARSITY`` of
+    the ordered pairs, as the grid cells it keeps.  A sparser sample keeps
+    one dense feature row per pair.  The layout only changes how the same
+    pairs are scored.
     """
 
     kind: str = "auto"
@@ -74,6 +86,14 @@ class PairPolicy:
         total = n * (n - 1)
         return min(total, self.cap) if self.kind == "auto" else total
 
+    def layout(self, n: int) -> str:
+        """"grid" (every ordered pair), "cells" or "dense": how ``ModelTerms``
+        holds the pair set for n rows."""
+        total, count = n * (n - 1), self.pair_count(n)
+        if count == total:
+            return "grid"
+        return "cells" if total <= CELLS_MAX_SPARSITY * count else "dense"
+
 
 def select_ordered_pairs(n: int, policy: PairPolicy | None = None):
     """Ordered index pairs (j, k), j != k, per the policy; deterministic."""
@@ -85,7 +105,9 @@ def select_ordered_pairs(n: int, policy: PairPolicy | None = None):
         codes = np.empty(0, dtype=np.int64)
         while codes.size < count:
             draw = rng.integers(0, total, size=2 * count, dtype=np.int64)
-            codes = np.unique(np.concatenate([codes, draw]))
+            codes = np.sort(np.concatenate([codes, draw]))
+            # the distinct codes, as np.unique gives them, without its cost
+            codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
         codes = codes[:count]
     else:
         codes = np.arange(total, dtype=np.int64)
@@ -144,7 +166,7 @@ class NormalizerEstimate:
 
 
 class DensePairRows:
-    """Materialized feature rows of a subsampled permuted-pair set."""
+    """Materialized feature rows of a sparsely sampled permuted-pair set."""
 
     def __init__(self, data: Dataset, feature: FeatureMap, index: PairIndex, pair_j, pair_k):
         self.pair_j, self.pair_k = pair_j, pair_k
@@ -158,6 +180,11 @@ class DensePairRows:
         """F v, one entry per pair (nothing is excluded), and a bound on its
         magnitude: |F_i v| <= sum over d of max|F[:, d]| |v_d|."""
         return self.f_perm @ v, float(self._col_max @ np.abs(v))
+
+    def spread(self, w: np.ndarray) -> np.ndarray:
+        """Pair weights shaped like ``scores``, which is already the layout
+        that ``weighted_sum`` and ``gram`` take."""
+        return w
 
     def weighted_sum(self, w: np.ndarray) -> np.ndarray:
         """F^T w for pair weights shaped like ``scores``."""
@@ -191,7 +218,8 @@ class DensePairRows:
 
 
 class PairScoreGrid:
-    """Every ordered pair j != k, scored as an n x n grid.
+    """Ordered pairs j != k scored as an n x n grid: every one, or only the
+    sorted grid cells j n + k in ``cells``.
 
     score(x^[j,k]) = s1[j] + s2[k] + sum_t phi1_t[j] M_t phi2_t[k]: s1 and s2
     are the within-group scores of rows j and k, taken from the data-row
@@ -201,6 +229,8 @@ class PairScoreGrid:
     contracted with it.  A cross pair whose first variable is in group 2 sees
     the forms transposed.  The diagonal j == k is no permuted pair:
     ``scores`` fills it with ``excluded``, and weights must be zero there.
+    With ``cells``, ``scores`` is the 1-D array of the kept cells in order,
+    and ``spread`` lays pair weights back out as a grid, zero off the cells.
 
     The grid is one product A B^T of two n x (T m2 + 2) factors,
     A = [phi1_t M_t for each term | s1 | 1] and B = [phi2_t for each term |
@@ -208,10 +238,12 @@ class PairScoreGrid:
     product too: w [phi2_t ... | 1] gives every cross term and the row sums.
     """
 
-    def __init__(self, data: Dataset, feature: FeatureMap, index: PairIndex, f_data: np.ndarray):
+    def __init__(self, data: Dataset, feature: FeatureMap, index: PairIndex, f_data: np.ndarray,
+                 cells: np.ndarray | None = None):
         part = data.partition
         self.n = data.n
-        self.count = data.n * (data.n - 1)
+        self.cells = cells
+        self.count = data.n * (data.n - 1) if cells is None else cells.size
         self._data, self._feature, self._index = data, feature, index
         mask2 = part.group2_mask
         cross = index.cross_mask(part)
@@ -236,6 +268,8 @@ class PairScoreGrid:
         # row-k factors [phi2_c for each c | 1 | within-group-2 features]
         self._alpha = np.hstack([phi1.transpose(1, 0, 2).reshape(self.n, -1), f_data[:, self._cols1], ones])
         self._beta = np.hstack([phi2.transpose(1, 0, 2).reshape(self.n, -1), ones, f_data[:, self._cols2]])
+        # gram contracts the weights along the side with the narrower table
+        self._gram_on_alpha = self._alpha.shape[1] < self._beta.shape[1]
         self._f1 = self._alpha[:, n_emb * m1 : -1]
         self._f2 = self._beta[:, n_emb * m2 + 1 :]
         self._phi1 = [self._alpha[:, c * m1 : (c + 1) * m1] for c in range(n_emb)]
@@ -255,8 +289,9 @@ class PairScoreGrid:
         self._b[:, width] = 1.0
 
     def scores(self, v: np.ndarray, excluded: float = 0.0) -> tuple[np.ndarray, float]:
-        """F v as an n x n grid, the diagonal holding ``excluded``, and a bound
-        on the magnitude of its other entries: max_j ||A_j||_1 max|B|."""
+        """F v as an n x n grid, the diagonal holding ``excluded`` (or, with
+        ``cells``, the kept cells of it), and a bound on the magnitude of the
+        pair scores: max_j ||A_j||_1 max|B|."""
         m1, m2 = self._block_shape
         a, b = self._a, self._b
         blocks = v[self._cols_x].reshape(self._coef.shape[:2])
@@ -267,10 +302,21 @@ class PairScoreGrid:
         a[:, -2] = self._f1 @ v[self._cols1]
         b[:, -1] = self._f2 @ v[self._cols2]
         grid = a @ b.T
-        np.fill_diagonal(grid, excluded)
         # a non-finite entry of A or B makes the bound inf or NaN
         bound = float(np.abs(a).sum(axis=1).max()) * float(np.abs(b).max())
+        if self.cells is not None:
+            return grid.ravel()[self.cells], bound
+        np.fill_diagonal(grid, excluded)
         return grid, bound
+
+    def spread(self, w: np.ndarray) -> np.ndarray:
+        """Pair weights shaped like ``scores`` as the n x n weight grid that
+        ``weighted_sum`` and ``gram`` take, zero on every other cell."""
+        if self.cells is None:
+            return w
+        grid = np.zeros(self.n * self.n)
+        grid[self.cells] = w
+        return grid.reshape(self.n, self.n)
 
     def weighted_sum(self, w: np.ndarray) -> np.ndarray:
         """F^T w for an n x n weight grid with a zero diagonal."""
@@ -324,41 +370,51 @@ class PairScoreGrid:
         For terms r and c of two columns, sum_jk w_jk alpha_r[j] alpha_c[j]
         beta_r[k] beta_c[k] is one product of w with the row-wise products
         beta_r * beta_c (a Khatri-Rao product over the distinct group-2
-        factors), then a sum over j against alpha_r * alpha_c.  Columns are
-        done in panels sized so that each temporary holds about
-        ``GRAM_PANEL_FLOATS`` floats, or one column's worth if that is more.
+        factors), then a sum over j against alpha_r * alpha_c; or, when the
+        alpha table is the narrower, the same with the sides swapped and w^T
+        for w.  Columns are done in panels sized so that each temporary holds
+        about ``GRAM_PANEL_FLOATS`` floats, or one column's worth if that is
+        more.
         """
-        alpha, beta = self._alpha, self._beta
         t_a, t_b, t_coef = self._gram_terms
+        # the weights meet the inner table's products; the outer one is summed
+        if self._gram_on_alpha:
+            w, inner, t_in, outer, t_out = w.T, self._alpha, t_a, self._beta, t_b
+        else:
+            inner, t_in, outer, t_out = self._beta, t_b, self._alpha, t_a
         n, width = self.n, t_a.shape[1]
-        row_a, row_coef = alpha[:, t_a[rows].ravel()], t_coef[rows].ravel()
-        row_q, row_pos = np.unique(t_b[rows], return_inverse=True)
-        beta_r = beta[:, row_q]
+        row_out, row_coef = outer[:, t_out[rows].ravel()], t_coef[rows].ravel()
+        row_q, row_pos = np.unique(t_in[rows], return_inverse=True)
+        inner_r = inner[:, row_q]
         out = np.empty((rows.size, cols.size))
         panel = max(1, GRAM_PANEL_FLOATS // (n * row_coef.size * width))
         for lo in range(0, cols.size, panel):
             part = cols[lo : lo + panel]
-            col_q, col_pos = np.unique(t_b[part], return_inverse=True)
-            prods = (beta_r[:, :, None] * beta[:, None, col_q]).reshape(n, -1)
+            col_q, col_pos = np.unique(t_in[part], return_inverse=True)
+            prods = (inner_r[:, :, None] * inner[:, None, col_q]).reshape(n, -1)
             wv = (w @ prods).reshape(n, row_q.size, col_q.size)
             k = wv[:, row_pos.reshape(-1, 1), col_pos.reshape(1, -1)]
-            k *= row_a[:, :, None]
-            k *= alpha[:, None, t_a[part].ravel()]
+            k *= row_out[:, :, None]
+            k *= outer[:, None, t_out[part].ravel()]
             k = k.sum(axis=0) * row_coef[:, None] * t_coef[part].reshape(1, -1)
             out[:, lo : lo + panel] = k.reshape(rows.size, width, part.size, width).sum(axis=(1, 3))
         return out
 
     def pairs(self, lo: int, hi: int):
         """(j, k) rows of the pairs at positions lo..hi, in row-major order."""
+        if self.cells is not None:
+            return np.divmod(self.cells[lo:hi], self.n)
         return _decode_pairs(np.arange(lo, min(hi, self.count), dtype=np.int64), self.n)
 
     def bad_pair_features(self, scores: np.ndarray) -> np.ndarray | None:
         """Rebuilt feature row of the first non-finite pair score, or None."""
         bad = ~np.isfinite(scores)
-        np.fill_diagonal(bad, False)
+        if self.cells is None:
+            np.fill_diagonal(bad, False)
         if not bad.any():
             return None
-        j, k = divmod(int(np.argmax(bad)), self.n)
+        first = int(np.argmax(bad))
+        j, k = divmod(first if self.cells is None else int(self.cells[first]), self.n)
         x_pair = permuted_matrix(self._data, np.array([j]), np.array([k]))
         return pair_feature_matrix(self._feature, x_pair, self._index)[0]
 
@@ -384,19 +440,20 @@ def physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, exact: bool) -> int:
+def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, layout: str) -> int:
     """Estimated peak bytes of the arrays ``ModelTerms`` builds for a dataset.
 
-    Counts the data-row features and the pair backing.  The grid's peak is
-    an evaluation: the n x n scores plus the Hessian's panels (three of
-    ``GRAM_PANEL_FLOATS`` at once).  Dense rows hold the permuted samples,
-    the two gathered feature operands and the feature rows at once.
+    Counts the data-row features and the pair backing (``PairPolicy.layout``).
+    The grid's peak is an evaluation: the n x n scores plus the Hessian's
+    panels (three of ``GRAM_PANEL_FLOATS`` at once), and for kept cells the
+    cell codes and their scores.  Dense rows hold the permuted samples, the
+    two gathered feature operands and the feature rows at once.
     """
     n, m, dim = data.n, index.m, index.dim
-    if exact:
-        floats = n * n + 3 * GRAM_PANEL_FLOATS
-    else:
+    if layout == "dense":
         floats = 2 * pair_count + pair_count * (3 * m + 2 * index.n_pairs + dim)
+    else:
+        floats = n * n + 3 * GRAM_PANEL_FLOATS + (2 * pair_count if layout == "cells" else 0)
     return 8 * (n * dim + floats)
 
 
@@ -404,8 +461,9 @@ def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, exact: bool) -
 class _Evaluated:
     """The log-sum-exp parts of one parameter point, keyed on its bytes.
 
-    ``weights`` holds exp(scores - top), never divided; ``grad`` is filled
-    in when the gradient is first taken.
+    ``weights`` holds exp(scores - top), never divided, as the backing's
+    ``spread`` lays it out; ``grad`` is filled in when the gradient is first
+    taken.
     """
 
     key: bytes
@@ -418,15 +476,17 @@ class _Evaluated:
 class ModelTerms:
     """Cached per-dataset terms for repeated evaluations on one dataset.
 
-    Holds the data-row features ``f_data`` and one pair backing: a
-    ``PairScoreGrid`` when the policy keeps every ordered pair, otherwise
-    ``DensePairRows`` with the subsampled permuted feature rows.  The solver
-    builds this once and reuses it across iterations, path points, and
-    cross-validation scoring.  A dataset whose estimated peak (see
-    ``_peak_bytes``) exceeds physical memory raises ``SizeError`` before
-    anything is allocated.
+    Holds the data-row features ``f_data`` and one pair backing, chosen by
+    ``PairPolicy.layout``: a ``PairScoreGrid`` when the policy keeps every
+    ordered pair or at least 1 in ``CELLS_MAX_SPARSITY`` of them (then as
+    its sorted cells), otherwise ``DensePairRows`` with the subsampled
+    permuted feature rows.  The solver builds this once and reuses it across
+    iterations, path points, and cross-validation scoring.  A dataset whose
+    estimated peak (see ``_peak_bytes``) exceeds physical memory raises
+    ``SizeError`` before anything is allocated.
 
-    The last evaluated point is remembered with its pair weights, so a
+    The last evaluated point is remembered with its pair weights (as the
+    backing's ``spread`` lays them out, once per scoring), so a
     ``value_grad`` or ``hessian`` at the point whose ``value`` was just
     taken (the solver's accepted iterate), or a repeat at one whose gradient
     is known, skips the pair scoring; results are bit-identical to a fresh
@@ -452,8 +512,8 @@ class ModelTerms:
             raise DimensionError("pair index and dataset disagree on m")
         self.policy = pair_policy or PairPolicy()
         pair_count = self.policy.pair_count(data.n)
-        exact = pair_count == data.n * (data.n - 1)
-        need, have = _peak_bytes(data, self.index, pair_count, exact), physical_memory_bytes()
+        layout = self.policy.layout(data.n)
+        need, have = _peak_bytes(data, self.index, pair_count, layout), physical_memory_bytes()
         if need > have:
             raise SizeError(
                 f"{pair_count} permuted pairs over {self.index.dim} features need about "
@@ -461,11 +521,15 @@ class ModelTerms:
             )
         self.f_data = pair_feature_matrix(feature, data.samples, self.index)
         self.mean_f = self.f_data.mean(axis=0)
-        if exact:
+        if layout == "grid":
             self.backing = PairScoreGrid(data, feature, self.index, self.f_data)
         else:
             pair_j, pair_k = select_ordered_pairs(data.n, self.policy)
-            self.backing = DensePairRows(data, feature, self.index, pair_j, pair_k)
+            if layout == "cells":
+                cells = pair_j * data.n + pair_k
+                self.backing = PairScoreGrid(data, feature, self.index, self.f_data, cells)
+            else:
+                self.backing = DensePairRows(data, feature, self.index, pair_j, pair_k)
         self._last: _Evaluated | None = None
         self.scorings = 0
 
@@ -504,7 +568,7 @@ class ModelTerms:
 
     def perm_scores(self, flat: np.ndarray) -> np.ndarray:
         """Scores over the pair set, shaped as the backing lays them out;
-        the grid's excluded diagonal holds -inf."""
+        the full grid's excluded diagonal holds -inf."""
         flat = self._check_flat(flat)
         # overflow is caught by the guard below; the numpy warning is noise
         with np.errstate(over="ignore", invalid="ignore"):
@@ -522,7 +586,7 @@ class ModelTerms:
             self.scorings += 1
             weights = self.perm_scores(flat)
             top, total = _shifted_exp(weights)
-            self._last = _Evaluated(key, top, total, weights)
+            self._last = _Evaluated(key, top, total, self.backing.spread(weights))
         return self._last
 
     def log_normalizer(self, flat: np.ndarray) -> float:

@@ -427,6 +427,7 @@ def path_to_json(
                 "support": sorted([u, v] for (u, v) in e.fit.theta_hat.nonzero_pairs()),
                 "objective": e.fit.objective,
                 "converged": e.fit.converged,
+                "kkt_max_residual": e.fit.kkt.max_residual,
                 **_solver_counters(e.fit),
             }
         )

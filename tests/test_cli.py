@@ -115,6 +115,8 @@ class TestPipelines:
         entries = json.loads((tmp_path / "path.json").read_text())["entries"]
         for entry in entries:
             assert keys <= set(entry)
+            # every point certified at the default --tol-kkt
+            assert entry["converged"] and 0.0 <= entry["kkt_max_residual"] <= 1e-6
         assert entries[0]["iterations"] == 0  # lambda_max: zero is already optimal
 
     def test_roc_output_shape(self, tmp_path, monkeypatch):

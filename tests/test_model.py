@@ -70,6 +70,21 @@ class TestPairSelection:
         assert j.shape == (500,)
         assert len({(a, b) for a, b in zip(j, k)}) == 500
 
+    @pytest.mark.parametrize("n, cap, seed", [(7, 5, 0), (30, 50, 4), (200, 9_000, 3), (400, 40_000, 11),
+                                              (1000, 12_345, 1009), (20, 379, 2)])
+    def test_codes_match_unique_reference(self, n, cap, seed):
+        # the draw-and-deduplicate loop with np.unique, as the codes were first made
+        total = n * (n - 1)
+        rng = np.random.default_rng(seed)
+        codes = np.empty(0, dtype=np.int64)
+        while codes.size < cap:
+            codes = np.unique(np.concatenate([codes, rng.integers(0, total, size=2 * cap, dtype=np.int64)]))
+        j, k = select_ordered_pairs(n, PairPolicy(cap=cap, seed=seed))
+        assert j.dtype == k.dtype == np.int64
+        np.testing.assert_array_equal(j, codes[:cap] // (n - 1))
+        rem = codes[:cap] % (n - 1)
+        np.testing.assert_array_equal(k, rem + (rem >= j))
+
     def test_policy_guards(self):
         with pytest.raises(DimensionError):
             PairPolicy(kind="sometimes")
@@ -329,12 +344,54 @@ class TestDiagnostics:
         if kind == "product":
             assert full[0] == 100.0
 
+    def test_sampled_cells_match_dense_rows(self, monkeypatch):
+        data = make_coded_dataset(12, 2, 2, categories=3, seed=47)
+        f = FeatureMap.from_table(np.random.default_rng(47).standard_normal((3, 3, 2)))
+        idx = build_pair_index(4, block_dim=f.block_dim)
+        theta = random_theta(idx, 47, scale=0.1)
+        pol = PairPolicy(cap=40, seed=3)
+        assert pol.layout(12) == "cells"
+        monkeypatch.setattr(model_mod, "BOUND_PANEL_FLOATS", 7 * idx.dim)
+        support = [(0, 2), (1, 3)]
+        rep = diagnostics(theta, data, f, support, pair_policy=pol)
+        j, k = select_ordered_pairs(12, pol)
+        full = observed_feature_bounds(f, np.vstack([data.samples, permuted_matrix(data, j, k)]), idx)
+        assert (rep.feature_bounds.observed_inf, rep.feature_bounds.observed_l2) == full
+        # the ratio bounds range over the sampled pairs' scores, as on dense rows
+        dense = dense_twin(ModelTerms(data, f, index=idx, pair_policy=pol))
+        scores = np.concatenate([dense.f_data @ theta.flat, dense.perm_scores(theta.flat)])
+        scores -= dense.log_normalizer(theta.flat)
+        assert rep.ratio_bounds.min == pytest.approx(np.exp(scores.min()), rel=1e-12)
+        assert rep.ratio_bounds.max == pytest.approx(np.exp(scores.max()), rel=1e-12)
+        h = model_mod._hessian_from_terms(dense, theta.flat, model_mod._restrict_columns(idx, support))
+        assert rep.lambda_min == pytest.approx(np.linalg.eigvalsh(h)[0], rel=1e-9, abs=1e-12)
+
 
 def dense_twin(terms):
     """Same terms with the pair set held as dense permuted feature rows."""
-    twin = ModelTerms(terms.data, terms.feature, index=terms.index, pair_policy=ALL)
-    twin.backing = DensePairRows(terms.data, terms.feature, terms.index, *select_ordered_pairs(terms.n, ALL))
+    twin = ModelTerms(terms.data, terms.feature, index=terms.index, pair_policy=terms.policy)
+    pairs = select_ordered_pairs(terms.n, terms.policy)
+    twin.backing = DensePairRows(terms.data, terms.feature, terms.index, *pairs)
     return twin
+
+
+def layout_of(terms) -> str:
+    """"grid", "cells" or "dense": the pair backing ``terms`` holds."""
+    if isinstance(terms.backing, DensePairRows):
+        return "dense"
+    assert isinstance(terms.backing, PairScoreGrid)
+    return "grid" if terms.backing.cells is None else "cells"
+
+
+def sampled_policy(n, layout, rng):
+    """A sampled policy whose random cap puts n rows in ``layout`` ("cells" or
+    "dense"), or None when no cap does."""
+    total = n * (n - 1)
+    sparsity = model_mod.CELLS_MAX_SPARSITY
+    low, high = (-(-total // sparsity), total - 1) if layout == "cells" else (1, (total - 1) // sparsity)
+    if low > high:
+        return None
+    return PairPolicy(cap=int(rng.integers(low, high + 1)), seed=int(rng.integers(2**31)))
 
 
 @st.composite
@@ -369,11 +426,11 @@ def grid_problems(draw):
 
 
 class TestScoreGrid:
-    @given(grid_problems())
-    def test_matches_dense_rows_and_oracle(self, problem):
+    @given(grid_problems(), st.integers(0, 2**32 - 1))
+    def test_matches_dense_rows_and_oracle(self, problem, seed):
         data, f, theta = problem
         terms = ModelTerms(data, f, index=theta.index, pair_policy=ALL)
-        assert isinstance(terms.backing, PairScoreGrid)
+        assert layout_of(terms) == "grid"
         dense = dense_twin(terms)
         value, grad = terms.value_grad(theta.flat)
         dense_value, dense_grad = dense.value_grad(theta.flat)
@@ -383,6 +440,20 @@ class TestScoreGrid:
         assert value == pytest.approx(oracle, rel=1e-12, abs=1e-12)
         assert terms.value(theta.flat) == pytest.approx(oracle, rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(grad, dense_grad, rtol=1e-10, atol=1e-12)
+
+        # a sampled set on the grid's cells: same pairs, same order as dense rows
+        cells = ModelTerms(data, f, index=theta.index,
+                           pair_policy=sampled_policy(data.n, "cells", np.random.default_rng(seed)))
+        assert layout_of(cells) == "cells"
+        value, grad = cells.value_grad(theta.flat)
+        dense_value, dense_grad = dense_twin(cells).value_grad(theta.flat)
+        assert value == pytest.approx(loop_objective(theta, data, f, cells), rel=1e-12, abs=1e-12)
+        assert value == pytest.approx(dense_value, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(grad, dense_grad, rtol=1e-10, atol=1e-12)
+        scores = cells.perm_scores(theta.flat)
+        dense_scores = dense_twin(cells).perm_scores(theta.flat)
+        assert scores.shape == (cells.n_pairs_used,)
+        np.testing.assert_allclose(scores, dense_scores, rtol=1e-12, atol=1e-12)
 
     def test_flipped_table_pair_sees_transposed_table(self):
         # the only pair is (0, 1) with variable 0 in group 2: psi = table[x_0, x_1]
@@ -410,10 +481,52 @@ class TestScoreGrid:
         assert terms.n_pairs_used == small_data.n * (small_data.n - 1)
 
     def test_subsample_keeps_dense_rows(self, small_data):
-        pol = PairPolicy(cap=50, seed=1)
+        # 132 ordered pairs, more than CELLS_MAX_SPARSITY times the 16 kept
+        assert 132 > model_mod.CELLS_MAX_SPARSITY * 16
+        pol = PairPolicy(cap=16, seed=1)
         terms = ModelTerms(small_data, FeatureMap.product(), pair_policy=pol)
         assert isinstance(terms.backing, DensePairRows)
+        assert terms.n_pairs_used == 16
+
+    def test_dense_enough_sample_keeps_grid_cells(self, small_data):
+        pol = PairPolicy(cap=50, seed=1)
+        terms = ModelTerms(small_data, FeatureMap.product(), pair_policy=pol)
+        assert layout_of(terms) == "cells"
+        assert not hasattr(terms.backing, "f_perm")
         assert terms.n_pairs_used == 50
+        j, k = select_ordered_pairs(small_data.n, pol)
+        np.testing.assert_array_equal(terms.backing.cells, j * small_data.n + k)
+        assert np.all(np.diff(terms.backing.cells) > 0)
+        for lo, hi in ((0, 50), (7, 19), (45, 60)):
+            got = terms.backing.pairs(lo, hi)
+            np.testing.assert_array_equal(got[0], j[lo:hi])
+            np.testing.assert_array_equal(got[1], k[lo:hi])
+
+    @pytest.mark.parametrize("n", [5, 11, 16, 26])
+    def test_layout_boundary(self, n):
+        # n(n-1) = CELLS_MAX_SPARSITY cap keeps the grid's cells; one kept pair
+        # fewer, dense rows
+        data = make_dataset(n, 2, 2, seed=n)
+        cap = n * (n - 1) // model_mod.CELLS_MAX_SPARSITY
+        assert n * (n - 1) == model_mod.CELLS_MAX_SPARSITY * cap
+        at, below = PairPolicy(cap=cap, seed=3), PairPolicy(cap=cap - 1, seed=3)
+        assert (at.layout(n), below.layout(n)) == ("cells", "dense")
+        assert layout_of(ModelTerms(data, FeatureMap.product(), pair_policy=at)) == "cells"
+        assert layout_of(ModelTerms(data, FeatureMap.product(), pair_policy=below)) == "dense"
+        assert PairPolicy(cap=n * (n - 1)).layout(n) == ALL.layout(n) == "grid"
+
+    @pytest.mark.parametrize("split, on_alpha", [((2, 6), True), ((6, 2), False), ((4, 4), False)])
+    def test_gram_contracts_the_narrower_side(self, split, on_alpha, monkeypatch):
+        data = make_dataset(15, *split, seed=sum(split))
+        f = FeatureMap.squared_product()
+        theta = random_theta(build_pair_index(8), 3, scale=0.05)
+        terms = ModelTerms(data, f, index=theta.index, pair_policy=PairPolicy(cap=60, seed=2))
+        assert layout_of(terms) == "cells"
+        assert terms.backing._gram_on_alpha is on_alpha
+        cols = np.arange(theta.index.dim)
+        got = terms.hessian(theta.flat, cols)
+        monkeypatch.setattr(terms.backing, "_gram_on_alpha", not on_alpha)
+        np.testing.assert_allclose(terms.hessian(theta.flat, cols), got, rtol=1e-12, atol=1e-12)
 
     def test_hessian_matches_dense_rows(self):
         data = make_coded_dataset(9, 2, 3, categories=3, seed=8)
@@ -455,14 +568,17 @@ class TestHessianPrimitive:
         n, dim = data.n, theta.index.dim
         rng = np.random.default_rng(seed)
         grid = ModelTerms(data, f, index=theta.index, pair_policy=ALL)
-        assert isinstance(grid.backing, PairScoreGrid)
-        sampled = PairPolicy(cap=int(rng.integers(1, n * (n - 1))), seed=seed)
-        dense = ModelTerms(data, f, index=theta.index, pair_policy=sampled)
-        assert isinstance(dense.backing, DensePairRows)
+        assert layout_of(grid) == "grid"
+        backings = [grid, dense_twin(grid)]
+        for layout in ("cells", "dense"):
+            sampled = sampled_policy(n, layout, rng)
+            if sampled is not None:  # a few pairs are never sparse enough for dense rows
+                backings.append(ModelTerms(data, f, index=theta.index, pair_policy=sampled))
+                assert layout_of(backings[-1]) == layout
         every = np.arange(dim)
         rows = rng.permutation(dim)[: rng.integers(1, dim + 1)]
         cols = rng.permutation(dim)[: rng.integers(1, dim + 1)]
-        for terms in (grid, dense_twin(grid), dense):
+        for terms in backings:
             want, scale = loop_hessian(theta, data, f, zip(*select_ordered_pairs(n, terms.policy)))
             got = terms.hessian(theta.flat, every)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
@@ -496,16 +612,31 @@ class Forgetful(ModelTerms):
         return super().value_grad(flat)
 
 
-MEMO_POLICIES = [pytest.param(ALL, id="grid"), pytest.param(PairPolicy(cap=50, seed=1), id="dense")]
+# (layout, rows, policy): each pair backing on data shaped like small_data
+# (12 rows when ``rows`` is 12).  Dense rows need a cap below
+# n(n-1)/CELLS_MAX_SPARSITY, and on 12 rows every such set (26 pairs or
+# fewer) has no minimizer at the path's last points, so that case takes 24
+# rows, 60 of their 552 pairs.
+MEMO_POLICIES = [
+    pytest.param("grid", 12, ALL, id="grid"),
+    pytest.param("cells", 12, PairPolicy(cap=100, seed=1), id="cells"),
+    pytest.param("dense", 24, PairPolicy(cap=60, seed=1), id="dense"),
+]
+
+
+def memo_data(rows):
+    return make_dataset(rows, 3, 2, seed=7)
 
 
 class TestLastPointMemo:
-    @pytest.mark.parametrize("policy", MEMO_POLICIES)
-    def test_repeats_are_bit_equal_to_fresh_terms(self, small_data, policy):
+    @pytest.mark.parametrize("layout, rows, policy", MEMO_POLICIES)
+    def test_repeats_are_bit_equal_to_fresh_terms(self, layout, rows, policy):
+        data = memo_data(rows)
         f = FeatureMap.product()
-        idx = build_pair_index(small_data.m)
+        idx = build_pair_index(data.m)
         p, q = random_theta(idx, 1).flat, random_theta(idx, 2).flat
-        terms = ModelTerms(small_data, f, pair_policy=policy)
+        terms = ModelTerms(data, f, pair_policy=policy)
+        assert layout_of(terms) == layout
         calls = [
             ("value", p), ("value_grad", p), ("value_grad", p), ("log_normalizer", p),
             ("log_normalizer", q), ("value_grad", q), ("value", q),
@@ -513,60 +644,68 @@ class TestLastPointMemo:
         ]
         for method, point in calls:
             got = getattr(terms, method)(point)
-            want = getattr(ModelTerms(small_data, f, pair_policy=policy), method)(point)
+            want = getattr(ModelTerms(data, f, pair_policy=policy), method)(point)
             if method == "value_grad":
                 assert got[0] == want[0]
                 assert got[1].tobytes() == want[1].tobytes()
             else:
                 assert got == want
         assert terms.value(q, normalized=False) == ModelTerms(
-            small_data, f, pair_policy=policy
+            data, f, pair_policy=policy
         ).value(q, normalized=False)
 
-    @pytest.mark.parametrize("policy", MEMO_POLICIES)
-    def test_returned_gradient_is_a_copy(self, small_data, policy):
-        terms = ModelTerms(small_data, FeatureMap.product(), pair_policy=policy)
+    @pytest.mark.parametrize("layout, rows, policy", MEMO_POLICIES)
+    def test_returned_gradient_is_a_copy(self, layout, rows, policy):
+        terms = ModelTerms(memo_data(rows), FeatureMap.product(), pair_policy=policy)
+        assert layout_of(terms) == layout
         p = random_theta(terms.index, 3).flat
         _, grad = terms.value_grad(p)
         want = grad.copy()
         grad[:] = 7.0
         assert terms.value_grad(p)[1].tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("policy", MEMO_POLICIES)
-    def test_fit_and_path_bytes_match_forgetful_terms(self, small_data, policy):
+    @pytest.mark.parametrize("layout, rows, policy", MEMO_POLICIES)
+    def test_fit_and_path_bytes_match_forgetful_terms(self, layout, rows, policy):
+        data = memo_data(rows)
         f = FeatureMap.product()
-        path = lambda_path(small_data, f, GeometricSchedule(factor=0.5, count=4),
-                           terms=ModelTerms(small_data, f, pair_policy=policy))
-        twin = lambda_path(small_data, f, GeometricSchedule(factor=0.5, count=4),
-                           terms=Forgetful(small_data, f, pair_policy=policy))
+        terms = ModelTerms(data, f, pair_policy=policy)
+        assert layout_of(terms) == layout
+        path = lambda_path(data, f, GeometricSchedule(factor=0.5, count=4), terms=terms)
+        twin = lambda_path(data, f, GeometricSchedule(factor=0.5, count=4),
+                           terms=Forgetful(data, f, pair_policy=policy))
         assert path.lambdas.tobytes() == twin.lambdas.tobytes()
         for a, b in zip(path.entries, twin.entries):
             assert a.fit.theta_hat.flat.tobytes() == b.fit.theta_hat.flat.tobytes()
             assert a.fit.objective_trace.tobytes() == b.fit.objective_trace.tobytes()
             assert a.fit.iterations == b.fit.iterations
+        assert all(e.fit.converged for e in path.entries)
         assert path.entries[-1].support_size > 0
 
 
 class TestScorings:
     @pytest.mark.parametrize(
-        "policy, scorings, iterations",
+        "layout, rows, policy, scorings, iterations",
         [
-            pytest.param(ALL, 11, [0, 3, 4, 3], id="grid"),
-            pytest.param(PairPolicy(cap=100, seed=1), 13, [0, 4, 4, 4], id="dense"),
+            pytest.param(*case.values, *pinned, id=case.id)
+            for case, pinned in zip(MEMO_POLICIES, [(11, [0, 3, 4, 3]), (13, [0, 4, 4, 4]), (11, [0, 4, 3, 3])])
         ],
     )
-    def test_path_scorings_are_pinned(self, small_data, policy, scorings, iterations):
+    def test_path_scorings_are_pinned(self, layout, rows, policy, scorings, iterations):
+        data = memo_data(rows)
         f = FeatureMap.product()
-        terms = ModelTerms(small_data, f, pair_policy=policy)
-        path = lambda_path(small_data, f, GeometricSchedule(factor=0.5, count=4), terms=terms)
+        terms = ModelTerms(data, f, pair_policy=policy)
+        assert layout_of(terms) == layout
+        path = lambda_path(data, f, GeometricSchedule(factor=0.5, count=4), terms=terms)
+        assert all(e.fit.converged for e in path.entries)
         assert [e.fit.iterations for e in path.entries] == iterations
         assert terms.scorings == scorings
         # lambda_max scores zero once; each fit counts its own scorings
         assert sum(e.fit.scorings for e in path.entries) == scorings - 1
 
-    @pytest.mark.parametrize("policy", MEMO_POLICIES)
-    def test_only_memo_misses_count(self, small_data, policy):
-        terms = ModelTerms(small_data, FeatureMap.product(), pair_policy=policy)
+    @pytest.mark.parametrize("layout, rows, policy", MEMO_POLICIES)
+    def test_only_memo_misses_count(self, layout, rows, policy):
+        terms = ModelTerms(memo_data(rows), FeatureMap.product(), pair_policy=policy)
+        assert layout_of(terms) == layout
         p, q = random_theta(terms.index, 1).flat, random_theta(terms.index, 2).flat
         assert terms.scorings == 0
         terms.value(p)
@@ -594,7 +733,7 @@ class TestFiniteGuard:
     """The scan for non-finite scores runs only when the score bound is not
     below ``FINITE_SCORE_BOUND``, and still names the dominant block."""
 
-    PAIR = (0, 3)  # a cross pair of small_data's partition (0, 1, 2 | 3, 4)
+    PAIR = (0, 3)  # a cross pair of memo_data's partition (0, 1, 2 | 3, 4)
 
     def theta_on_pair(self, index, value):
         flat = 0.01 * np.ones(index.dim)
@@ -612,10 +751,12 @@ class TestFiniteGuard:
         monkeypatch.setattr(terms.backing, "bad_pair_features", spied)
         return scans
 
-    @pytest.mark.parametrize("policy", MEMO_POLICIES)
+    @pytest.mark.parametrize("layout, rows, policy", MEMO_POLICIES)
     @pytest.mark.parametrize("value", [1e308, -1e308, np.inf, np.nan])
-    def test_non_finite_scores_name_the_block(self, small_data, policy, value):
-        terms = ModelTerms(small_data, FeatureMap.product(), pair_policy=policy)
+    def test_non_finite_scores_name_the_block(self, layout, rows, policy, value):
+        data = memo_data(rows)
+        terms = ModelTerms(data, FeatureMap.product(), pair_policy=policy)
+        assert layout_of(terms) == layout
         flat = self.theta_on_pair(terms.index, value)
         with np.errstate(over="ignore", invalid="ignore"):
             scores, bound = terms.backing.scores(flat, excluded=0.0)
@@ -625,12 +766,14 @@ class TestFiniteGuard:
             assert np.isnan(bound)
         for method in ("value", "value_grad"):
             with pytest.raises(NumericError, match=r"dominant block is pair \(0, 3\)"):
-                getattr(ModelTerms(small_data, FeatureMap.product(), pair_policy=policy), method)(flat)
+                getattr(ModelTerms(data, FeatureMap.product(), pair_policy=policy), method)(flat)
 
-    @pytest.mark.parametrize("policy", MEMO_POLICIES)
-    def test_large_bound_with_finite_scores_evaluates(self, small_data, policy, monkeypatch):
+    @pytest.mark.parametrize("layout, rows, policy", MEMO_POLICIES)
+    def test_large_bound_with_finite_scores_evaluates(self, layout, rows, policy, monkeypatch):
+        data = memo_data(rows)
         f = FeatureMap.product()
-        terms = ModelTerms(small_data, f, pair_policy=policy)
+        terms = ModelTerms(data, f, pair_policy=policy)
+        assert layout_of(terms) == layout
         flat = self.theta_on_pair(terms.index, 1e300)
         scores, bound = terms.backing.scores(flat)
         assert np.isfinite(scores).all()
@@ -640,11 +783,25 @@ class TestFiniteGuard:
         assert len(scans) == 1
         assert np.isfinite(grad).all()
         theta = ParamBlocks(flat, terms.index)
-        assert value == pytest.approx(loop_objective(theta, small_data, f, terms), rel=1e-12)
+        assert value == pytest.approx(loop_objective(theta, data, f, terms), rel=1e-12)
 
-    @pytest.mark.parametrize("policy", MEMO_POLICIES)
-    def test_small_bound_skips_the_scan(self, small_data, policy, monkeypatch):
-        terms = ModelTerms(small_data, FeatureMap.product(), pair_policy=policy)
+    @pytest.mark.parametrize("layout, rows, policy", MEMO_POLICIES)
+    def test_bad_pair_row_is_that_pairs_features(self, layout, rows, policy):
+        data, f = memo_data(rows), FeatureMap.product()
+        terms = ModelTerms(data, f, pair_policy=policy)
+        assert layout_of(terms) == layout
+        scores = terms.perm_scores(random_theta(terms.index, 8).flat)
+        assert terms.backing.bad_pair_features(scores) is None
+        j, k = select_ordered_pairs(rows, policy)
+        i = 7
+        scores[(j[i], k[i]) if layout == "grid" else i] = np.nan
+        want = pair_feature_matrix(f, permuted_matrix(data, j[i : i + 1], k[i : i + 1]), terms.index)[0]
+        np.testing.assert_array_equal(terms.backing.bad_pair_features(scores), want)
+
+    @pytest.mark.parametrize("layout, rows, policy", MEMO_POLICIES)
+    def test_small_bound_skips_the_scan(self, layout, rows, policy, monkeypatch):
+        terms = ModelTerms(memo_data(rows), FeatureMap.product(), pair_policy=policy)
+        assert layout_of(terms) == layout
         scans = self.spy_scan(terms, monkeypatch)
         terms.value_grad(random_theta(terms.index, 5).flat)
         terms.value(random_theta(terms.index, 6).flat)
@@ -652,12 +809,12 @@ class TestFiniteGuard:
 
 
 class TestPreflightSize:
-    @pytest.mark.parametrize("policy", MEMO_POLICIES)
-    def test_over_physical_memory_raises_before_allocating(self, small_data, policy, monkeypatch):
-        n, dim = small_data.n, build_pair_index(small_data.m).dim
-        pairs = policy.pair_count(n)
+    @pytest.mark.parametrize("layout, rows, policy", MEMO_POLICIES)
+    def test_over_physical_memory_raises_before_allocating(self, layout, rows, policy, monkeypatch):
+        data = memo_data(rows)
+        n, dim = data.n, build_pair_index(data.m).dim
         # at least the n x n grid, or the dense feature rows, is counted
-        result = 8 * (n * n if pairs == n * (n - 1) else pairs * dim)
+        result = 8 * (policy.pair_count(n) * dim if layout == "dense" else n * n)
         monkeypatch.setattr(model_mod, "physical_memory_bytes", lambda: result)
 
         def allocates(*args, **kwargs):
@@ -666,12 +823,14 @@ class TestPreflightSize:
         monkeypatch.setattr(model_mod, "pair_feature_matrix", allocates)
         monkeypatch.setattr(model_mod, "select_ordered_pairs", allocates)
         with pytest.raises(SizeError, match="physical memory"):
-            ModelTerms(small_data, FeatureMap.product(), pair_policy=policy)
+            ModelTerms(data, FeatureMap.product(), pair_policy=policy)
 
-    @pytest.mark.parametrize("policy", MEMO_POLICIES)
-    def test_fits_within_physical_memory(self, small_data, policy, monkeypatch):
+    @pytest.mark.parametrize("layout, rows, policy", MEMO_POLICIES)
+    def test_fits_within_physical_memory(self, layout, rows, policy, monkeypatch):
         monkeypatch.setattr(model_mod, "physical_memory_bytes", lambda: 1 << 30)
-        assert ModelTerms(small_data, FeatureMap.product(), pair_policy=policy).n_pairs_used == policy.pair_count(12)
+        terms = ModelTerms(memo_data(rows), FeatureMap.product(), pair_policy=policy)
+        assert layout_of(terms) == layout
+        assert terms.n_pairs_used == policy.pair_count(rows)
 
     def test_exact_pairs_at_large_n_exceed_this_machine(self):
         # 300,000 rows have 9e10 ordered pairs; their n x n score grid alone needs 720 GB

@@ -342,11 +342,14 @@ class TestModelSerialization:
         assert len(payload["entries"]) == 3
         e = payload["entries"][0]
         assert set(e) == {
-            "lambda", "support_size", "support", "objective", "converged",
+            "lambda", "support_size", "support", "objective", "converged", "kkt_max_residual",
             "iterations", "scorings", "sweeps", "backtracks", "working_set",
         }
         for key in ("iterations", "scorings", "sweeps", "backtracks", "working_set"):
             assert [entry[key] for entry in payload["entries"]] == [getattr(x.fit, key) for x in res.entries]
+        assert [entry["kkt_max_residual"] for entry in payload["entries"]] == [
+            x.fit.kkt.max_residual for x in res.entries
+        ]
 
     def test_truth_roundtrip(self, tmp_path):
         from pmnet import support_from_pairs
