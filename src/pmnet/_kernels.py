@@ -3,10 +3,17 @@
 Block norms and the group soft-threshold act on a flat parameter vector laid
 out as consecutive blocks of ``block_dim`` entries.  ``diamond_chain`` walks
 one random-walk Metropolis chain over pre-drawn proposal increments and
-log-uniform acceptance draws, so a seed fixes its trajectory exactly.
+log-uniform acceptance draws, so a seed fixes its trajectory exactly.  It
+steps over plain Python floats, converting the draws with ``.tolist()``
+``_CHUNK_ROWS`` rows at a time: arithmetic on numpy scalars costs about three
+times as much, and IEEE add and multiply round the same on both, so the
+samples are bit-identical to a walk over the numpy arrays.
 """
 
 import numpy as np
+
+# draws converted to Python floats per chunk; bounds the lists' memory
+_CHUNK_ROWS = 1024
 
 
 def block_norms(flat, block_dim):
@@ -28,42 +35,44 @@ def diamond_chain(rho, gauss_coeff, x0, steps, log_u, burn_in, thinning, n_keep)
     ``steps`` has one proposal increment per iteration, ``log_u`` the matching
     log-uniform acceptance draw; total iterations = burn_in + n_keep*thinning.
     """
+    # -rho * a parses as (-rho) * a, so negating once keeps every bit
+    neg_rho = -float(rho)
+    gauss_coeff = float(gauss_coeff)
     kept = np.empty((n_keep, 4))
-    xa = x0[0]
-    xb = x0[1]
-    xc = x0[2]
-    xd = x0[3]
+    xa, xb, xc, xd = (float(v) for v in x0)
     logp = (
-        -rho * xa * xa * xb * xb
+        neg_rho * xa * xa * xb * xb
         - 0.5 * xb * xc
         - 0.5 * xb * xd
         - gauss_coeff * (xa * xa + xb * xb + xc * xc + xd * xd)
     )
     accepted = 0
     kept_i = 0
-    total = steps.shape[0]
-    for t in range(total):
-        ya = xa + steps[t, 0]
-        yb = xb + steps[t, 1]
-        yc = xc + steps[t, 2]
-        yd = xd + steps[t, 3]
-        logq = (
-            -rho * ya * ya * yb * yb
-            - 0.5 * yb * yc
-            - 0.5 * yb * yd
-            - gauss_coeff * (ya * ya + yb * yb + yc * yc + yd * yd)
-        )
-        if logq - logp >= log_u[t]:
-            xa = ya
-            xb = yb
-            xc = yc
-            xd = yd
-            logp = logq
-            accepted += 1
-        if t >= burn_in and (t - burn_in) % thinning == thinning - 1 and kept_i < n_keep:
-            kept[kept_i, 0] = xa
-            kept[kept_i, 1] = xb
-            kept[kept_i, 2] = xc
-            kept[kept_i, 3] = xd
-            kept_i += 1
+    # iterations left until the next kept state; below 0 once n_keep are kept
+    to_keep = burn_in + thinning if n_keep > 0 else -1
+    for start in range(0, steps.shape[0], _CHUNK_ROWS):
+        cols = steps[start : start + _CHUNK_ROWS].T.tolist()
+        for sa, sb, sc, sd, lu in zip(*cols, log_u[start : start + _CHUNK_ROWS].tolist()):
+            ya = xa + sa
+            yb = xb + sb
+            yc = xc + sc
+            yd = xd + sd
+            logq = (
+                neg_rho * ya * ya * yb * yb
+                - 0.5 * yb * yc
+                - 0.5 * yb * yd
+                - gauss_coeff * (ya * ya + yb * yb + yc * yc + yd * yd)
+            )
+            if logq - logp >= lu:
+                xa = ya
+                xb = yb
+                xc = yc
+                xd = yd
+                logp = logq
+                accepted += 1
+            to_keep -= 1
+            if not to_keep:
+                kept[kept_i] = (xa, xb, xc, xd)
+                kept_i += 1
+                to_keep = thinning if kept_i < n_keep else -1
     return kept, accepted

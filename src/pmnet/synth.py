@@ -6,6 +6,7 @@ independent 4-variable blocks from a non-Gaussian density by random-walk
 Metropolis; its planted cross-group structure couples squared variables.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -60,6 +61,8 @@ def build_gaussian_spec(
     The result must be positive definite or the spec is rejected.
     """
     m1, m2 = split
+    if not math.isfinite(rho):
+        raise GeneratorError(f"rho must be finite, got {rho!r}")
     if m1 + m2 != m or m1 < 1 or m2 < 1:
         raise GeneratorError(f"split {split} does not partition m={m}")
     if not 0 <= passage_size <= min(m1, m2):
@@ -124,8 +127,12 @@ class McmcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.burn_in < 0 or self.thinning < 1 or self.proposal_std <= 0.0:
+        if self.burn_in < 0 or self.thinning < 1:
             raise GeneratorError("invalid MCMC configuration")
+        if not (math.isfinite(self.proposal_std) and self.proposal_std > 0.0):
+            raise GeneratorError(
+                f"proposal_std must be positive and finite, got {self.proposal_std!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -135,7 +142,8 @@ class DiamondSpec:
         exp(-rho * a^2 b^2 - 0.5 b c - 0.5 b d) * N(0, base_variance * I4).
 
     Group 1 collects every ``a``; b, c, d go to group 2, so the planted
-    cross-group pairs are (a_i, b_i).
+    cross-group pairs are (a_i, b_i).  ``rho`` must be finite and >= 0 and
+    ``base_variance`` finite and > 0, or the density has no normalizer.
     """
 
     blocks: int = 13
@@ -146,8 +154,13 @@ class DiamondSpec:
     def __post_init__(self):
         if self.blocks < 1:
             raise GeneratorError("need at least one block")
-        if self.base_variance <= 0.0:
-            raise GeneratorError("base_variance must be positive")
+        if not (math.isfinite(self.base_variance) and self.base_variance > 0.0):
+            raise GeneratorError(
+                f"base_variance must be positive and finite, got {self.base_variance!r}"
+            )
+        # at rho < 0 the a^2 b^2 term outgrows the Gaussian factor: no density
+        if not (math.isfinite(self.rho) and self.rho >= 0.0):
+            raise GeneratorError(f"rho must be finite and >= 0, got {self.rho!r}")
 
     @property
     def m(self) -> int:

@@ -152,6 +152,27 @@ class TestPipelines:
         data = np.loadtxt(tmp_path / "d.csv", delimiter=",")
         assert data.shape == (50, 8)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "diamond", "--rho", "nan"],
+            ["gen", "diamond", "--rho", "inf"],
+            ["gen", "diamond", "--rho=-5"],
+            ["gen", "diamond", "--proposal-std", "nan"],
+            ["gen", "diamond", "--proposal-std", "inf"],
+            ["gen", "gaussian", "--rho", "nan"],
+            ["gen", "gaussian", "--rho=-inf"],
+        ],
+        ids=lambda argv: " ".join(argv[1:]),
+    )
+    def test_gen_rejects_improper_parameters(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        argv = argv + ["--n", "20", "--out", "d.csv", "--truth", "t.json"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pmnet: error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_cv_fit(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(GEN_ARGS) == 0

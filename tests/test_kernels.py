@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 import pmnet
 from pmnet import _kernels as K
@@ -33,9 +34,19 @@ def diamond_log_density(spec, x):
     )
 
 
-def test_diamond_chain_matches_reference_loop():
+# (burn_in, thinning, n_keep) beyond the original (100, 4, 100); the draws
+# reach _CHUNK_ROWS = 1024 rows per conversion chunk only in the last three
+CHAIN_SHAPES = [
+    (0, 1, 1),
+    (3, 5, 2),
+    (0, 1, 2100),  # every row kept, across two chunk edges
+    (1500, 3, 200),  # burn-in ends in the second chunk
+    (1000, 7, 600),  # chunk edges fall inside thinning segments
+]
+
+
+def check_chain_against_reference_loop(burn_in, thinning, n_keep):
     spec = DiamondSpec(blocks=1, rho=1.3)
-    burn_in, thinning, n_keep = 100, 4, 100
     total = burn_in + n_keep * thinning
     rng = np.random.default_rng(9)
     steps = 0.5 * rng.standard_normal((total, 4))
@@ -56,6 +67,35 @@ def test_diamond_chain_matches_reference_loop():
     got, got_accepted = K.diamond_chain(
         spec.rho, 1.0 / (2.0 * spec.base_variance), np.zeros(4), steps, log_u, burn_in, thinning, n_keep
     )
-    assert 0 < accepted < total
+    if total > 20:
+        assert 0 < accepted < total
     assert got_accepted == accepted
+    assert got.shape == (n_keep, 4)
     np.testing.assert_array_equal(got, np.array(kept))
+
+
+def test_diamond_chain_matches_reference_loop():
+    check_chain_against_reference_loop(100, 4, 100)
+
+
+@pytest.mark.parametrize("burn_in,thinning,n_keep", CHAIN_SHAPES)
+def test_diamond_chain_shapes_match_reference_loop(burn_in, thinning, n_keep):
+    check_chain_against_reference_loop(burn_in, thinning, n_keep)
+
+
+def test_chain_shapes_cross_chunk_edges_inside_segments():
+    """Keeps the long cases above meaningful if the chunk size changes."""
+    burn_in, thinning, n_keep = CHAIN_SHAPES[-1]
+    total = burn_in + n_keep * thinning
+    edges = range(K._CHUNK_ROWS, total, K._CHUNK_ROWS)
+    assert any(e > burn_in and (e - burn_in) % thinning for e in edges)
+    burn_in, thinning, n_keep = CHAIN_SHAPES[-2]
+    assert K._CHUNK_ROWS < burn_in < burn_in + n_keep * thinning < 3 * K._CHUNK_ROWS
+    burn_in, thinning, n_keep = CHAIN_SHAPES[-3]
+    assert n_keep > 2 * K._CHUNK_ROWS
+
+
+def test_diamond_chain_with_small_chunks(monkeypatch):
+    """Chunks of 3 rows against 4-row thinning: an edge in most segments."""
+    monkeypatch.setattr(K, "_CHUNK_ROWS", 3)
+    check_chain_against_reference_loop(5, 4, 50)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from pmnet import (
     sample_gaussian,
     truth_support,
 )
+from pmnet import _kernels
 from pmnet.model import PairPolicy
 from pmnet.synth import (
     diamond_partition,
@@ -82,6 +85,11 @@ class TestGaussianSpec:
             build_gaussian_spec(m=10, split=(8, 2), passage_size=3)
         with pytest.raises(GeneratorError):
             build_gaussian_spec(m=10, split=(8, 2), passage_size=2, eig_rank=11)
+
+    @pytest.mark.parametrize("rho", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rho_rejected(self, rho):
+        with pytest.raises(GeneratorError, match="rho must be finite"):
+            build_gaussian_spec(rho=rho)
 
     def test_partition(self):
         spec = build_gaussian_spec(m=20, split=(15, 5), rho=0.6, passage_size=5, eig_rank=7)
@@ -158,6 +166,37 @@ class TestDiamond:
         with pytest.warns(UserWarning, match="acceptance rate"):
             sample_diamond(spec, 30)
 
+    @pytest.mark.parametrize(
+        "blocks,n,seed,sha256,accepts",
+        [
+            (
+                2, 400, 11,
+                "521dd40121b0e250973e2f5b840db81f499d451a73de8a016d7253a0c65ac473",
+                [12273, 12400],
+            ),
+            (
+                13, 30, 5,
+                "7def917efb9090569ba015543447edfb66cefab5451760406bf5f909f8d17e72",
+                [3204, 3170, 3173, 3189, 3221, 3242, 3205, 3250, 3286, 3230, 3193, 3148, 3181],
+            ),
+        ],
+    )
+    def test_samples_are_pinned(self, monkeypatch, blocks, n, seed, sha256, accepts):
+        """Bits and per-block accept counts of the walk over numpy scalars."""
+        walk = _kernels.diamond_chain
+        seen = []
+
+        def recording(*args):
+            kept, accepted = walk(*args)
+            seen.append(accepted)
+            return kept, accepted
+
+        monkeypatch.setattr(_kernels, "diamond_chain", recording)
+        spec = DiamondSpec(blocks=blocks, mcmc=McmcConfig(seed=seed))
+        data = sample_diamond(spec, n)
+        assert hashlib.sha256(data.samples.tobytes()).hexdigest() == sha256
+        assert seen == accepts
+
     def test_guards(self):
         with pytest.raises(GeneratorError):
             DiamondSpec(blocks=0)
@@ -167,6 +206,18 @@ class TestDiamond:
             McmcConfig(thinning=0)
         with pytest.raises(DimensionError):
             sample_diamond(DiamondSpec(blocks=1), 1)
+
+    @pytest.mark.parametrize("rho", [np.nan, np.inf, -np.inf, -5.0, -1e-300])
+    def test_improper_rho_rejected(self, rho):
+        with pytest.raises(GeneratorError, match="rho must be finite and >= 0"):
+            DiamondSpec(rho=rho)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_base_variance_and_proposal_rejected(self, value):
+        with pytest.raises(GeneratorError, match="base_variance"):
+            DiamondSpec(base_variance=value)
+        with pytest.raises(GeneratorError, match="proposal_std"):
+            McmcConfig(proposal_std=value)
 
 
 class TestReferenceImplementations:
