@@ -150,7 +150,7 @@ class ParamBlocks:
     def nonzero_pairs(self) -> tuple[tuple[int, int], ...]:
         # exact-zero test; squaring inside a norm would underflow subnormals
         nz = (self.flat.reshape(self.index.n_pairs, -1) != 0.0).any(axis=1)
-        return tuple(p for p, keep in zip(self.index.pairs, nz) if keep)
+        return tuple(self.index.pairs[t] for t in np.flatnonzero(nz).tolist())
 
 
 @dataclass(frozen=True)
@@ -311,12 +311,19 @@ class PairScoreGrid:
 
     def spread(self, w: np.ndarray) -> np.ndarray:
         """Pair weights shaped like ``scores`` as the n x n weight grid that
-        ``weighted_sum`` and ``gram`` take, zero on every other cell."""
+        ``weighted_sum`` and ``gram`` take, zero on every other cell.
+
+        With ``cells`` the grid is one buffer per backing: each call writes
+        only the cells, and no other entry is ever written, so the previous
+        call's grid is overwritten and must no longer be in use."""
         if self.cells is None:
             return w
-        grid = np.zeros(self.n * self.n)
-        grid[self.cells] = w
-        return grid.reshape(self.n, self.n)
+        self._weight_grid.ravel()[self.cells] = w
+        return self._weight_grid
+
+    @cached_property
+    def _weight_grid(self) -> np.ndarray:
+        return np.zeros((self.n, self.n))
 
     def weighted_sum(self, w: np.ndarray) -> np.ndarray:
         """F^T w for an n x n weight grid with a zero diagonal."""
@@ -581,7 +588,8 @@ class ModelTerms:
         """The remembered point if ``flat`` is it, else a freshly scored one."""
         key = flat.tobytes()
         if self._last is None or self._last.key != key:
-            # free the old pair scores before allocating new ones
+            # free the old pair scores before allocating new ones; a cells
+            # backing's spread also rewrites the weight grid the old point held
             self._last = None
             self.scorings += 1
             weights = self.perm_scores(flat)

@@ -5,10 +5,13 @@ iteration picks a working set S (the active blocks and every block whose
 gradient norm exceeds lam), builds the Hessian block H_SS in one call
 (``ModelTerms.hessian``), damps its diagonal in proportion to the KKT
 residual, and minimizes the penalized quadratic model on S by block
-coordinate descent.  An Armijo backtracking step on the penalized objective
-follows, so the recorded objective never increases, and the full gradient
-is recomputed: it regrows S and decides the KKT certificate, which is the
-only stopping rule.  The group
+coordinate descent.  For scalar blocks, each sweep that leaves the model
+unsolved is followed by an exact solve on the sweep's sign pattern, which
+ends the inner solve when it is the model's minimizer; blocks of several
+coordinates keep plain block coordinate descent.  An Armijo backtracking
+step on the penalized objective follows, so the recorded objective never
+increases, and the full gradient is recomputed: it regrows S and decides
+the KKT certificate, which is the only stopping rule.  The group
 soft-threshold produces exact zeros, which makes support extraction and the
 certificate well defined.  See Lee, Sun & Saunders (2014), "Proximal
 Newton-type methods for minimizing composite functions", and Tibshirani et
@@ -144,6 +147,17 @@ def _solve_model(hess: np.ndarray, grad: np.ndarray, start: np.ndarray, lam: flo
     coordinates themselves are plain floats.  It stops once the model's KKT
     residual is at most ``tol`` or after ``MAX_SWEEPS`` sweeps, and returns
     z and the sweeps used.
+
+    Scalar blocks also get an exact finish after every sweep that leaves the
+    residual above ``tol`` (Osborne, Presnell & Turlach 2000): with A the
+    nonzero coordinates of z and s their signs, the model's minimizer on
+    that sign pattern solves hess_AA z_A = (hess start)_A - grad_A - lam s,
+    zero off A (the damped diagonal makes hess_AA positive definite).  It is
+    returned when its signs on A are s and |q_i| <= lam off A, which makes
+    it the model's exact minimizer; otherwise the sweeps go on, and a sign
+    pattern already rejected is not solved again.  Blocks of more than one
+    coordinate keep plain block coordinate descent: on an active group the
+    finish would be a nonlinear system.
     """
     blocks = grad.size // block_dim
     diag = np.arange(blocks)
@@ -153,6 +167,7 @@ def _solve_model(hess: np.ndarray, grad: np.ndarray, start: np.ndarray, lam: flo
     z = start.tolist()
     q = grad.copy()  # grad + hess (z - start)
     item = q.item
+    rejected = None
     for sweep in range(1, MAX_SWEEPS + 1):
         if block_dim == 1:
             for i, step in enumerate(steps):
@@ -174,7 +189,29 @@ def _solve_model(hess: np.ndarray, grad: np.ndarray, start: np.ndarray, lam: flo
                         z[i] = v * shrink
         if _model_residual(z, q.tolist(), lam, block_dim) <= tol:
             break
+        if block_dim == 1:
+            signs = np.sign(z)
+            if rejected is None or not np.array_equal(signs, rejected):
+                exact = _sign_pattern_minimizer(hess, grad, start, lam, signs)
+                if exact is not None:
+                    return exact, sweep
+                rejected = signs
     return np.array(z), sweep
+
+
+def _sign_pattern_minimizer(hess: np.ndarray, grad: np.ndarray, start: np.ndarray, lam: float,
+                            signs: np.ndarray) -> np.ndarray | None:
+    """The scalar-block model's minimizer if it has the sign pattern ``signs``, else None."""
+    on = signs != 0.0
+    rows = hess[on]
+    z = np.zeros_like(start)
+    z[on] = np.linalg.solve(rows[:, on], rows @ start - grad[on] - lam * signs[on])
+    if not np.array_equal(np.sign(z[on]), signs[on]):
+        return None
+    off = ~on
+    if not (np.abs(grad[off] + hess[off] @ (z - start)) <= lam).all():
+        return None
+    return z
 
 
 def _model_residual(z: list, q: list, lam: float, block_dim: int) -> float:

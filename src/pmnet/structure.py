@@ -165,9 +165,9 @@ def cross_group_edges(
     norms = theta_hat.block_norms()
     mask2 = partition.group2_mask
     edges = []
-    for t, (u, v) in enumerate(index.pairs):
-        if norms[t] <= 0.0:
-            continue
+    # a NaN norm is kept, as a nonzero block
+    for t in np.flatnonzero(~(norms <= 0.0)).tolist():
+        u, v = index.pairs[t]
         if scope == "cross_group_only" and mask2[u] == mask2[v]:
             continue
         block = theta_hat.block(t)

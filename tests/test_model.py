@@ -687,7 +687,7 @@ class TestScorings:
         "layout, rows, policy, scorings, iterations",
         [
             pytest.param(*case.values, *pinned, id=case.id)
-            for case, pinned in zip(MEMO_POLICIES, [(11, [0, 3, 4, 3]), (13, [0, 4, 4, 4]), (11, [0, 4, 3, 3])])
+            for case, pinned in zip(MEMO_POLICIES, [(12, [0, 4, 4, 3]), (13, [0, 4, 4, 4]), (10, [0, 3, 3, 3])])
         ],
     )
     def test_path_scorings_are_pinned(self, layout, rows, policy, scorings, iterations):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,8 +23,9 @@ from pmnet import (
     lambda_path,
     theory_lambda_bound,
 )
+from pmnet import solver
 from pmnet.model import ModelTerms
-from pmnet.solver import default_lambda_grid
+from pmnet.solver import _model_residual, _solve_model, default_lambda_grid
 
 from conftest import make_dataset
 
@@ -86,6 +89,99 @@ class TestKkt:
         rep = kkt_residuals(theta, g, idx, lam=1.0)
         assert rep.active.tolist() == [True, False, False]
         assert rep.residuals[0] == pytest.approx(0.0, abs=1e-15)
+
+
+def model_objective(hess, grad, start, lam, z):
+    d = z - start
+    return float(grad @ d + d @ hess @ d / 2.0 + lam * np.abs(z).sum())
+
+
+def enumerated_minimum(hess, grad, start, lam):
+    """Minimum of the scalar-block model over all 3^s sign patterns, each a
+    closed-form solve on its nonzero coordinates kept if its signs agree."""
+    best = np.inf
+    for signs in itertools.product((-1.0, 0.0, 1.0), repeat=grad.size):
+        signs = np.array(signs)
+        on = signs != 0.0
+        z = np.zeros(grad.size)
+        z[on] = np.linalg.solve(hess[np.ix_(on, on)], hess[on] @ start - grad[on] - lam * signs[on])
+        if np.array_equal(np.sign(z[on]), signs[on]):
+            best = min(best, model_objective(hess, grad, start, lam, z))
+    return best
+
+
+def random_models():
+    """Random SPD models as the solver builds them: a covariance with a damped
+    diagonal, a gradient, and a warm start with some zero coordinates."""
+    for size in range(1, 7):
+        for seed in range(4):
+            rng = np.random.default_rng([size, seed])
+            factor = rng.standard_normal((size, size + 2))
+            hess = factor @ factor.T / (size + 2)
+            hess[np.diag_indices(size)] += 0.5 * 1e-2
+            grad = rng.standard_normal(size)
+            start = np.where(rng.random(size) < 0.5, 0.0, rng.standard_normal(size))
+            for frac in (0.05, 0.3, 0.8):
+                yield hess, grad, start, frac * np.abs(grad).max()
+
+
+def inner_solve_misses(tol=1e-9):
+    """Models whose inner solve is off the enumerated minimum or above tol."""
+    misses = 0
+    for hess, grad, start, lam in random_models():
+        z, _ = _solve_model(hess, grad, start, lam, 1, tol)
+        best = enumerated_minimum(hess, grad, start, lam)
+        gap = abs(model_objective(hess, grad, start, lam, z) - best)
+        residual = _model_residual(z.tolist(), (grad + hess @ (z - start)).tolist(), lam, 1)
+        misses += gap > 1e-12 * max(1.0, abs(best)) or residual > tol
+    return misses
+
+
+class TestSolveModel:
+    def test_scalar_blocks_reach_the_enumerated_minimum(self):
+        assert inner_solve_misses() == 0
+
+    def test_sweeps_change_a_rejected_sign_pattern(self, monkeypatch):
+        finish = solver._sign_pattern_minimizer
+        tried = []
+
+        def spied(hess, grad, start, lam, signs):
+            out = finish(hess, grad, start, lam, signs)
+            tried.append((signs.tolist(), out))
+            return out
+
+        monkeypatch.setattr(solver, "_sign_pattern_minimizer", spied)
+        hess = np.array([[1.0, -0.5, -0.4], [-0.5, 1.0, 0.2], [-0.4, 0.2, 1.0]])
+        grad, start, lam = np.array([-1.0, -0.6, 0.3]), np.zeros(3), 0.1
+        z, _ = _solve_model(hess, grad, start, lam, 1, 1e-12)
+        # the first sweep leaves coordinate 2 negative; later sweeps zero it
+        assert tried[0] == ([1.0, 1.0, -1.0], None)
+        assert tried[-1][0] == [1.0, 1.0, 0.0] and tried[-1][1] is z
+        np.testing.assert_allclose(z, [23.0 / 15.0, 19.0 / 15.0, 0.0], rtol=1e-14)
+        assert model_objective(hess, grad, start, lam, z) == pytest.approx(
+            enumerated_minimum(hess, grad, start, lam), rel=1e-12)
+
+    def test_a_finish_without_the_off_pattern_check_is_caught(self, monkeypatch):
+        def unchecked(hess, grad, start, lam, signs):
+            on = signs != 0.0
+            z = np.zeros_like(start)
+            z[on] = np.linalg.solve(hess[np.ix_(on, on)], hess[on] @ start - grad[on] - lam * signs[on])
+            return z if np.array_equal(np.sign(z[on]), signs[on]) else None
+
+        monkeypatch.setattr(solver, "_sign_pattern_minimizer", unchecked)
+        assert inner_solve_misses() > 0
+
+    def test_blocks_keep_coordinate_descent(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("block models take no sign-pattern finish")
+
+        monkeypatch.setattr(solver, "_sign_pattern_minimizer", refuse)
+        rng = np.random.default_rng(0)
+        factor = rng.standard_normal((6, 8))
+        hess = factor @ factor.T / 8 + 0.5 * np.eye(6)
+        grad, lam, tol = rng.standard_normal(6), 0.2, 1e-6
+        z, _ = _solve_model(hess, grad, np.zeros(6), lam, 2, tol)
+        assert _model_residual(z.tolist(), (grad + hess @ z).tolist(), lam, 2) <= tol
 
 
 class TestFit:

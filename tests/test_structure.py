@@ -14,12 +14,14 @@ from pmnet import (
     build_pair_index,
     cross_group_edges,
     extract_support,
+    fit,
+    lambda_max,
     lambda_path,
     roc_curve,
     support_from_pairs,
     tpr_tnr,
 )
-from pmnet.structure import envelope_and_auc
+from pmnet.structure import Edge, envelope_and_auc
 
 from conftest import make_dataset
 
@@ -189,3 +191,25 @@ class TestEdges:
         theta = ParamBlocks(flat, idx)
         edges = cross_group_edges(theta, Partition((0, 1), (2, 3)))
         assert [(e.u, e.v) for e in edges.edges] == [(0, 2), (0, 3)]
+
+    @pytest.mark.parametrize("scope", ["cross_group_only", "all"])
+    def test_fitted_edges_match_a_loop_over_every_pair(self, scope):
+        data = make_dataset(40, 3, 3, seed=1)
+        f, policy = FeatureMap.product(), PairPolicy(kind="all_ordered")
+        theta = fit(data, f, 0.1 * lambda_max(data, f, pair_policy=policy), pair_policy=policy).theta_hat
+        mask2 = data.partition.group2_mask
+        norms = theta.block_norms()
+        within = [mask2[u] == mask2[v] for u, v in theta.index.pairs]
+        # the fit has nonzero within-group and cross blocks, and zero blocks
+        assert {(bool(w), bool(n > 0.0)) for w, n in zip(within, norms)} == {
+            (True, True), (True, False), (False, True), (False, False)}
+        want = []
+        for t, (u, v) in enumerate(theta.index.pairs):
+            if norms[t] <= 0.0 or (scope == "cross_group_only" and within[t]):
+                continue
+            block = theta.block(t)
+            want.append(Edge(u, v, float(norms[t]), int(np.sign(block[int(np.argmax(np.abs(block)))]))))
+        want.sort(key=lambda e: (-e.weight, e.u, e.v))
+        assert cross_group_edges(theta, data.partition, scope=scope).edges == tuple(want)
+        nz = (theta.flat.reshape(theta.index.n_pairs, -1) != 0.0).any(axis=1)
+        assert theta.nonzero_pairs() == tuple(p for p, keep in zip(theta.index.pairs, nz) if keep)
