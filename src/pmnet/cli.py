@@ -1,15 +1,16 @@
 """Command-line pipelines: generate, fit, trace paths, score, export.
 
-Every command writes its primary output plus a ``.manifest.json`` capturing
-its argv, paths under the working directory relative to it, so reruns (and
-manifest replays from that directory) are byte-identical.
-Errors exit 2 with a one-line reason on stderr.  ``fit``, ``path`` and
-``align`` still write their outputs when a fit lacks a KKT certificate, then
-name each such fit on stderr and exit 3.
+Every command returns its exit code, inputs and outputs; ``main`` then
+writes a ``.manifest.json`` next to its primary output capturing its argv,
+paths under the working directory relative to it, so reruns (and manifest
+replays from that directory) are byte-identical.  Errors, malformed flag
+values and malformed input files included, exit 2 with a one-line reason on
+stderr and write no manifest.  ``fit``, ``path`` and ``align`` still write
+their outputs when a fit lacks a KKT certificate, then name each such fit on
+stderr and exit 3.
 """
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -19,7 +20,6 @@ from .model import ModelTerms, PairPolicy, diagnostics
 from .pipelines import (
     RunManifest,
     SequencePairConfig,
-    canonical_feature_name,
     export_edges,
     feature_by_name,
     fit_from_json,
@@ -27,11 +27,13 @@ from .pipelines import (
     load_csv_dataset,
     partition_spec_string,
     path_to_json,
+    read_json,
     relative_to_cwd,
     save_csv_dataset,
     truth_from_json,
     truth_to_json,
     window_sequences,
+    write_json,
     write_manifest,
 )
 from .solver import (
@@ -60,41 +62,44 @@ from .synth import (
 )
 
 
+def _fields(text: str, kinds, usage: str) -> list:
+    """The comma-separated fields of ``text``, one per converter in ``kinds``."""
+    parts = text.split(",")
+    try:
+        if len(parts) == len(kinds):
+            return [kind(part) for kind, part in zip(kinds, parts)]
+    except ValueError:
+        pass
+    raise ParseError(f"{usage}; got {text!r}")
+
+
+def _start(text: str):
+    return None if text in ("", "auto") else float(text)
+
+
 def _parse_schedule(text: str):
     """"geom[:start,factor,count]" or "until[:cap_k[,start,factor]]"."""
     name, _, rest = text.partition(":")
     if name == "geom":
         if not rest:
             return GeometricSchedule()
-        parts = rest.split(",")
-        if len(parts) != 3:
-            raise ParseError("geom schedule takes start,factor,count")
-        start = None if parts[0] in ("", "auto") else float(parts[0])
-        return GeometricSchedule(start=start, factor=float(parts[1]), count=int(parts[2]))
+        start, factor, count = _fields(rest, (_start, float, int), "geom schedule takes start,factor,count")
+        return GeometricSchedule(start=start, factor=factor, count=count)
     if name == "until":
         if not rest:
             return UntilSupportSchedule()
-        parts = rest.split(",")
-        if len(parts) == 1:
-            return UntilSupportSchedule(cap_k=int(parts[0]))
-        if len(parts) == 3:
-            return UntilSupportSchedule(cap_k=int(parts[0]), start=float(parts[1]), factor=float(parts[2]))
-        raise ParseError("until schedule takes cap_k or cap_k,start,factor")
+        usage = "until schedule takes cap_k or cap_k,start,factor"
+        if "," not in rest:
+            return UntilSupportSchedule(cap_k=_fields(rest, (int,), usage)[0])
+        cap_k, start, factor = _fields(rest, (int, float, float), usage)
+        return UntilSupportSchedule(cap_k=cap_k, start=start, factor=factor)
     raise ParseError(f"unknown schedule {text!r}; use geom:... or until:...")
 
 
-def _policy_from_args(args) -> PairPolicy:
-    return PairPolicy(seed=args.pair_seed, cap=args.pair_cap)
-
-
-def _manifest(args, argv, inputs, outputs) -> RunManifest:
-    return RunManifest(
-        command=args.command if args.command != "gen" else f"gen {args.family}",
-        argv=[relative_to_cwd(arg) for arg in argv],
-        seed=getattr(args, "seed", None),
-        inputs={key: relative_to_cwd(path) for key, path in inputs.items()},
-        outputs={key: relative_to_cwd(path) for key, path in outputs.items()},
-    )
+def _pair_policy(fields: dict) -> PairPolicy:
+    """The policy of ``pair_seed`` and ``pair_cap`` (flags or fit JSON keys), defaults where absent."""
+    seed, cap = fields.get("pair_seed", PairPolicy.seed), fields.get("pair_cap", PairPolicy.cap)
+    return PairPolicy(seed=seed, cap=cap)
 
 
 def _report_uncertified(fits) -> int:
@@ -109,11 +114,11 @@ def _report_uncertified(fits) -> int:
     return 3 if bad else 0
 
 
-def _cmd_gen(args, argv):
+def _cmd_gen(args):
     if args.family == "gaussian":
-        m1, m2 = (int(x) for x in args.split.split(","))
+        split = _fields(args.split, (int, int), "--split takes the group sizes m1,m2")
         spec = build_gaussian_spec(
-            m=args.m, split=(m1, m2), rho=args.rho, passage_size=args.passages, eig_rank=args.eig_rank
+            m=args.m, split=tuple(split), rho=args.rho, passage_size=args.passages, eig_rank=args.eig_rank
         )
         data = sample_gaussian(spec, args.n, seed=args.seed)
         truth = truth_support(spec, cross_only=not args.all_edges)
@@ -139,27 +144,24 @@ def _cmd_gen(args, argv):
         extras["partition"] = partition_spec_string(data.partition)
         truth_to_json(truth, data.m, args.truth, extras=extras)
         outputs["truth"] = args.truth
-    write_manifest(_manifest(args, argv, {}, outputs), args.out)
-    return 0
+    return 0, {}, outputs
 
 
 def _load_for_fit(args):
-    categories = getattr(args, "categories", None)
-    domain = "categorical" if categories else "continuous"
-    data = load_csv_dataset(args.data, args.partition, domain_tag=domain, categories=categories)
-    feature = feature_by_name(args.feature, categories)
-    return data, feature
+    data = load_csv_dataset(args.data, args.partition, categories=args.categories)
+    return data, feature_by_name(args.feature, args.categories)
 
 
-def _cmd_fit(args, argv):
+def _cmd_fit(args):
+    if (args.lam is None) == (not args.cv):
+        raise ConfigError("fit needs exactly one of --lambda or --cv")
     data, feature = _load_for_fit(args)
     cfg = SolverConfig(max_iter=args.max_iter, tol_kkt=args.tol_kkt)
-    if not args.cv and args.lam is None:
-        raise ConfigError("fit needs --lambda or --cv")
-    policy = _policy_from_args(args)
+    policy = _pair_policy(vars(args))
     terms = ModelTerms(data, feature, pair_policy=policy)
     lam = args.lam
-    extras = {}
+    # diag scores the fit on the same permuted pairs
+    extras = {"pair_seed": policy.seed, "pair_cap": policy.cap}
     if args.cv:
         cv = cross_validate(
             data, feature, folds=args.cv, cfg=cfg, seed=args.seed, pair_policy=policy, terms=terms
@@ -169,34 +171,33 @@ def _cmd_fit(args, argv):
         extras["cv_lambda"] = lam
     result = fit(data, feature, lam, cfg=cfg, terms=terms)
     fit_to_json(result, data.partition, feature, args.out, extras=extras)
-    write_manifest(_manifest(args, argv, {"data": args.data}, {"fit": args.out}), args.out)
-    return _report_uncertified([result])
+    return _report_uncertified([result]), {"data": args.data}, {"fit": args.out}
 
 
-def _cmd_path(args, argv):
+def _cmd_path(args):
     data, feature = _load_for_fit(args)
     cfg = SolverConfig(max_iter=args.max_iter, tol_kkt=args.tol_kkt)
     schedule = _parse_schedule(args.schedule)
-    result = lambda_path(data, feature, schedule, cfg=cfg, pair_policy=_policy_from_args(args))
+    result = lambda_path(data, feature, schedule, cfg=cfg, pair_policy=_pair_policy(vars(args)))
     path_to_json(result, data.partition, feature, args.out)
-    write_manifest(_manifest(args, argv, {"data": args.data}, {"path": args.out}), args.out)
-    return _report_uncertified(e.fit for e in result.entries)
+    return _report_uncertified(e.fit for e in result.entries), {"data": args.data}, {"path": args.out}
 
 
-def _cmd_roc(args, argv):
-    with open(args.path) as fh:
-        payload = json.load(fh)
+def _cmd_roc(args):
+    entries = read_json(
+        args.path,
+        lambda payload: [(e["lambda"], {(u, v) for u, v in e["support"]}) for e in payload["entries"]],
+    )
     truth = truth_from_json(args.truth)
 
     # operating points come straight from the serialized supports
     universe = set(truth.universe)
     rows = []
-    for entry in payload["entries"]:
-        support = {tuple(p) for p in entry["support"]}
+    for lam, support in entries:
         if not support <= universe:
-            raise ParseError("path support contains pairs outside the truth universe")
+            raise ParseError(f"{args.path}: support contains pairs outside the truth universe")
         rep = tpr_tnr(SupportSet(frozenset(support), truth.universe), truth)
-        rows.append((entry["lambda"], rep.tnr, rep.tpr))
+        rows.append((lam, rep.tnr, rep.tpr))
 
     _, auc = envelope_and_auc(np.array([r[1] for r in rows]), np.array([r[2] for r in rows]))
     if np.isnan(auc):
@@ -207,20 +208,15 @@ def _cmd_roc(args, argv):
         lines.append(f"{lam!r},{tnr!r},{tpr!r},{auc!r}")
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    write_manifest(
-        _manifest(args, argv, {"path": args.path, "truth": args.truth}, {"roc": args.out}),
-        args.out,
-    )
-    return 0
+    return 0, {"path": args.path, "truth": args.truth}, {"roc": args.out}
 
 
-def _cmd_edges(args, argv):
+def _cmd_edges(args):
     theta, partition, _, _ = fit_from_json(args.fit)
     scope = "all" if args.scope == "all" else "cross_group_only"
     edges = cross_group_edges(theta, partition, scope=scope, top=args.top)
     export_edges(edges, args.format, args.out)
-    write_manifest(_manifest(args, argv, {"fit": args.fit}, {"edges": args.out}), args.out)
-    return 0
+    return 0, {"fit": args.fit}, {"edges": args.out}
 
 
 def _read_sequence(path: str):
@@ -245,7 +241,7 @@ def _is_number(s: str) -> bool:
         return False
 
 
-def _cmd_align(args, argv):
+def _cmd_align(args):
     seq1, kind1 = _read_sequence(args.seq1)
     seq2, kind2 = _read_sequence(args.seq2)
     if kind1 != kind2:
@@ -256,7 +252,7 @@ def _cmd_align(args, argv):
     feature = feature_by_name(feature_name, data.categories)
     solver_cfg = SolverConfig(max_iter=args.max_iter, tol_kkt=args.tol_kkt)
     schedule = _parse_schedule(args.schedule)
-    result = lambda_path(data, feature, schedule, cfg=solver_cfg, pair_policy=_policy_from_args(args))
+    result = lambda_path(data, feature, schedule, cfg=solver_cfg, pair_policy=_pair_policy(vars(args)))
     last = result.entries[-1]
     m1 = len(data.partition.group1)
     edges = cross_group_edges(last.fit.theta_hat, data.partition, scope="cross_group_only")
@@ -265,7 +261,7 @@ def _cmd_align(args, argv):
         "window": args.window,
         "step": args.step,
         "alphabet": kind1,
-        "feature": canonical_feature_name(feature),
+        "feature": feature.kind,
         "windows_seq1": m1,
         "windows_seq2": data.m - m1,
         "lambda_final": last.lam,
@@ -281,29 +277,24 @@ def _cmd_align(args, argv):
             for e in edges.edges
         ],
     }
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_manifest(
-        _manifest(args, argv, {"seq1": args.seq1, "seq2": args.seq2}, {"align": args.out}),
-        args.out,
+    write_json(payload, args.out)
+    return (
+        _report_uncertified(e.fit for e in result.entries),
+        {"seq1": args.seq1, "seq2": args.seq2},
+        {"align": args.out},
     )
-    return _report_uncertified(e.fit for e in result.entries)
 
 
-def _cmd_diag(args, argv):
+def _cmd_diag(args):
     theta, partition, feature, payload = fit_from_json(args.fit)
     # a feature with a category count (delta fitted with one, or table) was fitted on coded data
-    categories = feature.categories
-    domain = "categorical" if categories else "continuous"
-    data = load_csv_dataset(args.data, payload["partition"], domain_tag=domain, categories=categories)
+    data = load_csv_dataset(args.data, payload["partition"], categories=feature.categories)
     support = extract_support(theta)
     if support.size == 0:
         raise ConfigError("fitted model has empty support; nothing to diagnose")
-    report = diagnostics(
-        theta, data, feature, sorted(support.active), pair_policy=_policy_from_args(args)
-    )
-    out_payload = {
+    # scored on the fit's own pairs
+    report = diagnostics(theta, data, feature, sorted(support.active), pair_policy=_pair_policy(payload))
+    write_json({
         "format_version": 1,
         "support_size": report.support_size,
         "lambda_min": report.lambda_min,
@@ -313,24 +304,13 @@ def _cmd_diag(args, argv):
         "feature_bound_l2": report.feature_bounds.observed_l2,
         "ratio_min": report.ratio_bounds.min,
         "ratio_max": report.ratio_bounds.max,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(out_payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_manifest(
-        _manifest(args, argv, {"fit": args.fit, "data": args.data}, {"diag": args.out}),
-        args.out,
-    )
-    return 0
+    }, args.out)
+    return 0, {"fit": args.fit, "data": args.data}, {"diag": args.out}
 
 
 def _add_solver_flags(p):
     p.add_argument("--max-iter", type=int, default=2000)
     p.add_argument("--tol-kkt", type=float, default=1e-6)
-    _add_pair_flags(p)
-
-
-def _add_pair_flags(p):
     p.add_argument("--pair-seed", type=int, default=0, help="seed for permuted-pair subsampling")
     p.add_argument("--pair-cap", type=int, default=40_000, help="max permuted pairs kept")
 
@@ -422,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     dg.add_argument("--fit", required=True)
     dg.add_argument("--data", required=True)
     dg.add_argument("--out", required=True)
-    _add_pair_flags(dg)
     dg.set_defaults(func=_cmd_diag)
 
     return parser
@@ -433,13 +412,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, argv)
-    except PmnetError as exc:
+        code, inputs, outputs = args.func(args)
+        manifest = RunManifest(
+            command=args.command if args.command != "gen" else f"gen {args.family}",
+            argv=[relative_to_cwd(arg) for arg in argv],
+            seed=getattr(args, "seed", None),
+            inputs={key: relative_to_cwd(path) for key, path in inputs.items()},
+            outputs={key: relative_to_cwd(path) for key, path in outputs.items()},
+        )
+        write_manifest(manifest, args.out)
+    except (PmnetError, OSError) as exc:
         print(f"pmnet: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"pmnet: error: {exc}", file=sys.stderr)
-        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -841,13 +841,10 @@ def diagnostics(
     elif not comp_pairs:
         margin = 1.0
     else:
-        worst = 0.0
-        for p in comp_pairs:
-            sl = index.slice_of(p)
-            rows = h_cols[sl.start : sl.stop]
-            y = np.linalg.solve(h_ss, rows.T).T
-            worst = max(worst, float(np.abs(y).sum()))
-        margin = 1.0 - worst
+        # H_{pS} H_SS^{-1} for every complement pair p from one solve
+        y = np.linalg.solve(h_ss, h_cols[_restrict_columns(index, comp_pairs)].T)
+        worst = np.abs(y).reshape(s_cols.size, len(comp_pairs), index.block_dim).sum(axis=(0, 2)).max()
+        margin = 1.0 - float(worst)
 
     obs_inf, obs_l2 = _observed_pair_bounds(terms)
     bounds = FeatureBoundReport(obs_inf, obs_l2, f.bound_inf, f.bound_l2)

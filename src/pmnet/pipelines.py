@@ -3,7 +3,8 @@
 All writers are deterministic: fixed column orders, shortest-round-trip
 float formatting, sorted JSON keys, no timestamps.  Every CLI command drops
 a ``<output>.manifest.json`` whose stored argv replays the run byte for
-byte.
+byte.  JSON files are written by ``write_json`` and read by ``read_json``,
+which turns a malformed file into a ``ParseError`` naming it.
 """
 
 import csv
@@ -16,36 +17,22 @@ import numpy as np
 
 from . import __version__
 from .core import CATEGORICAL, CONTINUOUS, TABLE, Dataset, FeatureMap, Partition, build_pair_index
-from .errors import ConfigError, DimensionError, DomainError, ParseError
+from .errors import ConfigError, DimensionError, DomainError, ParseError, PmnetError
 from .model import ParamBlocks
 from .solver import FitResult, PathResult
 from .structure import EdgeList, SupportSet
 
 FORMAT_VERSION = 1
 
-FEATURE_NAMES = {
-    "product": FeatureMap.product,
-    "sq": FeatureMap.squared_product,
-    "squared_product": FeatureMap.squared_product,
-    "delta": FeatureMap.kronecker_delta,
-    "kronecker_delta": FeatureMap.kronecker_delta,
-}
-
 
 def feature_by_name(name: str, categories: int | None = None) -> FeatureMap:
-    try:
-        ctor = FEATURE_NAMES[name]
-    except KeyError:
-        raise ParseError(f"unknown feature {name!r}; choose product, sq, or delta") from None
-    # classmethod access rebinds on every lookup, so compare the underlying
-    # function rather than the bound method
-    if ctor.__func__ is FeatureMap.kronecker_delta.__func__:
-        return ctor(categories)
-    return ctor()
-
-
-def canonical_feature_name(f: FeatureMap) -> str:
-    return f.kind
+    if name == "product":
+        return FeatureMap.product()
+    if name in ("sq", "squared_product"):
+        return FeatureMap.squared_product()
+    if name in ("delta", "kronecker_delta"):
+        return FeatureMap.kronecker_delta(categories)
+    raise ParseError(f"unknown feature {name!r}; choose product, sq, or delta")
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +124,11 @@ def _read_table(path: str):
     return headers, body
 
 
-def load_csv_dataset(
-    path: str,
-    partition_spec: str,
-    domain_tag: str = CONTINUOUS,
-    categories: int | None = None,
-) -> Dataset:
-    """Load a rectangular CSV (optional header) as a partitioned dataset."""
+def load_csv_dataset(path: str, partition_spec: str, categories: int | None = None) -> Dataset:
+    """Load a rectangular CSV (optional header) as a partitioned dataset.
+
+    With a category count the values are codes: the dataset is categorical.
+    """
     headers, body = _read_table(path)
     if not body:
         raise ParseError(f"{path}: no data rows")
@@ -161,7 +146,7 @@ def load_csv_dataset(
                     f"{path}: line {i + offset}, column {j + 1}: bad number {cell!r}"
                 ) from None
     partition = parse_partition_spec(partition_spec, m, headers)
-    return Dataset(values, partition, domain_tag, categories)
+    return Dataset(values, partition, CATEGORICAL if categories else CONTINUOUS, categories)
 
 
 def save_csv_dataset(data: Dataset, path: str):
@@ -273,15 +258,51 @@ def window_sequences(seq1, seq2, cfg: SequencePairConfig) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
+# JSON files
+
+
+def write_json(payload: dict, path: str):
+    """The one JSON layout of every output: indent 2, sorted keys, final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def read_json(path: str, decode):
+    """``decode`` applied to the JSON object in ``path``.
+
+    A file that is not a JSON object, or whose payload ``decode`` cannot
+    read (a missing key, a value of the wrong type or shape), raises
+    ``ParseError`` naming the file; a ``PmnetError`` from ``decode`` keeps
+    its own message.
+    """
+    with open(path) as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    try:
+        return decode(payload)
+    except PmnetError:
+        raise
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ParseError(f"{path}: bad value ({exc})") from None
+
+
+# ---------------------------------------------------------------------------
 # edge exports
 
 
 def export_edges(edges: EdgeList, fmt: str, path: str, labels: list[str] | None = None):
     """Write an edge list as DOT, JSON, or CSV with a stable row order."""
+    if fmt == "json":
+        return write_json(_edges_json(edges, labels), path)
     if fmt == "dot":
         text = _edges_dot(edges, labels)
-    elif fmt == "json":
-        text = _edges_json(edges, labels)
     elif fmt == "csv":
         text = _edges_csv(edges, labels)
     else:
@@ -310,8 +331,8 @@ def _edges_dot(edges: EdgeList, labels) -> str:
     return out.getvalue()
 
 
-def _edges_json(edges: EdgeList, labels) -> str:
-    payload = {
+def _edges_json(edges: EdgeList, labels) -> dict:
+    return {
         "format_version": FORMAT_VERSION,
         "scope": edges.scope,
         "edges": [
@@ -326,7 +347,6 @@ def _edges_json(edges: EdgeList, labels) -> str:
             for e in edges.edges
         ],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _edges_csv(edges: EdgeList, labels) -> str:
@@ -368,7 +388,7 @@ def fit_to_json(
         "block_dim": index.block_dim,
         "include_diagonal": index.include_diagonal,
         "partition": partition_spec_string(partition),
-        "feature": canonical_feature_name(feature),
+        "feature": feature.kind,
         "lambda": result.lam,
         "objective": result.objective,
         "converged": result.converged,
@@ -381,34 +401,30 @@ def fit_to_json(
         payload["table"] = feature.table.tolist()
     elif feature.categories is not None:  # a delta fit on coded data
         payload["categories"] = feature.categories
-    payload.update(extras or {})
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json({**payload, **(extras or {})}, path)
 
 
 def fit_from_json(path: str) -> tuple[ParamBlocks, Partition, FeatureMap, dict]:
-    with open(path) as fh:
-        payload = json.load(fh)
-    index = build_pair_index(
-        payload["m"], payload.get("include_diagonal", False), payload.get("block_dim", 1)
-    )
-    flat = np.zeros(index.dim)
-    for entry in payload["theta"]:
-        sl = index.slice_of((entry["u"], entry["v"]))
-        flat[sl] = entry["coef"]
-    theta = ParamBlocks(flat, index)
-    partition = parse_partition_spec(payload["partition"], payload["m"])
-    if payload["feature"] == TABLE:
-        if "table" not in payload:
-            raise ParseError(f"{path}: table fit has no 'table' entry")
-        feature = FeatureMap.from_table(payload["table"])
-    else:
-        categories = payload.get("categories")
-        if categories is not None and (type(categories) is not int or categories < 2):
-            raise ParseError(f"{path}: 'categories' must be an integer >= 2, got {categories!r}")
-        feature = feature_by_name(payload["feature"], categories)
-    return theta, partition, feature, payload
+    def decode(payload):
+        m = payload["m"]
+        index = build_pair_index(m, payload.get("include_diagonal", False), payload.get("block_dim", 1))
+        flat = np.zeros(index.dim)
+        for entry in payload["theta"]:
+            flat[index.slice_of((entry["u"], entry["v"]))] = entry["coef"]
+        partition = parse_partition_spec(payload["partition"], m)
+        for key, low in (("categories", 2), ("pair_seed", 0), ("pair_cap", 1)):
+            value = payload.get(key)
+            if value is not None and (type(value) is not int or value < low):
+                raise ParseError(f"{path}: {key!r} must be an integer >= {low}, got {value!r}")
+        if payload["feature"] == TABLE:
+            if "table" not in payload:
+                raise ParseError(f"{path}: table fit has no 'table' entry")
+            feature = FeatureMap.from_table(payload["table"])
+        else:
+            feature = feature_by_name(payload["feature"], payload.get("categories"))
+        return ParamBlocks(flat, index), partition, feature, payload
+
+    return read_json(path, decode)
 
 
 def path_to_json(
@@ -434,14 +450,11 @@ def path_to_json(
     payload = {
         "format_version": FORMAT_VERSION,
         "partition": partition_spec_string(partition),
-        "feature": canonical_feature_name(feature),
+        "feature": feature.kind,
         "stop_reason": result.stop_reason,
         "entries": entries,
     }
-    payload.update(extras or {})
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json({**payload, **(extras or {})}, path)
 
 
 def truth_to_json(truth: SupportSet, m: int, path: str, extras: dict | None = None):
@@ -450,17 +463,15 @@ def truth_to_json(truth: SupportSet, m: int, path: str, extras: dict | None = No
         "m": m,
         "pairs": sorted([u, v] for (u, v) in truth.active),
     }
-    payload.update(extras or {})
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json({**payload, **(extras or {})}, path)
 
 
 def truth_from_json(path: str) -> SupportSet:
-    with open(path) as fh:
-        payload = json.load(fh)
-    index = build_pair_index(payload["m"])
-    return SupportSet(frozenset((u, v) for u, v in payload["pairs"]), index.pairs)
+    def decode(payload):
+        universe = build_pair_index(payload["m"]).pairs
+        return SupportSet(frozenset((u, v) for u, v in payload["pairs"]), universe)
+
+    return read_json(path, decode)
 
 
 # ---------------------------------------------------------------------------
@@ -512,11 +523,4 @@ def relative_to_cwd(arg: str) -> str:
 
 def write_manifest(manifest: RunManifest, out_path: str):
     """Drop ``<out_path>.manifest.json`` next to the command's main output."""
-    with open(out_path + ".manifest.json", "w") as fh:
-        json.dump(manifest.to_payload(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_manifest(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    write_json(manifest.to_payload(), out_path + ".manifest.json")

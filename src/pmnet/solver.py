@@ -160,8 +160,11 @@ def _solve_model(hess: np.ndarray, grad: np.ndarray, start: np.ndarray, lam: flo
     finish would be a nonlinear system.
     """
     blocks = grad.size // block_dim
-    diag = np.arange(blocks)
-    curv = np.linalg.eigvalsh(hess.reshape(blocks, block_dim, blocks, block_dim)[diag, :, diag, :])[:, -1]
+    if block_dim == 1:
+        curv = hess.diagonal()
+    else:
+        diag = np.arange(blocks)
+        curv = np.linalg.eigvalsh(hess.reshape(blocks, block_dim, blocks, block_dim)[diag, :, diag, :])[:, -1]
     # a block without curvature still gets a finite (long) step
     steps = (1.0 / np.maximum(curv, 1e-12 * max(1.0, float(curv.max())))).tolist()
     z = start.tolist()

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,10 @@ import pytest
 from pmnet import (
     FeatureMap,
     GeometricSchedule,
+    PairPolicy,
     build_gaussian_spec,
+    diagnostics,
+    extract_support,
     lambda_path,
     roc_curve,
     sample_gaussian,
@@ -15,7 +19,7 @@ from pmnet import (
 )
 from pmnet.cli import main
 from pmnet.model import ModelTerms
-from pmnet.pipelines import path_to_json, truth_to_json
+from pmnet.pipelines import fit_from_json, load_csv_dataset, path_to_json, truth_to_json
 
 from conftest import make_coded_dataset
 
@@ -183,6 +187,43 @@ class TestPipelines:
         payload = json.loads((tmp_path / "cv.json").read_text())
         assert payload["cv_folds"] == 3
         assert payload["lambda"] == payload["cv_lambda"]
+
+    def test_diag_scores_the_fit_on_its_own_pairs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(GEN_ARGS) == 0
+        # 60 rows have 3540 ordered pairs; the fit keeps 1000 of them
+        assert main([
+            "fit", "--data", "data.csv", "--partition", "1-6|7-8", "--lambda", "0.01",
+            "--pair-seed", "4", "--pair-cap", "1000", "--out", "fit.json",
+        ]) == 0
+        theta, partition, feature, payload = fit_from_json("fit.json")
+        assert (payload["pair_seed"], payload["pair_cap"]) == (4, 1000)
+        data = load_csv_dataset("data.csv", "1-6|7-8")
+        support = sorted(extract_support(theta).active)
+
+        def diag_json(policy):
+            rep = diagnostics(theta, data, feature, support, pair_policy=policy)
+            return {
+                "format_version": 1,
+                "support_size": rep.support_size,
+                "lambda_min": rep.lambda_min,
+                "incoherence_margin": rep.incoherence_margin,
+                "degenerate": rep.degenerate,
+                "feature_bound_inf": rep.feature_bounds.observed_inf,
+                "feature_bound_l2": rep.feature_bounds.observed_l2,
+                "ratio_min": rep.ratio_bounds.min,
+                "ratio_max": rep.ratio_bounds.max,
+            }
+
+        assert main(["diag", "--fit", "fit.json", "--data", "data.csv", "--out", "diag.json"]) == 0
+        written = json.loads((tmp_path / "diag.json").read_text())
+        assert written == diag_json(PairPolicy(seed=4, cap=1000))
+        assert written != diag_json(PairPolicy())
+        # a fit file without the keys was fitted on the default pairs
+        del payload["pair_seed"], payload["pair_cap"]
+        (tmp_path / "fit.json").write_text(json.dumps(payload))
+        assert main(["diag", "--fit", "fit.json", "--data", "data.csv", "--out", "diag.json"]) == 0
+        assert json.loads((tmp_path / "diag.json").read_text()) == diag_json(PairPolicy())
 
     def test_cv_fit_builds_full_data_terms_once(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -371,6 +412,98 @@ class TestErrorPaths:
         ])
         assert rc == 2
         assert "unknown schedule" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["gen", "gaussian", "--split", "40"],
+            ["gen", "gaussian", "--split", "a,b"],
+            ["path", "--schedule", "geom:auto,x,5"],
+            ["path", "--schedule", "geom:1.0,0.5,2.5"],
+            ["path", "--schedule", "until:a"],
+            ["path", "--schedule", "until:3,x,0.5"],
+        ],
+        ids=lambda flags: " ".join(flags),
+    )
+    def test_malformed_flag_values(self, tmp_path, monkeypatch, capsys, flags):
+        monkeypatch.chdir(tmp_path)
+        assert main(GEN_ARGS) == 0
+        before = sorted(tmp_path.iterdir())
+        if flags[0] == "gen":
+            argv = flags + ["--n", "20", "--out", "d.csv"]
+        else:
+            argv = ["path", "--data", "data.csv", "--partition", "1-6|7-8", *flags[1:], "--out", "p.json"]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pmnet: error: ") and err.count("\n") == 1
+        assert repr(flags[-1].partition(":")[2] or flags[-1]) in err  # quotes the bad value
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_fit_rejects_lambda_with_cv(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(GEN_ARGS) == 0
+        rc = main([
+            "fit", "--data", "data.csv", "--partition", "1-6|7-8",
+            "--lambda", "0.01", "--cv", "3", "--out", "f.json",
+        ])
+        assert rc == 2
+        assert "exactly one of --lambda or --cv" in capsys.readouterr().err
+        assert not (tmp_path / "f.json").exists()
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A fit, a path and a truth file of one small pipeline, by absolute path."""
+    d = tmp_path_factory.mktemp("valid")
+    gen = [str(d / a) if a in ("data.csv", "truth.json") else a for a in GEN_ARGS]
+    assert main(gen) == 0
+    assert main([
+        "path", "--data", str(d / "data.csv"), "--partition", "1-6|7-8",
+        "--schedule", "geom:auto,0.6,3", "--out", str(d / "path.json"),
+    ]) == 0
+    assert main([
+        "fit", "--data", str(d / "data.csv"), "--partition", "1-6|7-8",
+        "--lambda", "0.01", "--out", str(d / "fit.json"),
+    ]) == 0
+    return d
+
+
+class TestMalformedInputs:
+    """Each JSON input that is not a pmnet file exits 2 naming the file."""
+
+    COMMANDS = {
+        "edges --fit": ("fit", ["edges", "--fit", "bad.json", "--out", "out.dot"]),
+        "diag --fit": ("fit", ["diag", "--fit", "bad.json", "--data", "data.csv", "--out", "out.json"]),
+        "roc --path": ("path", ["roc", "--path", "bad.json", "--truth", "truth.json", "--out", "out.csv"]),
+        "roc --truth": ("truth", ["roc", "--path", "path.json", "--truth", "bad.json", "--out", "out.csv"]),
+    }
+    REQUIRED = {"fit": ("theta", "coef"), "path": ("entries", "support"), "truth": ("pairs", None)}
+
+    @pytest.mark.parametrize("case", ["not_json", "array", "missing_key", "entry_missing_key"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_exits_2_naming_the_file(self, tmp_path, monkeypatch, capsys, valid_files, command, case):
+        monkeypatch.chdir(tmp_path)
+        for name in ("data.csv", "truth.json", "path.json", "fit.json"):
+            shutil.copy(valid_files / name, tmp_path / name)
+        kind, argv = self.COMMANDS[command]
+        list_key, entry_key = self.REQUIRED[kind]
+        payload = json.loads((tmp_path / f"{kind}.json").read_text())
+        if case == "missing_key":
+            del payload[list_key]
+        elif case == "entry_missing_key" and entry_key:
+            del payload[list_key][0][entry_key]
+        elif case == "entry_missing_key":  # a truth pair [u, v] loses its second index
+            payload[list_key][0] = payload[list_key][0][:1]
+        text = {"not_json": "{not json", "array": json.dumps([payload])}.get(case, json.dumps(payload))
+        (tmp_path / "bad.json").write_text(text)
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pmnet: error: bad.json: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == before
+
 
 
 class TestCodedDiag:

@@ -294,6 +294,28 @@ class TestDiagnostics:
         h = hessian(theta, data, FeatureMap.product(), restrict=support, pair_policy=ALL)
         assert rep.lambda_min == pytest.approx(np.linalg.eigvalsh(h)[0], rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["product", "table"])
+    def test_incoherence_margin_matches_a_loop_over_hessian_blocks(self, kind):
+        if kind == "product":
+            data = make_dataset(25, 3, 2, seed=43)
+            f = FeatureMap.product()
+        else:
+            data = make_coded_dataset(25, 3, 2, categories=3, seed=43)
+            f = FeatureMap.from_table(np.random.default_rng(43).standard_normal((3, 3, 2)) / 2)
+        idx = build_pair_index(5, block_dim=f.block_dim)
+        theta = random_theta(idx, 43, scale=0.1)
+        support = [(0, 1), (0, 3), (2, 4)]
+        rep = diagnostics(theta, data, f, support, pair_policy=ALL)
+        h = hessian(theta, data, f, pair_policy=ALL)
+        s = np.concatenate([np.arange(idx.dim)[idx.slice_of(p)] for p in support])
+        worst = 0.0
+        for p in idx.pairs:
+            if p not in support:
+                y = np.linalg.solve(h[np.ix_(s, s)], h[idx.slice_of(p), s].T)
+                worst = max(worst, np.abs(y).sum())
+        assert not rep.degenerate and 0.0 < worst
+        assert rep.incoherence_margin == pytest.approx(1.0 - worst, rel=1e-9, abs=1e-12)
+
     def test_degenerate_flag(self):
         # duplicated column makes two feature columns collinear
         rng = np.random.default_rng(5)

@@ -21,14 +21,12 @@ from pmnet.pipelines import (
     RunManifest,
     SequencePairConfig,
     build_vote_dataset,
-    canonical_feature_name,
     encode_symbols,
     export_edges,
     feature_by_name,
     fit_from_json,
     fit_to_json,
     load_csv_dataset,
-    load_manifest,
     parse_partition_spec,
     partition_spec_string,
     path_to_json,
@@ -58,7 +56,7 @@ class TestFeatureNames:
 
     def test_canonical_roundtrip(self):
         for name in ("product", "squared_product", "kronecker_delta"):
-            assert canonical_feature_name(feature_by_name(name)) == name
+            assert feature_by_name(name).kind == name
 
 
 class TestPartitionGrammar:
@@ -329,6 +327,14 @@ class TestModelSerialization:
         with pytest.raises(ParseError, match="categories"):
             fit_from_json(str(path))
 
+    @pytest.mark.parametrize("key, bad", [("pair_seed", -1), ("pair_seed", "4"), ("pair_cap", 0), ("pair_cap", 2.0)])
+    def test_fit_with_bad_pair_policy_is_rejected(self, tmp_path, key, bad):
+        data, f, result = self.fit_small()
+        path = tmp_path / "fit.json"
+        fit_to_json(result, data.partition, f, str(path), extras={key: bad})
+        with pytest.raises(ParseError, match=key):
+            fit_from_json(str(path))
+
     def test_path_payload(self, tmp_path):
         from pmnet import GeometricSchedule, lambda_path
 
@@ -376,6 +382,6 @@ class TestManifests:
         out = tmp_path / "out.csv"
         man = RunManifest("gen gaussian", ["gen"], 0, {}, {"data": str(out)})
         write_manifest(man, str(out))
-        loaded = load_manifest(str(out) + ".manifest.json")
+        loaded = json.loads((tmp_path / "out.csv.manifest.json").read_text())
         assert loaded["command"] == "gen gaussian"
         assert loaded["version"]
