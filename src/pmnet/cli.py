@@ -184,10 +184,13 @@ def _cmd_path(args):
 
 
 def _cmd_roc(args):
-    entries = read_json(
-        args.path,
-        lambda payload: [(e["lambda"], {(u, v) for u, v in e["support"]}) for e in payload["entries"]],
-    )
+    def decode(payload):
+        entries = [(e["lambda"], {(u, v) for u, v in e["support"]}) for e in payload["entries"]]
+        if not entries:
+            raise ParseError("path has no entries")
+        return entries
+
+    entries = read_json(args.path, decode)
     truth = truth_from_json(args.truth)
 
     # operating points come straight from the serialized supports

@@ -6,6 +6,7 @@ each pair carrying a block of ``block_dim`` coefficients.  Flat parameter
 vectors are laid out pair-major in the lexicographic order of ``pairs``.
 """
 
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -110,43 +111,72 @@ class Dataset:
 
 @dataclass(frozen=True)
 class PairIndex:
-    """Lexicographic index of parameter pairs and their flat-vector layout."""
+    """Lexicographic index of the pairs u < v (u <= v with ``include_diagonal``)
+    over m variables, and their flat-vector layout.
 
-    pairs: tuple[tuple[int, int], ...]
-    block_dim: int
+    Positions and counts are closed-form and the pair arrays come from
+    ``np.triu_indices``; the tuple of pairs is built only when asked for.
+    """
+
     m: int
-    include_diagonal: bool
+    block_dim: int = 1
+    include_diagonal: bool = False
+
+    def __post_init__(self):
+        if self.m < 2:
+            raise DimensionError(f"need at least two variables, got m={self.m}")
+        if self.block_dim < 1:
+            raise DimensionError(f"block_dim must be >= 1, got {self.block_dim}")
+
+    @property
+    def _skip(self) -> int:
+        """Offset of row u's first partner from u: 0 with the diagonal, else 1."""
+        return 0 if self.include_diagonal else 1
 
     @property
     def n_pairs(self) -> int:
-        return len(self.pairs)
+        row = self.m - self._skip
+        return row * (row + 1) // 2
 
     @property
     def dim(self) -> int:
-        return len(self.pairs) * self.block_dim
+        return self.n_pairs * self.block_dim
 
-    @cached_property
-    def _position(self) -> dict:
-        return {pair: t for t, pair in enumerate(self.pairs)}
-
-    @cached_property
+    @property
     def u_idx(self) -> np.ndarray:
-        return np.array([u for u, _ in self.pairs], dtype=np.int64)
+        return self._triu[0]
+
+    @property
+    def v_idx(self) -> np.ndarray:
+        return self._triu[1]
 
     @cached_property
-    def v_idx(self) -> np.ndarray:
-        return np.array([v for _, v in self.pairs], dtype=np.int64)
+    def _triu(self) -> tuple[np.ndarray, np.ndarray]:
+        triu = np.triu_indices(self.m, k=self._skip)
+        for idx in triu:
+            idx.setflags(write=False)
+        return triu
 
-    def position(self, pair: tuple[int, int]) -> int:
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.u_idx.tolist(), self.v_idx.tolist()))
+
+    def position(self, pair) -> int:
+        """Position of (u, v) in the index; any other pair raises ``DimensionError``."""
         try:
-            return self._position[pair]
-        except KeyError:
+            u, v = (operator.index(i) for i in pair)
+        except (TypeError, ValueError):
             raise DimensionError(f"pair {pair} is not in the index") from None
+        skip = self._skip
+        if not (0 <= u and u + skip <= v < self.m):
+            raise DimensionError(f"pair {pair} is not in the index")
+        # rows 0..u-1 hold m - skip - r pairs each
+        return u * (self.m - skip) - u * (u - 1) // 2 + v - u - skip
 
     def slice_of(self, pair) -> slice:
         """Flat-vector slice of one block; accepts a pair tuple or position."""
         t = pair if isinstance(pair, (int, np.integer)) else self.position(tuple(pair))
-        if not 0 <= t < len(self.pairs):
+        if not 0 <= t < self.n_pairs:
             raise DimensionError(f"block position {t} out of range")
         return slice(t * self.block_dim, (t + 1) * self.block_dim)
 
@@ -160,16 +190,7 @@ class PairIndex:
 
 def build_pair_index(m: int, include_diagonal: bool = False, block_dim: int = 1) -> PairIndex:
     """All variable pairs u < v (u <= v when include_diagonal) over m columns."""
-    if m < 2:
-        raise DimensionError(f"need at least two variables, got m={m}")
-    if block_dim < 1:
-        raise DimensionError(f"block_dim must be >= 1, got {block_dim}")
-    pairs = []
-    for u in range(m):
-        start = u if include_diagonal else u + 1
-        for v in range(start, m):
-            pairs.append((u, v))
-    return PairIndex(tuple(pairs), block_dim, m, include_diagonal)
+    return PairIndex(m, block_dim, include_diagonal)
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,6 +309,31 @@ def feature_eval(f: FeatureMap, x: np.ndarray, pair: tuple[int, int]) -> np.ndar
     return np.array(f.table[int(a), int(b)])
 
 
+def feature_values(f: FeatureMap, x_rows: np.ndarray) -> np.ndarray:
+    """What ``pair_values`` combines for each sample value: x for product and
+    delta, x^2 for squared product, and checked integer codes for table."""
+    if f.kind == PRODUCT:
+        return x_rows
+    if f.kind == SQUARED_PRODUCT:
+        return x_rows * x_rows
+    if f.kind == KRONECKER_DELTA:
+        if f.categories is not None:
+            _check_codes(f, x_rows)
+        return x_rows
+    _check_codes(f, x_rows)
+    return x_rows.astype(np.int64)
+
+
+def pair_values(f: FeatureMap, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """psi(x_u, x_v) from the ``feature_values`` a of x_u and b of x_v, which
+    broadcast against each other; a table adds a trailing block axis."""
+    if f.kind == KRONECKER_DELTA:
+        return (a == b).astype(np.float64)
+    if f.kind == TABLE:
+        return f.table[a, b]
+    return a * b
+
+
 def pair_feature_matrix(f: FeatureMap, x_rows: np.ndarray, index: PairIndex) -> np.ndarray:
     """Feature matrix over sample rows: shape (rows, n_pairs * block_dim)."""
     x_rows = np.ascontiguousarray(x_rows, dtype=np.float64)
@@ -297,52 +343,35 @@ def pair_feature_matrix(f: FeatureMap, x_rows: np.ndarray, index: PairIndex) -> 
         )
     if f.block_dim != index.block_dim:
         raise DimensionError("feature block_dim and index block_dim differ")
-    u, v = index.u_idx, index.v_idx
-    if f.kind == PRODUCT:
-        return x_rows[:, u] * x_rows[:, v]
-    if f.kind == SQUARED_PRODUCT:
-        sq = x_rows * x_rows
-        return sq[:, u] * sq[:, v]
-    if f.kind == KRONECKER_DELTA:
-        if f.categories is not None:
-            _check_codes(f, x_rows)
-        return (x_rows[:, u] == x_rows[:, v]).astype(np.float64)
-    _check_codes(f, x_rows)
-    codes = x_rows.astype(np.int64)
-    out = f.table[codes[:, u], codes[:, v]]
+    values = feature_values(f, x_rows)
+    out = pair_values(f, values[:, index.u_idx], values[:, index.v_idx])
     return out.reshape(x_rows.shape[0], index.dim)
 
 
-def variable_embedding(f: FeatureMap, data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def variable_embedding(f: FeatureMap, values1: np.ndarray, values2: np.ndarray):
     """Per-variable embeddings in which every feature kind is bilinear.
 
-    Returns ``(phi1, phi2, forms)``: ``phi1`` has shape (C, n, m1) and embeds
-    the group-1 columns, ``phi2`` has shape (C, n, m2) for group 2, and
-    ``forms`` has shape (block_dim, C, C), so that for a from group 1 and b
-    from group 2, psi(a, b)[d] = sum over c, c' of phi(a)[c] forms[d, c, c']
-    phi(b)[c'].  phi is x for product (forms [[1]]), x^2 for squared product,
-    and a one-hot code for delta (forms I_C) and table (forms the table).
-    Delta keeps only the codes seen in both groups, since no other code can
-    match across them; with ``categories=None`` its codes are data values.
+    Takes the ``feature_values`` of the group-1 columns (n, m1) and of the
+    group-2 columns (n, m2).  Returns ``(phi1, phi2, forms)``: ``phi1`` has
+    shape (C, n, m1) and embeds the group-1 columns, ``phi2`` has shape
+    (C, n, m2) for group 2, and ``forms`` has shape (block_dim, C, C), so
+    that for a from group 1 and b from group 2, psi(a, b)[d] = sum over c, c'
+    of phi(a)[c] forms[d, c, c'] phi(b)[c'].  phi is x for product (forms
+    [[1]]), x^2 for squared product, and a one-hot code for delta (forms I_C)
+    and table (forms the table).  Delta keeps only the codes seen in both
+    groups, since no other code can match across them; with
+    ``categories=None`` its codes are data values.
     """
-    x = data.samples
-    x1 = x[:, list(data.partition.group1)]
-    x2 = x[:, list(data.partition.group2)]
-    if f.kind == PRODUCT:
-        return x1[None], x2[None], np.ones((1, 1, 1))
-    if f.kind == SQUARED_PRODUCT:
-        return (x1 * x1)[None], (x2 * x2)[None], np.ones((1, 1, 1))
+    if f.kind in (PRODUCT, SQUARED_PRODUCT):
+        return values1[None], values2[None], np.ones((1, 1, 1))
     if f.kind == KRONECKER_DELTA:
-        if f.categories is not None:
-            _check_codes(f, x)
-        codes = np.intersect1d(x1, x2)
+        codes = np.intersect1d(values1, values2)
         forms = np.eye(codes.size)[None]
     else:
-        _check_codes(f, x)
-        codes = np.arange(f.categories, dtype=np.float64)
+        codes = np.arange(f.categories)
         forms = np.moveaxis(f.table, 2, 0)
-    onehot1 = (x1[None] == codes[:, None, None]).astype(np.float64)
-    onehot2 = (x2[None] == codes[:, None, None]).astype(np.float64)
+    onehot1 = (values1[None] == codes[:, None, None]).astype(np.float64)
+    onehot2 = (values2[None] == codes[:, None, None]).astype(np.float64)
     return onehot1, onehot2, forms
 
 

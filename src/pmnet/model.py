@@ -38,8 +38,10 @@ from .core import (
     FeatureMap,
     PairIndex,
     build_pair_index,
+    feature_values,
     observed_feature_bounds,
     pair_feature_matrix,
+    pair_values,
     permuted_matrix,
     variable_embedding,
 )
@@ -80,6 +82,8 @@ class PairPolicy:
             raise DimensionError(f"unknown pair policy {self.kind!r}")
         if self.cap < 1:
             raise DimensionError("pair policy needs cap >= 1")
+        if self.seed < 0:
+            raise DimensionError(f"pair policy needs seed >= 0, got {self.seed}")
 
     def pair_count(self, n: int) -> int:
         """Number of ordered pairs kept for n rows."""
@@ -149,8 +153,8 @@ class ParamBlocks:
 
     def nonzero_pairs(self) -> tuple[tuple[int, int], ...]:
         # exact-zero test; squaring inside a norm would underflow subnormals
-        nz = (self.flat.reshape(self.index.n_pairs, -1) != 0.0).any(axis=1)
-        return tuple(self.index.pairs[t] for t in np.flatnonzero(nz).tolist())
+        nz = np.flatnonzero((self.flat.reshape(self.index.n_pairs, -1) != 0.0).any(axis=1))
+        return tuple(zip(self.index.u_idx[nz].tolist(), self.index.v_idx[nz].tolist()))
 
 
 @dataclass(frozen=True)
@@ -166,9 +170,11 @@ class NormalizerEstimate:
 
 
 class DensePairRows:
-    """Materialized feature rows of a sparsely sampled permuted-pair set."""
+    """Materialized feature rows of a sparsely sampled permuted-pair set,
+    and ``data_mean``, the mean feature row of the data rows."""
 
     def __init__(self, data: Dataset, feature: FeatureMap, index: PairIndex, pair_j, pair_k):
+        self.data_mean = pair_feature_matrix(feature, data.samples, index).mean(axis=0)
         self.pair_j, self.pair_k = pair_j, pair_k
         x_perm = permuted_matrix(data, pair_j, pair_k)
         self.f_perm = pair_feature_matrix(feature, x_perm, index)
@@ -222,11 +228,11 @@ class PairScoreGrid:
     sorted grid cells j n + k in ``cells``.
 
     score(x^[j,k]) = s1[j] + s2[k] + sum_t phi1_t[j] M_t phi2_t[k]: s1 and s2
-    are the within-group scores of rows j and k, taken from the data-row
-    features, and the cross pairs enter through the per-variable embeddings
-    of ``core.variable_embedding``.  Each term t is one nonzero (c, c') entry
-    of the feature's bilinear forms, and M_t holds the cross-pair blocks
-    contracted with it.  A cross pair whose first variable is in group 2 sees
+    are the within-group scores of rows j and k, from the within-group pairs'
+    features of each data row, and the cross pairs enter through the
+    per-variable embeddings of ``core.variable_embedding``.  Each term t is
+    one nonzero (c, c') entry of the feature's bilinear forms, and M_t holds
+    the cross-pair blocks contracted with it.  A cross pair whose first variable is in group 2 sees
     the forms transposed.  The diagonal j == k is no permuted pair:
     ``scores`` fills it with ``excluded``, and weights must be zero there.
     With ``cells``, ``scores`` is the 1-D array of the kept cells in order,
@@ -236,9 +242,14 @@ class PairScoreGrid:
     A = [phi1_t M_t for each term | s1 | 1] and B = [phi2_t for each term |
     1 | s2], held in buffers reused across calls.  The gradient side is one
     product too: w [phi2_t ... | 1] gives every cross term and the row sums.
+
+    ``data_mean`` is the data rows' mean feature row: the column means of
+    s1's and s2's features, and for the cross pairs psi(x_a, x_b) of every
+    group-1 variable a and group-2 variable b summed over the rows as one
+    (n, m1, m2) array, so no data row's full feature row is ever built.
     """
 
-    def __init__(self, data: Dataset, feature: FeatureMap, index: PairIndex, f_data: np.ndarray,
+    def __init__(self, data: Dataset, feature: FeatureMap, index: PairIndex,
                  cells: np.ndarray | None = None):
         part = data.partition
         self.n = data.n
@@ -262,12 +273,28 @@ class PairScoreGrid:
         # flat position of each cross pair in an m1 x m2 block matrix
         self._pq = pos[np.where(flipped, v, u)] * m2 + pos[np.where(flipped, u, v)]
 
-        phi1, phi2, forms = variable_embedding(feature, data)
+        values = feature_values(feature, data.samples)
+        f1, f2 = (pair_values(feature, values[:, index.u_idx[sel]], values[:, index.v_idx[sel]])
+                  .reshape(self.n, -1) for sel in (~cross & ~first_in2, ~cross & first_in2))
+        self.data_mean = np.empty(index.dim)
+        self.data_mean[self._cols1] = f1.mean(axis=0)
+        self.data_mean[self._cols2] = f2.mean(axis=0)
+        values1, values2 = values[:, list(part.group1)], values[:, list(part.group2)]
+        # summed over the rows one at a time, as a feature matrix's column
+        # mean is, so the cross means are bit-equal to pair_feature_matrix's
+        sums = pair_values(feature, values1[:, :, None], values2[:, None, :]).mean(axis=0)
+        cross_mean = sums.reshape(m1 * m2, -1)[self._pq]
+        if flipped.any():  # psi(x_b, x_a) for the pairs whose first variable is in group 2
+            sums = pair_values(feature, values2[:, None, :], values1[:, :, None]).mean(axis=0)
+            cross_mean[flipped] = sums.reshape(m1 * m2, -1)[self._pq[flipped]]
+        self.data_mean[self._cols_x] = cross_mean.ravel()
+
+        phi1, phi2, forms = variable_embedding(feature, values1, values2)
         n_emb, ones = phi1.shape[0], np.ones((self.n, 1))
         # row-j factors [phi1_c for each c | within-group-1 features | 1] and
         # row-k factors [phi2_c for each c | 1 | within-group-2 features]
-        self._alpha = np.hstack([phi1.transpose(1, 0, 2).reshape(self.n, -1), f_data[:, self._cols1], ones])
-        self._beta = np.hstack([phi2.transpose(1, 0, 2).reshape(self.n, -1), ones, f_data[:, self._cols2]])
+        self._alpha = np.hstack([phi1.transpose(1, 0, 2).reshape(self.n, -1), f1, ones])
+        self._beta = np.hstack([phi2.transpose(1, 0, 2).reshape(self.n, -1), ones, f2])
         # gram contracts the weights along the side with the narrower table
         self._gram_on_alpha = self._alpha.shape[1] < self._beta.shape[1]
         self._f1 = self._alpha[:, n_emb * m1 : -1]
@@ -450,18 +477,25 @@ def physical_memory_bytes() -> int:
 def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, layout: str) -> int:
     """Estimated peak bytes of the arrays ``ModelTerms`` builds for a dataset.
 
-    Counts the data-row features and the pair backing (``PairPolicy.layout``).
-    The grid's peak is an evaluation: the n x n scores plus the Hessian's
-    panels (three of ``GRAM_PANEL_FLOATS`` at once), and for kept cells the
-    cell codes and their scores.  Dense rows hold the permuted samples, the
-    two gathered feature operands and the feature rows at once.
+    Counts the pair backing's (``PairPolicy.layout``) largest moment.  The
+    grid holds the within-group features of every data row and a few
+    integers of bookkeeping per feature column; on top of them come either
+    the build's temporaries (those features' gathered operands, then the
+    n x m1 x m2 cross-mean temporary next to a delta feature's boolean
+    matches) or an evaluation: the n x n scores plus the Hessian's panels
+    (three of ``GRAM_PANEL_FLOATS`` at once), and for kept cells the cell
+    codes and their scores.  Dense rows hold the data rows' features, then
+    the permuted samples, the two gathered feature operands and the feature
+    rows at once.
     """
     n, m, dim = data.n, index.m, index.dim
     if layout == "dense":
-        floats = 2 * pair_count + pair_count * (3 * m + 2 * index.n_pairs + dim)
-    else:
-        floats = n * n + 3 * GRAM_PANEL_FLOATS + (2 * pair_count if layout == "cells" else 0)
-    return 8 * (n * dim + floats)
+        return 8 * (n * dim + 2 * pair_count + pair_count * (3 * m + 2 * index.n_pairs + dim))
+    cross = int(index.cross_mask(data.partition).sum()) * index.block_dim
+    within = dim - cross
+    build = max(2 * n * within, n * cross + n * cross // 8)
+    evaluation = n * n + 3 * GRAM_PANEL_FLOATS + (2 * pair_count if layout == "cells" else 0)
+    return 8 * (8 * dim + n * within + max(build, evaluation))
 
 
 @dataclass(eq=False)
@@ -483,12 +517,14 @@ class _Evaluated:
 class ModelTerms:
     """Cached per-dataset terms for repeated evaluations on one dataset.
 
-    Holds the data-row features ``f_data`` and one pair backing, chosen by
-    ``PairPolicy.layout``: a ``PairScoreGrid`` when the policy keeps every
-    ordered pair or at least 1 in ``CELLS_MAX_SPARSITY`` of them (then as
-    its sorted cells), otherwise ``DensePairRows`` with the subsampled
-    permuted feature rows.  The solver builds this once and reuses it across
-    iterations, path points, and cross-validation scoring.  A dataset whose
+    Holds the data rows' mean feature row ``mean_f`` and one pair backing,
+    chosen by ``PairPolicy.layout``: a ``PairScoreGrid`` when the policy
+    keeps every ordered pair or at least 1 in ``CELLS_MAX_SPARSITY`` of them
+    (then as its sorted cells), otherwise ``DensePairRows`` with the
+    subsampled permuted feature rows.  Each backing computes ``mean_f`` its
+    own way, bit-identical to the column mean of ``pair_feature_matrix``.
+    The solver builds this once and reuses it across iterations, path
+    points, and cross-validation scoring.  A dataset whose
     estimated peak (see ``_peak_bytes``) exceeds physical memory raises
     ``SizeError`` before anything is allocated.
 
@@ -526,17 +562,16 @@ class ModelTerms:
                 f"{pair_count} permuted pairs over {self.index.dim} features need about "
                 f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of physical memory"
             )
-        self.f_data = pair_feature_matrix(feature, data.samples, self.index)
-        self.mean_f = self.f_data.mean(axis=0)
         if layout == "grid":
-            self.backing = PairScoreGrid(data, feature, self.index, self.f_data)
+            self.backing = PairScoreGrid(data, feature, self.index)
         else:
             pair_j, pair_k = select_ordered_pairs(data.n, self.policy)
             if layout == "cells":
                 cells = pair_j * data.n + pair_k
-                self.backing = PairScoreGrid(data, feature, self.index, self.f_data, cells)
+                self.backing = PairScoreGrid(data, feature, self.index, cells)
             else:
                 self.backing = DensePairRows(data, feature, self.index, pair_j, pair_k)
+        self.mean_f = self.backing.data_mean
         self._last: _Evaluated | None = None
         self.scorings = 0
 
@@ -568,7 +603,8 @@ class ModelTerms:
             contrib = row * flat
         per_block = np.abs(contrib.reshape(self.index.n_pairs, -1)).sum(axis=1)
         per_block = np.where(np.isfinite(per_block), per_block, np.inf)
-        pair = self.index.pairs[int(np.argmax(per_block))]
+        t = int(np.argmax(per_block))
+        pair = (int(self.index.u_idx[t]), int(self.index.v_idx[t]))
         raise NumericError(
             f"non-finite score on a permuted pair; dominant block is pair {pair}"
         )
@@ -811,7 +847,9 @@ def diagnostics(
     The Hessian columns H[:, S] of the support come from one
     ``ModelTerms.hessian`` call (closed form on the grid's factors, one
     weighted product on dense rows); H_SS and the complement's rows are
-    slices of them.  Feature bounds scan the permuted samples in panels.
+    slices of them.  Feature bounds scan the permuted samples in panels;
+    the ratio bounds score the data rows' features, built here, and the
+    pair set's scores.
     """
     index = theta_star.index
     support_pairs = [tuple(p) for p in support]
@@ -850,7 +888,7 @@ def diagnostics(
     bounds = FeatureBoundReport(obs_inf, obs_l2, f.bound_inf, f.bound_l2)
 
     log_norm = terms.log_normalizer(theta_star.flat)
-    scores_data = terms.f_data @ theta_star.flat
+    scores_data = pair_feature_matrix(f, data.samples, index) @ theta_star.flat
     scores_perm = terms.perm_scores(theta_star.flat)
     # every pair score passed the finite guard; -inf marks the grid's diagonal
     scores_perm = scores_perm[np.isfinite(scores_perm)]

@@ -273,8 +273,8 @@ def read_json(path: str, decode):
 
     A file that is not a JSON object, or whose payload ``decode`` cannot
     read (a missing key, a value of the wrong type or shape), raises
-    ``ParseError`` naming the file; a ``PmnetError`` from ``decode`` keeps
-    its own message.
+    ``ParseError`` naming the file; a ``PmnetError`` from ``decode`` is
+    raised again as its own class, its message prefixed with the file.
     """
     with open(path) as fh:
         try:
@@ -285,8 +285,8 @@ def read_json(path: str, decode):
         raise ParseError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     try:
         return decode(payload)
-    except PmnetError:
-        raise
+    except PmnetError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     except KeyError as exc:
         raise ParseError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError, IndexError) as exc:
@@ -415,10 +415,10 @@ def fit_from_json(path: str) -> tuple[ParamBlocks, Partition, FeatureMap, dict]:
         for key, low in (("categories", 2), ("pair_seed", 0), ("pair_cap", 1)):
             value = payload.get(key)
             if value is not None and (type(value) is not int or value < low):
-                raise ParseError(f"{path}: {key!r} must be an integer >= {low}, got {value!r}")
+                raise ParseError(f"{key!r} must be an integer >= {low}, got {value!r}")
         if payload["feature"] == TABLE:
             if "table" not in payload:
-                raise ParseError(f"{path}: table fit has no 'table' entry")
+                raise ParseError("table fit has no 'table' entry")
             feature = FeatureMap.from_table(payload["table"])
         else:
             feature = feature_by_name(payload["feature"], payload.get("categories"))

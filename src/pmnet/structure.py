@@ -166,8 +166,8 @@ def cross_group_edges(
     mask2 = partition.group2_mask
     edges = []
     # a NaN norm is kept, as a nonzero block
-    for t in np.flatnonzero(~(norms <= 0.0)).tolist():
-        u, v = index.pairs[t]
+    kept = np.flatnonzero(~(norms <= 0.0))
+    for t, u, v in zip(kept.tolist(), index.u_idx[kept].tolist(), index.v_idx[kept].tolist()):
         if scope == "cross_group_only" and mask2[u] == mask2[v]:
             continue
         block = theta_hat.block(t)

@@ -440,6 +440,22 @@ class TestErrorPaths:
         assert repr(flags[-1].partition(":")[2] or flags[-1]) in err  # quotes the bad value
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("command", ["fit", "path"])
+    def test_negative_pair_seed(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        assert main(GEN_ARGS) == 0
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        rest = ["--lambda", "0.05"] if command == "fit" else ["--schedule", "geom:auto,0.6,3"]
+        rc = main([
+            command, "--data", "data.csv", "--partition", "1-6|7-8", *rest,
+            "--pair-seed", "-1", "--pair-cap", "1000", "--out", "out.json",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "pmnet: error: pair policy needs seed >= 0, got -1\n"
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_fit_rejects_lambda_with_cv(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(GEN_ARGS) == 0
@@ -502,6 +518,31 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("pmnet: error: bad.json: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "command, key, value, message",
+        [
+            ("edges --fit", "theta", [{"u": 0, "v": 99, "coef": [0.5]}], "pair (0, 99) is not in the index"),
+            ("diag --fit", "theta", [{"u": 3, "v": 1, "coef": [0.5]}], "pair (3, 1) is not in the index"),
+            ("edges --fit", "partition", "1-6", "partition spec must contain exactly one '|'"),
+            ("roc --path", "entries", [], "path has no entries"),
+            ("roc --truth", "pairs", [[0, 99]], "active pairs must lie inside the universe"),
+        ],
+        ids=["pair_outside_index", "reversed_pair", "bad_partition", "no_entries", "truth_pair_outside"],
+    )
+    def test_decoding_errors_name_the_file(self, tmp_path, monkeypatch, capsys, valid_files,
+                                           command, key, value, message):
+        monkeypatch.chdir(tmp_path)
+        for name in ("data.csv", "truth.json", "path.json", "fit.json"):
+            shutil.copy(valid_files / name, tmp_path / name)
+        kind, argv = self.COMMANDS[command]
+        payload = json.loads((tmp_path / f"{kind}.json").read_text())
+        payload[key] = value
+        (tmp_path / "bad.json").write_text(json.dumps(payload))
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"pmnet: error: bad.json: {message}\n"
         assert sorted(tmp_path.iterdir()) == before
 
 

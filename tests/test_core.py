@@ -130,6 +130,38 @@ class TestPairIndex:
         for t, pair in enumerate(idx.pairs):
             assert idx.position(pair) == t
 
+    @pytest.mark.parametrize("block_dim", [1, 3])
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_matches_the_nested_loop(self, diagonal, block_dim):
+        for m in range(2, 41):
+            pairs = [(u, v) for u in range(m) for v in range(u if diagonal else u + 1, m)]
+            idx = build_pair_index(m, include_diagonal=diagonal, block_dim=block_dim)
+            assert idx.pairs == tuple(pairs)
+            assert (idx.n_pairs, idx.dim) == (len(pairs), len(pairs) * block_dim)
+            np.testing.assert_array_equal(idx.u_idx, [u for u, _ in pairs])
+            np.testing.assert_array_equal(idx.v_idx, [v for _, v in pairs])
+            for t, pair in enumerate(pairs):
+                assert idx.position(pair) == t
+                assert idx.slice_of(pair) == idx.slice_of(t) == slice(t * block_dim, (t + 1) * block_dim)
+
+    @pytest.mark.parametrize(
+        "pair", [(3, 1), (2, 2), (0, 5), (5, 6), (-1, 2), (0, -1), (0.5, 1), (0.0, 1), (1, 2, 3), (1,), 4]
+    )
+    def test_position_rejects_pairs_outside_the_index(self, pair):
+        idx = build_pair_index(5)
+        with pytest.raises(DimensionError, match="is not in the index"):
+            idx.position(pair)
+        if not isinstance(pair, int):
+            with pytest.raises(DimensionError, match="is not in the index"):
+                idx.slice_of(pair)
+
+    def test_diagonal_pairs_only_with_the_diagonal(self):
+        assert build_pair_index(5, include_diagonal=True).position((2, 2)) == 9
+        with pytest.raises(DimensionError):
+            build_pair_index(5).position((2, 2))
+        with pytest.raises(DimensionError):
+            build_pair_index(5, include_diagonal=True).position((2, 1))
+
 
 class TestPermutedSamples:
     def test_mixes_rows(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -25,6 +27,7 @@ from pmnet import (
     ratio_hat,
     unnormalized_log_ratio,
 )
+from pmnet import core as core_mod
 from pmnet import model as model_mod
 from pmnet.core import observed_feature_bounds, pair_feature_matrix, permuted_matrix, permuted_pair
 from pmnet.model import DensePairRows, ModelTerms, PairScoreGrid, select_ordered_pairs
@@ -92,6 +95,8 @@ class TestPairSelection:
             PairPolicy(kind="subsample")
         with pytest.raises(DimensionError):
             PairPolicy(cap=0)
+        with pytest.raises(DimensionError, match="seed >= 0"):
+            PairPolicy(seed=-1, cap=1000)
 
 
 class TestParamBlocks:
@@ -381,7 +386,8 @@ class TestDiagnostics:
         assert (rep.feature_bounds.observed_inf, rep.feature_bounds.observed_l2) == full
         # the ratio bounds range over the sampled pairs' scores, as on dense rows
         dense = dense_twin(ModelTerms(data, f, index=idx, pair_policy=pol))
-        scores = np.concatenate([dense.f_data @ theta.flat, dense.perm_scores(theta.flat)])
+        scores = np.concatenate([pair_feature_matrix(f, data.samples, idx) @ theta.flat,
+                                 dense.perm_scores(theta.flat)])
         scores -= dense.log_normalizer(theta.flat)
         assert rep.ratio_bounds.min == pytest.approx(np.exp(scores.min()), rel=1e-12)
         assert rep.ratio_bounds.max == pytest.approx(np.exp(scores.max()), rel=1e-12)
@@ -549,6 +555,37 @@ class TestScoreGrid:
         got = terms.hessian(theta.flat, cols)
         monkeypatch.setattr(terms.backing, "_gram_on_alpha", not on_alpha)
         np.testing.assert_allclose(terms.hessian(theta.flat, cols), got, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    @pytest.mark.parametrize("layout", ["grid", "cells", "dense"])
+    @pytest.mark.parametrize("kind", ["product", "squared_product", "delta", "delta_uncoded", "table"])
+    def test_data_terms_are_bit_equal_to_the_feature_matrix(self, kind, layout, diagonal):
+        # interleaved groups: pairs such as (1, 3) start in group 2
+        partition = Partition((0, 3, 4, 6), (1, 2, 5))
+        rng = np.random.default_rng(61)
+        if kind in ("product", "squared_product"):
+            data, f = Dataset(rng.standard_normal((13, 7)), partition), FeatureMap(kind)
+        else:
+            data = Dataset(rng.integers(0, 3, size=(13, 7)).astype(np.float64), partition, "categorical", 3)
+            f = {"delta": FeatureMap.kronecker_delta(3), "delta_uncoded": FeatureMap.kronecker_delta(),
+                 "table": FeatureMap.from_table(rng.standard_normal((3, 3, 2)))}[kind]
+        idx = build_pair_index(7, include_diagonal=diagonal, block_dim=f.block_dim)
+        policy = {"grid": ALL, "cells": PairPolicy(cap=100, seed=2), "dense": PairPolicy(cap=20, seed=2)}[layout]
+        terms = ModelTerms(data, f, index=idx, pair_policy=policy)
+        assert layout_of(terms) == layout
+        f_data = pair_feature_matrix(f, data.samples, idx)
+        assert terms.mean_f.tobytes() == f_data.mean(axis=0).tobytes()
+        if layout == "dense":
+            return
+        # the factors as built from the data-row feature matrix
+        grid = terms.backing
+        values = core_mod.feature_values(f, data.samples)
+        phi1, phi2, _ = core_mod.variable_embedding(f, values[:, [0, 3, 4, 6]], values[:, [1, 2, 5]])
+        ones = np.ones((13, 1))
+        alpha = np.hstack([phi1.transpose(1, 0, 2).reshape(13, -1), f_data[:, grid._cols1], ones])
+        beta = np.hstack([phi2.transpose(1, 0, 2).reshape(13, -1), ones, f_data[:, grid._cols2]])
+        assert grid._alpha.tobytes() == alpha.tobytes()
+        assert grid._beta.tobytes() == beta.tobytes()
 
     def test_hessian_matches_dense_rows(self):
         data = make_coded_dataset(9, 2, 3, categories=3, seed=8)
@@ -843,6 +880,7 @@ class TestPreflightSize:
             raise AssertionError("allocated before the size check")
 
         monkeypatch.setattr(model_mod, "pair_feature_matrix", allocates)
+        monkeypatch.setattr(model_mod, "feature_values", allocates)
         monkeypatch.setattr(model_mod, "select_ordered_pairs", allocates)
         with pytest.raises(SizeError, match="physical memory"):
             ModelTerms(data, FeatureMap.product(), pair_policy=policy)
@@ -853,6 +891,37 @@ class TestPreflightSize:
         terms = ModelTerms(memo_data(rows), FeatureMap.product(), pair_policy=policy)
         assert layout_of(terms) == layout
         assert terms.n_pairs_used == policy.pair_count(rows)
+
+    @pytest.mark.parametrize(
+        "kind, split, policy",
+        [
+            ("product", (150, 150), ALL),
+            ("product", (150, 150), PairPolicy(cap=1000, seed=1)),
+            ("product", (150, 150), PairPolicy(cap=60, seed=1)),
+            ("squared_product", (30, 270), ALL),
+            ("delta", (150, 150), ALL),
+        ],
+        ids=["grid", "cells", "dense", "grid-sq-skewed", "grid-delta"],
+    )
+    def test_estimate_bounds_the_allocation(self, kind, split, policy):
+        # wide enough that the per-row feature terms outweigh the fixed panels
+        if kind == "delta":
+            data, f = make_coded_dataset(40, *split, categories=3, seed=5), FeatureMap.kronecker_delta(3)
+        else:
+            data, f = make_dataset(40, *split, seed=5), FeatureMap(kind)
+        index = build_pair_index(data.m)
+        tracemalloc.start()
+        try:
+            terms = ModelTerms(data, f, pair_policy=policy)
+            flat = np.zeros(index.dim)
+            terms.value_grad(flat)
+            cols = np.arange(0, index.dim, 97)
+            terms.hessian(flat, cols, rows=cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        estimate = model_mod._peak_bytes(data, index, policy.pair_count(data.n), policy.layout(data.n))
+        assert peak <= estimate
 
     def test_exact_pairs_at_large_n_exceed_this_machine(self):
         # 300,000 rows have 9e10 ordered pairs; their n x n score grid alone needs 720 GB
