@@ -1,7 +1,8 @@
 """Small numeric kernels shared by the model, the solver and the sampler.
 
 Block norms and the group soft-threshold act on a flat parameter vector laid
-out as consecutive blocks of ``block_dim`` entries.  ``diamond_chain`` walks
+out as consecutive blocks of ``block_dim`` entries; the norms of scalar blocks
+are their absolute values.  ``diamond_chain`` walks
 one random-walk Metropolis chain over pre-drawn proposal increments and
 log-uniform acceptance draws, so a seed fixes its trajectory exactly.  It
 steps over plain Python floats, converting the draws with ``.tolist()``
@@ -17,6 +18,9 @@ _CHUNK_ROWS = 1024
 
 
 def block_norms(flat, block_dim):
+    # |x| for scalar blocks: squaring would underflow entries below ~1e-154
+    if block_dim == 1:
+        return np.abs(flat)
     return np.sqrt((flat.reshape(-1, block_dim) ** 2).sum(axis=1))
 
 

@@ -306,6 +306,7 @@ class PairScoreGrid:
         # coef[i, d, t]: weight of theta[i, d] in M_t for cross pair i
         self._coef = np.where(flipped[:, None, None], forms[:, c2, c1], forms[:, c1, c2])
         self._block_shape = (m1, m2)
+        self._plan_gram(forms, c1, c2, flipped)
 
         width = len(self._terms) * m2
         self._a = np.empty((self.n, width + 2))
@@ -367,71 +368,100 @@ class PairScoreGrid:
         out[self._cols_x] = np.einsum("ti,idt->id", cross, self._coef).ravel()
         return out
 
-    @cached_property
-    def _gram_terms(self):
-        """Every feature column e as a sum over its terms of
-        coef[e, t] alpha[:, a[e, t]] (row j) times beta[:, b[e, t]] (row k).
+    def _plan_gram(self, forms, c1, c2, flipped):
+        """The per-column arrays and per-class tables that ``_gram_terms`` reads.
+
+        A column's class is 0 within group 1, 1 within group 2, and
+        2 + f block_dim + d for coordinate d of a cross pair, f = 1 when the
+        pair's first variable is in group 2.  The class fixes the factor
+        blocks its terms read and their weights; its position p base + q
+        gives the offsets in those blocks: p, q the cross pair's variables
+        in groups 1 and 2, or a within-group column's place among its
+        group's columns (as p in group 1, as q in group 2).
+        """
+        (m1, m2), n_emb, bd = self._block_shape, len(self._phi1), self._index.block_dim
+        dim, base = self._index.dim, max(1, m2, self._cols2.size)
+        self._col_class, self._col_pos = np.empty(dim, dtype=np.intp), np.empty(dim, dtype=np.intp)
+        self._col_class[self._cols1], self._col_pos[self._cols1] = 0, np.arange(self._cols1.size) * base
+        self._col_class[self._cols2], self._col_pos[self._cols2] = 1, np.arange(self._cols2.size)
+        self._col_class[self._cols_x] = (2 + flipped[:, None] * bd + np.arange(bd)).ravel()
+        p, q = np.divmod(self._pq, m2)
+        self._col_pos[self._cols_x] = np.repeat(p * base + q, bd)
+        # each class's terms, padded to the widest column's with zero-weight
+        # terms against the columns of ones; ``on`` marks the terms that
+        # take the position's offsets
+        self._gram_width = width = max(1, int((self._coef != 0.0).sum(axis=2).max(initial=0)))
+        shape = (2 + 2 * bd, width)
+        a, b = np.full(shape, self._alpha.shape[1] - 1), np.full(shape, n_emb * m2)
+        coef, on = np.zeros(shape), np.zeros(shape, dtype=np.intp)
+        a[0, 0], b[1, 0], coef[:2, 0], on[:2, 0] = n_emb * m1, n_emb * m2 + 1, 1.0, 1
+        for k, weights in enumerate(np.concatenate([forms[:, c1, c2], forms[:, c2, c1]])):
+            t = np.flatnonzero(weights)[:width]  # a class no cross pair is in may have more
+            a[2 + k, : t.size], b[2 + k, : t.size] = c1[t] * m1, c2[t] * m2
+            coef[2 + k, : t.size], on[2 + k, : t.size] = weights[t], 1
+        self._gram_plan = (base, a, b, coef, on)
+
+    def _gram_terms(self, cols: np.ndarray):
+        """Feature columns ``cols`` as sums over their terms of
+        coef[e, t] alpha[:, a[e, t]] (row j) times beta[:, b[e, t]] (row k),
+        from each column's class and position (``_plan_gram``); returned as
+        the inner table's indices, the outer one's and the weights.
 
         A within-group column is one term against a column of ones; a cross
         column has one term per nonzero entry of its bilinear form.  Columns
         with fewer terms than the widest are padded with zero-weight terms.
         """
-        (m1, m2), n_emb = self._block_shape, len(self._phi1)
-        one_a, one_b = self._alpha.shape[1] - 1, n_emb * m2
-        used = self._coef != 0.0  # (cross pairs, block_dim, terms)
-        width = max(1, int(used.sum(axis=2).max(initial=0)))
-        dim = self._index.dim
-        a = np.full((dim, width), one_a)
-        b = np.full((dim, width), one_b)
-        coef = np.zeros((dim, width))
-        a[self._cols1, 0] = n_emb * m1 + np.arange(self._cols1.size)
-        b[self._cols2, 0] = one_b + 1 + np.arange(self._cols2.size)
-        coef[self._cols1, 0] = coef[self._cols2, 0] = 1.0
-        i, d, t = np.nonzero(used)
-        e = self._cols_x.reshape(used.shape[:2])[i, d]
-        slot = (np.cumsum(used, axis=2) - 1)[i, d, t]
-        p, q = np.divmod(self._pq[i], m2)
-        c1, c2 = np.array(self._terms, dtype=np.int64).reshape(-1, 2)[t].T
-        a[e, slot] = c1 * m1 + p
-        b[e, slot] = c2 * m2 + q
-        coef[e, slot] = self._coef[i, d, t]
-        return a, b, coef
+        base, class_a, class_b, class_coef, class_on = self._gram_plan
+        kind = self._col_class[cols]
+        p, q = np.divmod(self._col_pos[cols], base)
+        on = class_on[kind]
+        a, b = class_a[kind] + p[:, None] * on, class_b[kind] + q[:, None] * on
+        return (a, b, class_coef[kind]) if self._gram_on_alpha else (b, a, class_coef[kind])
 
     def gram(self, w: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """F[:, rows]^T diag(w) F[:, cols] for an n x n weight grid with a zero
-        diagonal, from the factor columns that ``_gram_terms`` indexes.
+        diagonal, from the factor columns that ``_gram_terms`` gives for the
+        requested rows and columns only.
 
         For terms r and c of two columns, sum_jk w_jk alpha_r[j] alpha_c[j]
         beta_r[k] beta_c[k] is one product of w with the row-wise products
         beta_r * beta_c (a Khatri-Rao product over the distinct group-2
         factors), then a sum over j against alpha_r * alpha_c; or, when the
         alpha table is the narrower, the same with the sides swapped and w^T
-        for w.  Columns are done in panels sized so that each temporary holds
-        about ``GRAM_PANEL_FLOATS`` floats, or one column's worth if that is
-        more.
+        for w.  Rows, then columns, are done in panels sized so that each
+        temporary holds about ``GRAM_PANEL_FLOATS`` floats, or one row's and
+        column's worth if that is more.  When ``cols is rows`` and both fit
+        one panel, the columns reuse the rows' terms.
         """
-        t_a, t_b, t_coef = self._gram_terms
         # the weights meet the inner table's products; the outer one is summed
         if self._gram_on_alpha:
-            w, inner, t_in, outer, t_out = w.T, self._alpha, t_a, self._beta, t_b
+            w, inner, outer = w.T, self._alpha, self._beta
         else:
-            inner, t_in, outer, t_out = self._beta, t_b, self._alpha, t_a
-        n, width = self.n, t_a.shape[1]
-        row_out, row_coef = outer[:, t_out[rows].ravel()], t_coef[rows].ravel()
-        row_q, row_pos = np.unique(t_in[rows], return_inverse=True)
-        inner_r = inner[:, row_q]
+            inner, outer = self._beta, self._alpha
+        n, width = self.n, self._gram_width
         out = np.empty((rows.size, cols.size))
-        panel = max(1, GRAM_PANEL_FLOATS // (n * row_coef.size * width))
-        for lo in range(0, cols.size, panel):
-            part = cols[lo : lo + panel]
-            col_q, col_pos = np.unique(t_in[part], return_inverse=True)
-            prods = (inner_r[:, :, None] * inner[:, None, col_q]).reshape(n, -1)
-            wv = (w @ prods).reshape(n, row_q.size, col_q.size)
-            k = wv[:, row_pos.reshape(-1, 1), col_pos.reshape(1, -1)]
-            k *= row_out[:, :, None]
-            k *= outer[:, None, t_out[part].ravel()]
-            k = k.sum(axis=0) * row_coef[:, None] * t_coef[part].reshape(1, -1)
-            out[:, lo : lo + panel] = k.reshape(rows.size, width, part.size, width).sum(axis=(1, 3))
+        row_panel = max(1, GRAM_PANEL_FLOATS // (n * width * width))
+        for r_lo in range(0, rows.size, row_panel):
+            r_in, r_out, r_coef = self._gram_terms(rows[r_lo : r_lo + row_panel])
+            panel = max(1, GRAM_PANEL_FLOATS // (n * r_coef.size * width))
+            square = cols is rows and rows.size <= min(row_panel, panel)
+            row_out, row_coef = outer[:, r_out.ravel()], r_coef.ravel()
+            row_q, row_pos = np.unique(r_in, return_inverse=True)
+            inner_r = inner[:, row_q]
+            for lo in range(0, cols.size, panel):
+                if square:
+                    c_out, c_coef, col_q, col_pos = r_out, r_coef, row_q, row_pos
+                else:
+                    c_in, c_out, c_coef = self._gram_terms(cols[lo : lo + panel])
+                    col_q, col_pos = np.unique(c_in, return_inverse=True)
+                wv = w @ (inner_r[:, :, None] * inner[:, None, col_q]).reshape(n, -1)
+                k = wv.reshape(n, row_q.size, col_q.size)[:, row_pos.reshape(-1, 1), col_pos.reshape(1, -1)]
+                del wv
+                k *= row_out[:, :, None]
+                k *= outer[:, None, c_out.ravel()]
+                k = k.sum(axis=0) * row_coef[:, None] * c_coef.reshape(1, -1)
+                k = k.reshape(-1, width, len(c_coef), width)
+                out[r_lo : r_lo + row_panel, lo : lo + panel] = k.sum(axis=(1, 3))
         return out
 
     def pairs(self, lo: int, hi: int):
@@ -483,7 +513,7 @@ def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, layout: str) -
     the build's temporaries (those features' gathered operands, then the
     n x m1 x m2 cross-mean temporary next to a delta feature's boolean
     matches) or an evaluation: the n x n scores plus the Hessian's panels
-    (three of ``GRAM_PANEL_FLOATS`` at once), and for kept cells the cell
+    (four of ``GRAM_PANEL_FLOATS`` at once), and for kept cells the cell
     codes and their scores.  Dense rows hold the data rows' features, then
     the permuted samples, the two gathered feature operands and the feature
     rows at once.
@@ -494,7 +524,7 @@ def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, layout: str) -
     cross = int(index.cross_mask(data.partition).sum()) * index.block_dim
     within = dim - cross
     build = max(2 * n * within, n * cross + n * cross // 8)
-    evaluation = n * n + 3 * GRAM_PANEL_FLOATS + (2 * pair_count if layout == "cells" else 0)
+    evaluation = n * n + 4 * GRAM_PANEL_FLOATS + (2 * pair_count if layout == "cells" else 0)
     return 8 * (8 * dim + n * within + max(build, evaluation))
 
 
@@ -669,11 +699,11 @@ class ModelTerms:
         just evaluated scores nothing."""
         flat = self._check_flat(flat)
         last = self._evaluated(flat)
-        mean = self._gradient(last) + self.mean_f
+        grad = self._gradient(last)
         rows = np.arange(self.index.dim) if rows is None else rows
         out = self.backing.gram(last.weights, rows, cols)
         out /= last.total
-        out -= np.outer(mean[rows], mean[cols])
+        out -= np.outer(grad[rows] + self.mean_f[rows], grad[cols] + self.mean_f[cols])
         return out
 
 

@@ -91,10 +91,19 @@ class KktReport:
 
 
 def kkt_residuals(theta_flat: np.ndarray, grad_flat: np.ndarray, index: PairIndex, lam: float) -> KktReport:
-    """Optimality residuals of a candidate solution given its exact gradient."""
+    """Optimality residuals of a candidate solution given its exact gradient.
+
+    Scalar blocks take |g| - lam and |g + lam sign(theta)| directly, with no
+    squares to underflow."""
     b = index.block_dim
-    theta_blocks = np.asarray(theta_flat, dtype=np.float64).reshape(-1, b)
-    grad_blocks = np.asarray(grad_flat, dtype=np.float64).reshape(-1, b)
+    theta, grad = np.asarray(theta_flat, dtype=np.float64), np.asarray(grad_flat, dtype=np.float64)
+    if b == 1:
+        active = theta != 0.0
+        residuals = np.maximum(np.abs(grad) - lam, 0.0)
+        on = np.flatnonzero(active)
+        residuals[on] = np.abs(grad[on] + lam * np.sign(theta[on]))
+        return KktReport(residuals=residuals, active=active, lam=lam)
+    theta_blocks, grad_blocks = theta.reshape(-1, b), grad.reshape(-1, b)
     norms = np.linalg.norm(theta_blocks, axis=1)
     grad_norms = np.linalg.norm(grad_blocks, axis=1)
     active = norms > 0.0
@@ -280,7 +289,7 @@ def fit(
         cols = (blocks[:, None] * b + np.arange(b)).ravel()
         resid = report.max_residual
         hess = terms.hessian(x, cols, rows=cols)
-        hess[np.diag_indices_from(hess)] += DAMPING * resid
+        hess.flat[:: hess.shape[0] + 1] += DAMPING * resid
         z, used = _solve_model(hess, g_x[cols], x[cols], lam, b, resid * min(FORCING, resid))
         sweeps += used
         d = np.zeros_like(x)
@@ -449,10 +458,14 @@ def lambda_path(
 
 @dataclass(frozen=True, eq=False)
 class CvResult:
+    """``uncertified`` holds (fold, lam, iterations, max KKT residual) of each
+    fold fit that ended without a certificate; it is still scored."""
+
     best_lambda: float
     lambdas: np.ndarray
     mean_scores: np.ndarray
     fold_scores: np.ndarray
+    uncertified: tuple[tuple[int, float, int, float], ...] = ()
 
 
 def default_lambda_grid(lam_max: float, count: int = 20) -> np.ndarray:
@@ -499,6 +512,7 @@ def cross_validate(
     fold_ids = np.array_split(order, folds)
 
     fold_scores = np.empty((folds, lambdas.size))
+    uncertified = []
     for fold, val_rows in enumerate(fold_ids):
         mask = np.ones(data.n, dtype=bool)
         mask[val_rows] = False
@@ -511,6 +525,8 @@ def cross_validate(
             res = fit(train, f, lam, cfg=cfg, warm_start=warm, terms=train_terms)
             warm = res.theta_hat
             fold_scores[fold, i] = val_terms.value(res.theta_hat.flat)
+            if not res.converged:
+                uncertified.append((fold, float(lam), res.iterations, res.kkt.max_residual))
 
     mean_scores = fold_scores.mean(axis=0)
     best = int(np.argmin(mean_scores))  # first minimum = largest lambda on ties
@@ -519,4 +535,5 @@ def cross_validate(
         lambdas=lambdas,
         mean_scores=mean_scores,
         fold_scores=fold_scores,
+        uncertified=tuple(uncertified),
     )

@@ -9,6 +9,8 @@ from pmnet import (
     FeatureMap,
     GeometricSchedule,
     PairPolicy,
+    SolverConfig,
+    cross_validate,
     build_gaussian_spec,
     diagnostics,
     extract_support,
@@ -17,6 +19,7 @@ from pmnet import (
     sample_gaussian,
     truth_support,
 )
+from pmnet import cli
 from pmnet.cli import main
 from pmnet.model import ModelTerms
 from pmnet.pipelines import fit_from_json, load_csv_dataset, path_to_json, truth_to_json
@@ -311,6 +314,25 @@ class TestUncertified:
         assert "after 1 iterations" in line
         assert f"max KKT residual {payload['kkt_max_residual']!r}" in line
 
+    def test_cv_fold_fits(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(GEN_ARGS) == 0
+        rc = main([
+            "fit", "--data", "data.csv", "--partition", "1-6|7-8",
+            "--cv", "3", "--max-iter", "1", "--out", "cv.json",
+        ])
+        assert rc == 3
+        assert (tmp_path / "cv.json").exists()
+        data = load_csv_dataset("data.csv", "1-6|7-8")
+        cv = cross_validate(data, FeatureMap.product(), folds=3, cfg=SolverConfig(max_iter=1))
+        assert cv.uncertified
+        lines = [ln for ln in self._warnings(capsys) if "CV fold" in ln]
+        assert lines == [
+            f"pmnet: warning: CV fold {fold} fit at lambda {lam!r} is not certified after "
+            f"{iterations} iterations (max KKT residual {residual!r})"
+            for fold, lam, iterations, residual in cv.uncertified
+        ]
+
     def test_path(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(GEN_ARGS) == 0
@@ -341,6 +363,64 @@ class TestUncertified:
         assert (tmp_path / "align.json").exists()
         assert (tmp_path / "align.json.manifest.json").exists()
         assert self._warnings(capsys)
+
+
+def subcommands(parser):
+    """The subcommand parsers of ``parser`` by name."""
+    (action,) = [a for a in parser._actions if a.dest in ("command", "family")]
+    return action.choices
+
+
+def parse_outcome(parser, argv, capsys):
+    """(exit code, stdout, stderr) of parsing ``argv``."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+class TestParser:
+    """``main`` builds only the invoked command's parser; help and errors
+    are the full parser's."""
+
+    @pytest.mark.parametrize("command", ["gen", "gen gaussian", "gen diamond", *cli.COMMANDS[1:]])
+    def test_one_command_help_matches_the_full_parser(self, command):
+        name, *family = command.split()
+        full, one = subcommands(cli.build_parser())[name], subcommands(cli.build_parser(name))[name]
+        if family:
+            full, one = subcommands(full)[family[0]], subcommands(one)[family[0]]
+        assert one.format_help() == full.format_help()
+        assert cli.build_parser(name).format_usage() == cli.build_parser().format_usage()
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--bogus", "1"], ["roc", "--path"], ["gen"], ["gen", "bogus"], ["diag", "--help"],
+    ])
+    def test_one_command_errors_match_the_full_parser(self, argv, capsys):
+        assert parse_outcome(cli.build_parser(argv[0]), argv, capsys) == \
+            parse_outcome(cli.build_parser(), argv, capsys)
+
+    def test_main_builds_only_the_command(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build(command))
+        assert main(GEN_ARGS) == 0
+        assert built == ["gen"]
+        assert len(subcommands(build("gen"))) == 1
+
+    @pytest.mark.parametrize("argv, code", [([], 2), (["--help"], 0), (["-h"], 0), (["bogus"], 2)])
+    def test_no_command_keeps_the_full_parser(self, argv, code, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == code
+        assert (code, out.out, out.err) == parse_outcome(cli.build_parser(), argv, capsys)
+        text = out.out + out.err
+        assert "usage: pmnet [-h] {gen,fit,path,roc,edges,align,diag} ..." in text
+        if code == 0:
+            assert all(f"    {name} " in text for name in cli.COMMANDS)
+        else:
+            assert ("required: command" if not argv else "invalid choice: 'bogus'") in text
 
 
 class TestErrorPaths:

@@ -15,6 +15,11 @@ class TestNumpyVariants:
         flat = np.array([3.0, 4.0, 0.0, 0.0, 1.0, -1.0])
         np.testing.assert_allclose(K.block_norms(flat, 2), [5.0, 0.0, np.sqrt(2.0)])
 
+    def test_scalar_block_norms_are_absolute_values(self):
+        # squaring would underflow 1e-170 to zero
+        flat = np.array([1e-170, -1e-170, -2.5, 0.0])
+        assert K.block_norms(flat, 1).tolist() == [1e-170, 1e-170, 2.5, 0.0]
+
     def test_group_soft_threshold_zeros_and_shrink(self):
         flat = np.array([3.0, 4.0, 0.1, 0.2])
         out = K.group_soft_threshold(flat, 2, 1.0)

@@ -603,6 +603,92 @@ class TestScoreGrid:
         )
 
 
+def whole_dim_gram_terms(grid):
+    """Every feature column's (alpha index, beta index, coef) terms in one
+    dim x width table, built over all of dim from the grid's pair layout."""
+    (m1, m2), n_emb = grid._block_shape, len(grid._phi1)
+    one_a, one_b = grid._alpha.shape[1] - 1, n_emb * m2
+    used = grid._coef != 0.0
+    width = max(1, int(used.sum(axis=2).max(initial=0)))
+    dim = grid._index.dim
+    a, b, coef = np.full((dim, width), one_a), np.full((dim, width), one_b), np.zeros((dim, width))
+    a[grid._cols1, 0] = n_emb * m1 + np.arange(grid._cols1.size)
+    b[grid._cols2, 0] = one_b + 1 + np.arange(grid._cols2.size)
+    coef[grid._cols1, 0] = coef[grid._cols2, 0] = 1.0
+    i, d, t = np.nonzero(used)
+    e = grid._cols_x.reshape(used.shape[:2])[i, d]
+    slot = (np.cumsum(used, axis=2) - 1)[i, d, t]
+    p, q = np.divmod(grid._pq[i], m2)
+    c1, c2 = np.array(grid._terms, dtype=np.int64).reshape(-1, 2)[t].T
+    a[e, slot], b[e, slot], coef[e, slot] = c1 * m1 + p, c2 * m2 + q, grid._coef[i, d, t]
+    return a, b, coef
+
+
+def whole_dim_gram(grid, w, rows, cols):
+    """``gram`` from the whole-dim table: all ``rows`` at once, the columns in
+    panels of GRAM_PANEL_FLOATS // (n rows width^2)."""
+    t_a, t_b, t_coef = whole_dim_gram_terms(grid)
+    if grid._gram_on_alpha:
+        w, inner, t_in, outer, t_out = w.T, grid._alpha, t_a, grid._beta, t_b
+    else:
+        inner, t_in, outer, t_out = grid._beta, t_b, grid._alpha, t_a
+    n, width = grid.n, t_a.shape[1]
+    row_out, row_coef = outer[:, t_out[rows].ravel()], t_coef[rows].ravel()
+    row_q, row_pos = np.unique(t_in[rows], return_inverse=True)
+    out = np.empty((rows.size, cols.size))
+    panel = max(1, model_mod.GRAM_PANEL_FLOATS // (n * row_coef.size * width))
+    for lo in range(0, cols.size, panel):
+        part = cols[lo : lo + panel]
+        col_q, col_pos = np.unique(t_in[part], return_inverse=True)
+        wv = (w @ (inner[:, row_q, None] * inner[:, None, col_q]).reshape(n, -1)).reshape(n, row_q.size, -1)
+        k = wv[:, row_pos.reshape(-1, 1), col_pos.reshape(1, -1)] * row_out[:, :, None]
+        k *= outer[:, None, t_out[part].ravel()]
+        k = k.sum(axis=0) * row_coef[:, None] * t_coef[part].reshape(1, -1)
+        out[:, lo : lo + panel] = k.reshape(rows.size, width, part.size, width).sum(axis=(1, 3))
+    return out
+
+
+class TestGramPlan:
+    """``PairScoreGrid.gram`` plans its factor terms per call, for the rows
+    and columns asked for, and panels the rows; the whole-dim table gives the
+    same bits, row panel by row panel."""
+
+    @pytest.mark.parametrize("panel_floats", [model_mod.GRAM_PANEL_FLOATS, 200, 7])
+    @pytest.mark.parametrize("layout", ["grid", "cells"])
+    @pytest.mark.parametrize("kind", ["product", "squared_product", "delta", "table"])
+    def test_bit_equal_to_the_whole_dim_table(self, kind, layout, panel_floats, monkeypatch):
+        # interleaved groups: pairs such as (1, 3) start in group 2
+        partition = Partition((0, 3, 4, 6), (1, 2, 5))
+        rng = np.random.default_rng(67)
+        if kind in ("product", "squared_product"):
+            data, f = Dataset(rng.standard_normal((13, 7)), partition), FeatureMap(kind)
+        else:
+            data = Dataset(rng.integers(0, 3, size=(13, 7)).astype(np.float64), partition, "categorical", 3)
+            f = FeatureMap.kronecker_delta(3) if kind == "delta" else FeatureMap.from_table(
+                rng.standard_normal((3, 3, 2)))
+        idx = build_pair_index(7, block_dim=f.block_dim)
+        policy = ALL if layout == "grid" else PairPolicy(cap=100, seed=2)
+        terms = ModelTerms(data, f, index=idx, pair_policy=policy)
+        assert layout_of(terms) == layout
+        grid, flat = terms.backing, random_theta(idx, 3, scale=0.1).flat
+        terms.value(flat)
+        w = terms._last.weights
+        every = np.arange(idx.dim)
+        t_a, t_b, t_coef = whole_dim_gram_terms(grid)
+        a, b, coef = grid._gram_terms(every)
+        if not grid._gram_on_alpha:
+            a, b = b, a
+        assert (a.tobytes(), b.tobytes(), coef.tobytes()) == (t_a.tobytes(), t_b.tobytes(), t_coef.tobytes())
+
+        monkeypatch.setattr(model_mod, "GRAM_PANEL_FLOATS", panel_floats)
+        row_panel = max(1, panel_floats // (grid.n * t_a.shape[1] ** 2))
+        rows = rng.permutation(idx.dim)[:9]
+        for r, c in ((rows, rng.permutation(idx.dim)[:6]), (rows, rows), (rows, rows.copy()), (every, rows[:3])):
+            want = np.vstack([whole_dim_gram(grid, w, r[lo : lo + row_panel], c)
+                              for lo in range(0, r.size, row_panel)])
+            assert grid.gram(w, r, c).tobytes() == want.tobytes()
+
+
 def loop_hessian(theta, data, f, pairs):
     """Softmax-weighted feature covariance over the given (j, k) pairs, pair
     by pair in plain Python: sum w f f^T - g g^T with g = sum w f.  Also
@@ -917,6 +1003,8 @@ class TestPreflightSize:
             terms.value_grad(flat)
             cols = np.arange(0, index.dim, 97)
             terms.hessian(flat, cols, rows=cols)
+            # diagnostics' H[:, S]: every row against a few columns
+            terms.hessian(flat, cols[:8])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -91,6 +91,49 @@ class TestKkt:
         assert rep.residuals[0] == pytest.approx(0.0, abs=1e-15)
 
 
+    def test_tiny_theta_entries_count(self):
+        # 1e-170 squared underflows to zero; the entry is still nonzero
+        idx = build_pair_index(3)
+        theta = np.array([1e-170, -1e-170, 0.0])
+        g = np.array([0.3, 0.5, 0.2])
+        rep = kkt_residuals(theta, g, idx, lam=0.5)
+        assert rep.active.tolist() == [True, True, False]
+        assert rep.residuals.tolist() == [0.8, 0.0, 0.0]
+        assert not rep.satisfied(0.1)
+        assert solver._penalty(theta, 1) == 2e-170
+
+    def test_tiny_gradient_entries_count(self):
+        idx = build_pair_index(3)
+        g = np.array([1e-170, -1e-170, 0.0])
+        rep = kkt_residuals(np.zeros(3), g, idx, lam=0.0)
+        assert rep.residuals.tolist() == [1e-170, 1e-170, 0.0]
+        assert not rep.satisfied(1e-171)
+        # the working-set test |g| > lam keeps them too
+        assert (solver._kernels.block_norms(g, 1) > 0.0).tolist() == [True, True, False]
+
+    @given(
+        st.lists(st.tuples(
+            st.one_of(st.just(0.0), st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100)),
+            st.one_of(st.just(0.0), st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100)),
+        ), min_size=1, max_size=12),
+        st.one_of(st.just(0.0), st.floats(1e-100, 1e100)),
+    )
+    def test_scalar_path_is_bit_equal_to_the_block_formula(self, entries, lam):
+        theta, g = (np.array(col) for col in zip(*entries))
+        # the block formula on one-entry blocks, as table features compute it
+        blocks, grad_blocks = theta.reshape(-1, 1), g.reshape(-1, 1)
+        norms = np.linalg.norm(blocks, axis=1)
+        units = np.zeros_like(blocks)
+        units[norms > 0.0] = blocks[norms > 0.0] / norms[norms > 0.0, None]
+        want = np.where(norms > 0.0, np.linalg.norm(grad_blocks + lam * units, axis=1),
+                        np.maximum(0.0, np.linalg.norm(grad_blocks, axis=1) - lam))
+        rep = kkt_residuals(theta, g, build_pair_index(2), lam)
+        assert rep.residuals.tobytes() == want.tobytes()
+        assert rep.active.tolist() == (norms > 0.0).tolist()
+        assert solver._penalty(theta, 1) == float(norms.sum())
+        assert solver._kernels.block_norms(g, 1).tobytes() == np.linalg.norm(grad_blocks, axis=1).tobytes()
+
+
 def model_objective(hess, grad, start, lam, z):
     d = z - start
     return float(grad @ d + d @ hess @ d / 2.0 + lam * np.abs(z).sum())
@@ -382,6 +425,31 @@ class TestCrossValidation:
         res = cross_validate(data, f, lambdas=[2 * lmax, 3 * lmax, 5 * lmax], folds=3, pair_policy=ALL)
         assert res.best_lambda == pytest.approx(5 * lmax)
         assert np.ptp(res.mean_scores) == pytest.approx(0.0, abs=1e-12)
+
+    def test_lists_uncertified_fold_fits(self):
+        data = make_dataset(30, 2, 2, seed=19)
+        f = FeatureMap.product()
+        lambdas = [0.1, 0.05, 0.01]
+        capped = cross_validate(data, f, lambdas=lambdas, folds=3, pair_policy=ALL,
+                                cfg=SolverConfig(max_iter=1))
+        assert capped.uncertified
+        for fold, lam, iterations, residual in capped.uncertified:
+            assert fold in range(3) and lam in lambdas
+            assert iterations == 1 and residual > 1e-6
+        # the same fits, rerun by hand, are exactly the uncertified ones
+        rng = np.random.default_rng(0)
+        folds = np.array_split(rng.permutation(data.n), 3)
+        want = []
+        for fold, val_rows in enumerate(folds):
+            train = data.subset(np.setdiff1d(np.arange(data.n), val_rows))
+            warm = None
+            for lam in sorted(lambdas, reverse=True):
+                res = fit(train, f, lam, cfg=SolverConfig(max_iter=1), warm_start=warm, pair_policy=ALL)
+                warm = res.theta_hat
+                if not res.converged:
+                    want.append((fold, lam, 1, res.kkt.max_residual))
+        assert list(capped.uncertified) == want
+        assert cross_validate(data, f, lambdas=lambdas, folds=3, pair_policy=ALL).uncertified == ()
 
     def test_picks_interior_lambda_on_planted_signal(self):
         rng = np.random.default_rng(29)
