@@ -11,6 +11,7 @@ stderr and exit 3.
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -321,119 +322,108 @@ def _add_solver_flags(p):
     p.add_argument("--pair-cap", type=int, default=40_000, help="max permuted pairs kept")
 
 
-# the commands, in the order the full parser lists them
-COMMANDS = ("gen", "fit", "path", "roc", "edges", "align", "diag")
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser, or with ``command`` one holding only that command's
-    parser: the same help and errors for that command, built in a fraction of
-    the time."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, every command in it."""
     parser = argparse.ArgumentParser(
         prog="pmnet",
         description="Learn sparse cross-group structure in partitioned Markov networks.",
     )
-    # a one-command parser's usage line still lists every command
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    if command in (None, "gen"):
-        gen = sub.add_parser("gen", help="sample a synthetic dataset with known structure")
-        gen_sub = gen.add_subparsers(dest="family", required=True)
+    gen = sub.add_parser("gen", help="sample a synthetic dataset with known structure")
+    gen_sub = gen.add_subparsers(dest="family", required=True)
 
-        gg = gen_sub.add_parser("gaussian", help="planted-passage Gaussian data")
-        gg.add_argument("--m", type=int, default=50)
-        gg.add_argument("--split", default="40,10", help="group sizes m1,m2")
-        gg.add_argument("--rho", type=float, default=0.8)
-        gg.add_argument("--passages", type=int, default=10)
-        gg.add_argument("--eig-rank", type=int, default=15)
-        gg.add_argument("--n", type=int, required=True)
-        gg.add_argument("--seed", type=int, default=0)
-        gg.add_argument("--out", required=True)
-        gg.add_argument("--truth", help="also write the planted support as JSON")
-        gg.add_argument("--all-edges", action="store_true", help="truth keeps within-group pairs too")
-        gg.set_defaults(func=_cmd_gen)
+    gg = gen_sub.add_parser("gaussian", help="planted-passage Gaussian data")
+    gg.add_argument("--m", type=int, default=50)
+    gg.add_argument("--split", default="40,10", help="group sizes m1,m2")
+    gg.add_argument("--rho", type=float, default=0.8)
+    gg.add_argument("--passages", type=int, default=10)
+    gg.add_argument("--eig-rank", type=int, default=15)
+    gg.add_argument("--n", type=int, required=True)
+    gg.add_argument("--seed", type=int, default=0)
+    gg.add_argument("--out", required=True)
+    gg.add_argument("--truth", help="also write the planted support as JSON")
+    gg.add_argument("--all-edges", action="store_true", help="truth keeps within-group pairs too")
+    gg.set_defaults(func=_cmd_gen)
 
-        gd = gen_sub.add_parser("diamond", help="non-Gaussian blocks sampled by Metropolis")
-        gd.add_argument("--blocks", type=int, default=13)
-        gd.add_argument("--rho", type=float, default=1.0)
-        gd.add_argument("--burn-in", type=int, default=5000)
-        gd.add_argument("--thinning", type=int, default=50)
-        gd.add_argument("--proposal-std", type=float, default=0.5)
-        gd.add_argument("--n", type=int, required=True)
-        gd.add_argument("--seed", type=int, default=0)
-        gd.add_argument("--out", required=True)
-        gd.add_argument("--truth", help="also write the planted support as JSON")
-        gd.add_argument("--all-edges", action="store_true")
-        gd.set_defaults(func=_cmd_gen)
+    gd = gen_sub.add_parser("diamond", help="non-Gaussian blocks sampled by Metropolis")
+    gd.add_argument("--blocks", type=int, default=13)
+    gd.add_argument("--rho", type=float, default=1.0)
+    gd.add_argument("--burn-in", type=int, default=5000)
+    gd.add_argument("--thinning", type=int, default=50)
+    gd.add_argument("--proposal-std", type=float, default=0.5)
+    gd.add_argument("--n", type=int, required=True)
+    gd.add_argument("--seed", type=int, default=0)
+    gd.add_argument("--out", required=True)
+    gd.add_argument("--truth", help="also write the planted support as JSON")
+    gd.add_argument("--all-edges", action="store_true")
+    gd.set_defaults(func=_cmd_gen)
 
-    if command in (None, "fit"):
-        ft = sub.add_parser("fit", help="one penalized fit (fixed lambda or CV)")
-        ft.add_argument("--data", required=True)
-        ft.add_argument("--partition", required=True, help="e.g. 1-40|41-50 or name lists")
-        ft.add_argument("--feature", default="product", help="product, sq, or delta")
-        ft.add_argument("--categories", type=int, help="category count for coded data")
-        ft.add_argument("--lambda", dest="lam", type=float)
-        ft.add_argument("--cv", type=int, help="choose lambda by K-fold cross-validation")
-        ft.add_argument("--seed", type=int, default=0)
-        ft.add_argument("--out", required=True)
-        _add_solver_flags(ft)
-        ft.set_defaults(func=_cmd_fit)
+    ft = sub.add_parser("fit", help="one penalized fit (fixed lambda or CV)")
+    ft.add_argument("--data", required=True)
+    ft.add_argument("--partition", required=True, help="e.g. 1-40|41-50 or name lists")
+    ft.add_argument("--feature", default="product", help="product, sq, or delta")
+    ft.add_argument("--categories", type=int, help="category count for coded data")
+    ft.add_argument("--lambda", dest="lam", type=float)
+    ft.add_argument("--cv", type=int, help="choose lambda by K-fold cross-validation")
+    ft.add_argument("--seed", type=int, default=0)
+    ft.add_argument("--out", required=True)
+    _add_solver_flags(ft)
+    ft.set_defaults(func=_cmd_fit)
 
-    if command in (None, "path"):
-        pt = sub.add_parser("path", help="warm-started fits along a penalty schedule")
-        pt.add_argument("--data", required=True)
-        pt.add_argument("--partition", required=True)
-        pt.add_argument("--feature", default="product")
-        pt.add_argument("--categories", type=int)
-        pt.add_argument("--schedule", default="geom", help="geom:start,factor,count or until:cap_k")
-        pt.add_argument("--out", required=True)
-        _add_solver_flags(pt)
-        pt.set_defaults(func=_cmd_path)
+    pt = sub.add_parser("path", help="warm-started fits along a penalty schedule")
+    pt.add_argument("--data", required=True)
+    pt.add_argument("--partition", required=True)
+    pt.add_argument("--feature", default="product")
+    pt.add_argument("--categories", type=int)
+    pt.add_argument("--schedule", default="geom", help="geom:start,factor,count or until:cap_k")
+    pt.add_argument("--out", required=True)
+    _add_solver_flags(pt)
+    pt.set_defaults(func=_cmd_path)
 
-    if command in (None, "roc"):
-        rc = sub.add_parser("roc", help="score a path against a known support")
-        rc.add_argument("--path", required=True)
-        rc.add_argument("--truth", required=True)
-        rc.add_argument("--out", required=True)
-        rc.set_defaults(func=_cmd_roc)
+    rc = sub.add_parser("roc", help="score a path against a known support")
+    rc.add_argument("--path", required=True)
+    rc.add_argument("--truth", required=True)
+    rc.add_argument("--out", required=True)
+    rc.set_defaults(func=_cmd_roc)
 
-    if command in (None, "edges"):
-        ed = sub.add_parser("edges", help="export ranked edges from a fitted model")
-        ed.add_argument("--fit", required=True)
-        ed.add_argument("--top", type=int)
-        ed.add_argument("--scope", choices=["cross", "all"], default="cross")
-        ed.add_argument("--format", choices=["dot", "json", "csv"], default="dot")
-        ed.add_argument("--out", required=True)
-        ed.set_defaults(func=_cmd_edges)
+    ed = sub.add_parser("edges", help="export ranked edges from a fitted model")
+    ed.add_argument("--fit", required=True)
+    ed.add_argument("--top", type=int)
+    ed.add_argument("--scope", choices=["cross", "all"], default="cross")
+    ed.add_argument("--format", choices=["dot", "json", "csv"], default="dot")
+    ed.add_argument("--out", required=True)
+    ed.set_defaults(func=_cmd_edges)
 
-    if command in (None, "align"):
-        al = sub.add_parser("align", help="align two sequences through windowed structure")
-        al.add_argument("--seq1", required=True)
-        al.add_argument("--seq2", required=True)
-        al.add_argument("--window", type=int, required=True)
-        al.add_argument("--step", type=int, default=1)
-        al.add_argument("--feature", help="defaults to product (numeric) or delta (symbols)")
-        al.add_argument("--schedule", default="until:15")
-        al.add_argument("--out", required=True)
-        _add_solver_flags(al)
-        al.set_defaults(func=_cmd_align)
+    al = sub.add_parser("align", help="align two sequences through windowed structure")
+    al.add_argument("--seq1", required=True)
+    al.add_argument("--seq2", required=True)
+    al.add_argument("--window", type=int, required=True)
+    al.add_argument("--step", type=int, default=1)
+    al.add_argument("--feature", help="defaults to product (numeric) or delta (symbols)")
+    al.add_argument("--schedule", default="until:15")
+    al.add_argument("--out", required=True)
+    _add_solver_flags(al)
+    al.set_defaults(func=_cmd_align)
 
-    if command in (None, "diag"):
-        dg = sub.add_parser("diag", help="recovery-condition diagnostics at a fitted model")
-        dg.add_argument("--fit", required=True)
-        dg.add_argument("--data", required=True)
-        dg.add_argument("--out", required=True)
-        dg.set_defaults(func=_cmd_diag)
+    dg = sub.add_parser("diag", help="recovery-condition diagnostics at a fitted model")
+    dg.add_argument("--fit", required=True)
+    dg.add_argument("--data", required=True)
+    dg.add_argument("--out", required=True)
+    dg.set_defaults(func=_cmd_diag)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on first use and kept for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # no command, --help or an unknown one: the full parser prints usage or the error
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code, inputs, outputs = args.func(args)
         manifest = RunManifest(

@@ -11,9 +11,7 @@ The fitted objective is
     nll(theta) = -(1/n) sum_i score(x_i) + log normalizer_hat(theta)
 
 whose gradient is the permuted-pair softmax-weighted feature mean minus the
-per-sample feature mean.  A raw variant with an unaveraged data term is
-available for reporting; it rescales the penalty by n but changes nothing
-else.  All pair sums run in the log domain.
+per-sample feature mean.  All pair sums run in the log domain.
 
 Two backings evaluate the permuted pairs.  ``PairScoreGrid`` scores pairs
 as an n x n grid built from per-row within-group scores and per-variable
@@ -555,8 +553,8 @@ class ModelTerms:
     own way, bit-identical to the column mean of ``pair_feature_matrix``.
     The solver builds this once and reuses it across iterations, path
     points, and cross-validation scoring.  A dataset whose
-    estimated peak (see ``_peak_bytes``) exceeds physical memory raises
-    ``SizeError`` before anything is allocated.
+    estimated peak (see ``_peak_bytes``; kept as ``peak_bytes``) exceeds
+    physical memory raises ``SizeError`` before anything is allocated.
 
     The last evaluated point is remembered with its pair weights (as the
     backing's ``spread`` lays them out, once per scoring), so a
@@ -586,7 +584,8 @@ class ModelTerms:
         self.policy = pair_policy or PairPolicy()
         pair_count = self.policy.pair_count(data.n)
         layout = self.policy.layout(data.n)
-        need, have = _peak_bytes(data, self.index, pair_count, layout), physical_memory_bytes()
+        self.peak_bytes = need = _peak_bytes(data, self.index, pair_count, layout)
+        have = physical_memory_bytes()
         if need > have:
             raise SizeError(
                 f"{pair_count} permuted pairs over {self.index.dim} features need about "
@@ -604,10 +603,6 @@ class ModelTerms:
         self.mean_f = self.backing.data_mean
         self._last: _Evaluated | None = None
         self.scorings = 0
-
-    @property
-    def n(self) -> int:
-        return self.data.n
 
     @property
     def n_pairs_used(self) -> int:
@@ -667,13 +662,9 @@ class ModelTerms:
         last = self._evaluated(self._check_flat(flat))
         return last.top + float(np.log(last.total)) - self.log_pair_count
 
-    def value(self, flat: np.ndarray, normalized: bool = True) -> float:
+    def value(self, flat: np.ndarray) -> float:
         flat = self._check_flat(flat)
-        data_term = float(self.mean_f @ flat)
-        log_norm = self.log_normalizer(flat)
-        if normalized:
-            return -data_term + log_norm
-        return -self.n * data_term + log_norm
+        return -float(self.mean_f @ flat) + self.log_normalizer(flat)
 
     def value_grad(self, flat: np.ndarray) -> tuple[float, np.ndarray]:
         """Normalized objective and its gradient in one permuted-pair pass.
@@ -696,14 +687,19 @@ class ModelTerms:
         H = F^T diag(w) F - g g^T with w the softmax pair weights and
         g = F^T w; the backing's ``gram`` gives the first term, and the
         weights come from the remembered point, so a Hessian at the point
-        just evaluated scores nothing."""
+        just evaluated scores nothing.  g g^T is subtracted in chunks of rows
+        of about ``GRAM_PANEL_FLOATS`` floats, so no temporary is the size of
+        the result."""
         flat = self._check_flat(flat)
         last = self._evaluated(flat)
         grad = self._gradient(last)
         rows = np.arange(self.index.dim) if rows is None else rows
         out = self.backing.gram(last.weights, rows, cols)
         out /= last.total
-        out -= np.outer(grad[rows] + self.mean_f[rows], grad[cols] + self.mean_f[cols])
+        g_rows, g_cols = grad[rows] + self.mean_f[rows], grad[cols] + self.mean_f[cols]
+        chunk = max(1, GRAM_PANEL_FLOATS // max(1, cols.size))
+        for lo in range(0, rows.size, chunk):
+            out[lo:lo + chunk] -= np.outer(g_rows[lo:lo + chunk], g_cols)
         return out
 
 
@@ -740,12 +736,11 @@ def negative_log_likelihood(
     theta: ParamBlocks,
     data: Dataset,
     f: FeatureMap,
-    normalized: bool = True,
     pair_policy: PairPolicy | None = None,
 ) -> float:
-    """Fitting objective; ``normalized=False`` keeps the summed data term."""
+    """Fitting objective, the normalized negative log-likelihood at theta."""
     terms = _terms_for(theta, data, f, pair_policy)
-    return terms.value(theta.flat, normalized=normalized)
+    return terms.value(theta.flat)
 
 
 def gradient(
@@ -780,7 +775,6 @@ def hessian(
     f: FeatureMap,
     restrict=None,
     pair_policy: PairPolicy | None = None,
-    dim_cap: int = HESSIAN_DIM_CAP,
 ) -> np.ndarray:
     """Dense Hessian of the normalized objective, optionally block-restricted.
 
@@ -788,13 +782,13 @@ def hessian(
     covariance over permuted pairs, F^T diag(w) F - g g^T (positive
     semidefinite), built by ``ModelTerms.hessian`` in one call: closed form
     from the grid's factors, or one weighted product of the dense feature
-    rows.  Refuses to materialize more than ``dim_cap`` rows.
+    rows.  Refuses to materialize more than ``HESSIAN_DIM_CAP`` rows.
     """
     terms = _terms_for(theta, data, f, pair_policy)
     cols = _restrict_columns(theta.index, restrict)
-    if cols.size > dim_cap:
+    if cols.size > HESSIAN_DIM_CAP:
         raise SizeError(
-            f"restricted Hessian dimension {cols.size} exceeds cap {dim_cap}"
+            f"restricted Hessian dimension {cols.size} exceeds cap {HESSIAN_DIM_CAP}"
         )
     return _hessian_from_terms(terms, theta.flat, cols)
 
@@ -870,7 +864,6 @@ def diagnostics(
     f: FeatureMap,
     support,
     pair_policy: PairPolicy | None = None,
-    dim_cap: int = HESSIAN_DIM_CAP,
 ) -> DiagnosticsReport:
     """Measure restricted curvature, incoherence, and boundedness at theta_star.
 
@@ -879,7 +872,9 @@ def diagnostics(
     weighted product on dense rows); H_SS and the complement's rows are
     slices of them.  Feature bounds scan the permuted samples in panels;
     the ratio bounds score the data rows' features, built here, and the
-    pair set's scores.
+    pair set's scores.  A support over ``HESSIAN_DIM_CAP`` coordinates, or
+    an H[:, S] that with ``terms.peak_bytes`` exceeds physical memory,
+    raises ``SizeError`` before the Hessian is built.
     """
     index = theta_star.index
     support_pairs = [tuple(p) for p in support]
@@ -892,8 +887,12 @@ def diagnostics(
 
     terms = _terms_for(theta_star, data, f, pair_policy)
     s_cols = _restrict_columns(index, support_pairs)
-    if s_cols.size > dim_cap:
-        raise SizeError(f"support dimension {s_cols.size} exceeds cap {dim_cap}")
+    if s_cols.size > HESSIAN_DIM_CAP:
+        raise SizeError(f"support dimension {s_cols.size} exceeds cap {HESSIAN_DIM_CAP}")
+    need, have = terms.peak_bytes + 8 * index.dim * s_cols.size, physical_memory_bytes()
+    if need > have:
+        raise SizeError(f"H[:, S] needs about {need / 2**30:.1f} GiB, more than the "
+                        f"{have / 2**30:.1f} GiB of physical memory")
 
     # H[:, S]; rows for the complement come from the same columns
     h_cols = terms.hessian(theta_star.flat, s_cols)

@@ -238,13 +238,23 @@ def _model_residual(z: list, q: list, lam: float, block_dim: int) -> float:
     return float(np.where(norms > 0.0, active, np.linalg.norm(qb, axis=1) - lam).max())
 
 
+def _checked_terms(data: Dataset, f: FeatureMap, pair_policy: PairPolicy | None,
+                   terms: ModelTerms | None) -> ModelTerms:
+    """``terms`` once checked to be of ``data``, ``f`` and any ``pair_policy``;
+    new ModelTerms of them when None."""
+    if terms is None:
+        return ModelTerms(data, f, pair_policy=pair_policy)
+    if terms.data is not data or terms.feature is not f or pair_policy not in (None, terms.policy):
+        raise ConfigError("terms were built on other data, feature map or pair policy than given")
+    return terms
+
+
 def fit(
     data: Dataset,
     f: FeatureMap,
     lam: float,
     cfg: SolverConfig | None = None,
     warm_start: ParamBlocks | None = None,
-    index: PairIndex | None = None,
     pair_policy: PairPolicy | None = None,
     terms: ModelTerms | None = None,
 ) -> FitResult:
@@ -256,7 +266,8 @@ def fit(
     lam : nonnegative group penalty weight (on the normalized objective).
     cfg : solver controls; defaults are suitable for desk-scale problems.
     warm_start : optional starting point, e.g. the previous path solution.
-    terms : precomputed ModelTerms to reuse across fits on the same data.
+    terms : precomputed ModelTerms to reuse across fits on the same data;
+        they must be of ``data`` and ``f``, and of ``pair_policy`` if given.
 
     A start that already satisfies the KKT conditions (for instance zero at
     lam >= lambda_max) returns after no iteration and builds no Hessian.
@@ -264,8 +275,7 @@ def fit(
     if lam < 0.0:
         raise ConfigError("lam must be nonnegative")
     cfg = cfg or SolverConfig()
-    if terms is None:
-        terms = ModelTerms(data, f, index=index, pair_policy=pair_policy)
+    terms = _checked_terms(data, f, pair_policy, terms)
     idx = terms.index
     b = idx.block_dim
 
@@ -333,13 +343,11 @@ def fit(
 def lambda_max(
     data: Dataset,
     f: FeatureMap,
-    index: PairIndex | None = None,
     pair_policy: PairPolicy | None = None,
     terms: ModelTerms | None = None,
 ) -> float:
     """Smallest penalty that provably yields the all-zero solution."""
-    if terms is None:
-        terms = ModelTerms(data, f, index=index, pair_policy=pair_policy)
+    terms = _checked_terms(data, f, pair_policy, terms)
     _, g0 = terms.value_grad(np.zeros(terms.index.dim))
     return float(_kernels.block_norms(g0, terms.index.block_dim).max())
 
@@ -419,13 +427,11 @@ def lambda_path(
     f: FeatureMap,
     schedule,
     cfg: SolverConfig | None = None,
-    index: PairIndex | None = None,
     pair_policy: PairPolicy | None = None,
     terms: ModelTerms | None = None,
 ) -> PathResult:
     """Warm-started fits along a decreasing penalty schedule."""
-    if terms is None:
-        terms = ModelTerms(data, f, index=index, pair_policy=pair_policy)
+    terms = _checked_terms(data, f, pair_policy, terms)
     lam_max = lambda_max(data, f, terms=terms)
 
     entries = []
@@ -482,7 +488,6 @@ def cross_validate(
     folds: int = 5,
     cfg: SolverConfig | None = None,
     seed: int = 0,
-    index: PairIndex | None = None,
     pair_policy: PairPolicy | None = None,
     terms: ModelTerms | None = None,
 ) -> CvResult:
@@ -491,7 +496,8 @@ def cross_validate(
     Each validation fold is scored with its own permuted-pair normalizer, so
     every fold needs at least two samples; ties in the mean score resolve to
     the largest penalty.  ``terms``, the full-data ModelTerms, are reused for
-    lambda_max when no grid is given.
+    lambda_max when no grid is given, and must match the other arguments;
+    the folds take their pair policy.
     """
     if folds < 2:
         raise ConfigError("folds must be >= 2")
@@ -499,10 +505,10 @@ def cross_validate(
         raise ConfigError(
             f"n={data.n} is too small for {folds} folds; every fold needs >= 2 samples"
         )
+    if terms is not None:
+        pair_policy = _checked_terms(data, f, pair_policy, terms).policy
     if lambdas is None:
-        lambdas = default_lambda_grid(
-            lambda_max(data, f, index=index, pair_policy=pair_policy, terms=terms)
-        )
+        lambdas = default_lambda_grid(lambda_max(data, f, pair_policy=pair_policy, terms=terms))
     lambdas = np.sort(np.asarray(lambdas, dtype=np.float64))[::-1]
     if lambdas.size == 0 or lambdas[-1] < 0.0:
         raise ConfigError("lambda grid must be nonempty and nonnegative")
@@ -518,8 +524,8 @@ def cross_validate(
         mask[val_rows] = False
         train = data.subset(np.flatnonzero(mask))
         val = data.subset(val_rows)
-        train_terms = ModelTerms(train, f, index=index, pair_policy=pair_policy)
-        val_terms = ModelTerms(val, f, index=index, pair_policy=pair_policy)
+        train_terms = ModelTerms(train, f, pair_policy=pair_policy)
+        val_terms = ModelTerms(val, f, pair_policy=pair_policy)
         warm = None
         for i, lam in enumerate(lambdas):
             res = fit(train, f, lam, cfg=cfg, warm_start=warm, terms=train_terms)

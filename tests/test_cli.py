@@ -365,12 +365,6 @@ class TestUncertified:
         assert self._warnings(capsys)
 
 
-def subcommands(parser):
-    """The subcommand parsers of ``parser`` by name."""
-    (action,) = [a for a in parser._actions if a.dest in ("command", "family")]
-    return action.choices
-
-
 def parse_outcome(parser, argv, capsys):
     """(exit code, stdout, stderr) of parsing ``argv``."""
     with pytest.raises(SystemExit) as exc:
@@ -379,46 +373,59 @@ def parse_outcome(parser, argv, capsys):
     return exc.value.code, out.out, out.err
 
 
-class TestParser:
-    """``main`` builds only the invoked command's parser; help and errors
-    are the full parser's."""
+def main_outcome(argv, capsys):
+    """(exit code, stdout, stderr) of ``main(argv)`` when parsing exits."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
 
-    @pytest.mark.parametrize("command", ["gen", "gen gaussian", "gen diamond", *cli.COMMANDS[1:]])
-    def test_one_command_help_matches_the_full_parser(self, command):
-        name, *family = command.split()
-        full, one = subcommands(cli.build_parser())[name], subcommands(cli.build_parser(name))[name]
-        if family:
-            full, one = subcommands(full)[family[0]], subcommands(one)[family[0]]
-        assert one.format_help() == full.format_help()
-        assert cli.build_parser(name).format_usage() == cli.build_parser().format_usage()
+
+class TestParser:
+    """``main`` parses with one full parser, built once per process; its help
+    and errors are those of a fresh ``build_parser()``."""
+
+    @pytest.mark.parametrize(
+        "command", ["gen", "gen gaussian", "gen diamond", "fit", "path", "roc", "edges", "align", "diag"]
+    )
+    def test_one_command_help_matches_the_full_parser(self, command, capsys):
+        argv = [*command.split(), "--help"]
+        outcome = main_outcome(argv, capsys)
+        assert outcome == parse_outcome(cli.build_parser(), argv, capsys)
+        assert outcome[0] == 0 and outcome[1].startswith(f"usage: pmnet {command} [-h]")
 
     @pytest.mark.parametrize("argv", [
         ["fit", "--bogus", "1"], ["roc", "--path"], ["gen"], ["gen", "bogus"], ["diag", "--help"],
     ])
     def test_one_command_errors_match_the_full_parser(self, argv, capsys):
-        assert parse_outcome(cli.build_parser(argv[0]), argv, capsys) == \
-            parse_outcome(cli.build_parser(), argv, capsys)
+        assert main_outcome(argv, capsys) == parse_outcome(cli.build_parser(), argv, capsys)
 
-    def test_main_builds_only_the_command(self, tmp_path, monkeypatch):
+    def test_main_builds_the_parser_once(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         built = []
         build = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build(command))
-        assert main(GEN_ARGS) == 0
-        assert built == ["gen"]
-        assert len(subcommands(build("gen"))) == 1
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            assert main(GEN_ARGS) == 0
+            main_outcome(["roc", "--help"], capsys)
+            main_outcome(["bogus"], capsys)
+            assert main(GEN_ARGS) == 0
+            assert len(built) == 1
+            assert cli._parser() is cli._parser()
+        finally:
+            cli._parser.cache_clear()
 
     @pytest.mark.parametrize("argv, code", [([], 2), (["--help"], 0), (["-h"], 0), (["bogus"], 2)])
     def test_no_command_keeps_the_full_parser(self, argv, code, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        out = capsys.readouterr()
-        assert exc.value.code == code
-        assert (code, out.out, out.err) == parse_outcome(cli.build_parser(), argv, capsys)
-        text = out.out + out.err
+        outcome = main_outcome(argv, capsys)
+        assert outcome[0] == code
+        assert outcome == parse_outcome(cli.build_parser(), argv, capsys)
+        text = outcome[1] + outcome[2]
         assert "usage: pmnet [-h] {gen,fit,path,roc,edges,align,diag} ..." in text
         if code == 0:
-            assert all(f"    {name} " in text for name in cli.COMMANDS)
+            commands = ("gen", "fit", "path", "roc", "edges", "align", "diag")
+            assert all(f"    {name} " in text for name in commands)
         else:
             assert ("required: command" if not argv else "invalid choice: 'bogus'") in text
 

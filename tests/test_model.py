@@ -169,16 +169,6 @@ class TestObjective:
         theta = ParamBlocks.zeros(idx)
         assert negative_log_likelihood(theta, small_data, FeatureMap.product(), pair_policy=ALL) == 0.0
 
-    def test_raw_variant_scales_data_term(self, small_data):
-        idx = build_pair_index(small_data.m)
-        theta = random_theta(idx, 2)
-        f = FeatureMap.product()
-        terms = ModelTerms(small_data, f, pair_policy=ALL)
-        norm = terms.value(theta.flat)
-        raw = terms.value(theta.flat, normalized=False)
-        data_term = float(terms.mean_f @ theta.flat)
-        assert raw == pytest.approx(norm - (small_data.n - 1) * data_term, rel=1e-12)
-
     def test_score_is_blockwise_sum(self, small_data):
         idx = build_pair_index(small_data.m)
         theta = random_theta(idx, 6)
@@ -270,12 +260,29 @@ class TestHessian:
         cols = [idx.position(p) for p in sub_pairs]
         sub = hessian(theta, data, f, restrict=sub_pairs, pair_policy=ALL)
         np.testing.assert_allclose(sub, full[np.ix_(cols, cols)], atol=1e-14)
+        assert hessian(theta, data, f, restrict=[], pair_policy=ALL).shape == (0, 0)
 
-    def test_dim_cap(self):
+    def test_dim_cap(self, monkeypatch):
         data = make_dataset(6, 2, 2, seed=33)
         idx = build_pair_index(4)
-        with pytest.raises(SizeError):
-            hessian(ParamBlocks.zeros(idx), data, FeatureMap.product(), dim_cap=3)
+        theta, f = ParamBlocks.zeros(idx), FeatureMap.product()
+        monkeypatch.setattr(model_mod, "HESSIAN_DIM_CAP", 3)
+        assert hessian(theta, data, f, restrict=idx.pairs[:3]).shape == (3, 3)
+        with pytest.raises(SizeError, match="exceeds cap 3"):
+            hessian(theta, data, f)
+        with pytest.raises(SizeError, match="exceeds cap 3"):
+            diagnostics(theta, data, f, idx.pairs[:4])
+
+    def test_rank_one_term_in_row_chunks_is_bit_equal(self, small_data, monkeypatch):
+        terms = ModelTerms(small_data, FeatureMap.product(), pair_policy=ALL)
+        flat = random_theta(terms.index, 8).flat
+        cols = np.array([0, 4, 7])
+        monkeypatch.setattr(model_mod, "GRAM_PANEL_FLOATS", 7)  # g g^T two rows at a time
+        g = terms.value_grad(flat)[1] + terms.mean_f
+        last = terms._last
+        gram = terms.backing.gram(last.weights, np.arange(terms.index.dim), cols)
+        want = gram / last.total - np.outer(g, g[cols])
+        assert terms.hessian(flat, cols).tobytes() == want.tobytes()
 
 
 class TestDiagnostics:
@@ -289,6 +296,22 @@ class TestDiagnostics:
         assert rep.support_size == idx.n_pairs
         assert rep.ratio_bounds.min > 0.0
         assert rep.ratio_bounds.max >= rep.ratio_bounds.min
+
+    def test_h_cols_over_physical_memory_raise_before_the_hessian(self, small_data, monkeypatch):
+        f, support = FeatureMap.product(), [(0, 1), (2, 4)]
+        theta = random_theta(build_pair_index(small_data.m), 44, scale=0.1)
+        need = ModelTerms(small_data, f, pair_policy=ALL).peak_bytes + 8 * theta.index.dim * len(support)
+        monkeypatch.setattr(model_mod, "physical_memory_bytes", lambda: need - 1)
+
+        def builds(*args, **kwargs):
+            raise AssertionError("built the Hessian before the size check")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ModelTerms, "hessian", builds)
+            with pytest.raises(SizeError, match="physical memory"):
+                diagnostics(theta, small_data, f, support, pair_policy=ALL)
+        monkeypatch.setattr(model_mod, "physical_memory_bytes", lambda: need)
+        assert diagnostics(theta, small_data, f, support, pair_policy=ALL).support_size == 2
 
     def test_lambda_min_matches_restricted_hessian(self):
         data = make_dataset(25, 3, 2, seed=42)
@@ -398,7 +421,7 @@ class TestDiagnostics:
 def dense_twin(terms):
     """Same terms with the pair set held as dense permuted feature rows."""
     twin = ModelTerms(terms.data, terms.feature, index=terms.index, pair_policy=terms.policy)
-    pairs = select_ordered_pairs(terms.n, terms.policy)
+    pairs = select_ordered_pairs(terms.data.n, terms.policy)
     twin.backing = DensePairRows(terms.data, terms.feature, terms.index, *pairs)
     return twin
 
@@ -748,9 +771,9 @@ class TestHessianPrimitive:
 class Forgetful(ModelTerms):
     """ModelTerms that drops its remembered point before every evaluation."""
 
-    def value(self, flat, normalized=True):
+    def value(self, flat):
         self._last = None
-        return super().value(flat, normalized)
+        return super().value(flat)
 
     def value_grad(self, flat):
         self._last = None
@@ -795,9 +818,6 @@ class TestLastPointMemo:
                 assert got[1].tobytes() == want[1].tobytes()
             else:
                 assert got == want
-        assert terms.value(q, normalized=False) == ModelTerms(
-            data, f, pair_policy=policy
-        ).value(q, normalized=False)
 
     @pytest.mark.parametrize("layout, rows, policy", MEMO_POLICIES)
     def test_returned_gradient_is_a_copy(self, layout, rows, policy):
@@ -979,37 +999,43 @@ class TestPreflightSize:
         assert terms.n_pairs_used == policy.pair_count(rows)
 
     @pytest.mark.parametrize(
-        "kind, split, policy",
+        "kind, n, split, policy, stride",
         [
-            ("product", (150, 150), ALL),
-            ("product", (150, 150), PairPolicy(cap=1000, seed=1)),
-            ("product", (150, 150), PairPolicy(cap=60, seed=1)),
-            ("squared_product", (30, 270), ALL),
-            ("delta", (150, 150), ALL),
+            ("product", 40, (150, 150), ALL, 97),
+            ("product", 40, (150, 150), PairPolicy(cap=1000, seed=1), 97),
+            ("product", 40, (150, 150), PairPolicy(cap=60, seed=1), 97),
+            ("squared_product", 40, (30, 270), ALL, 97),
+            ("delta", 40, (150, 150), ALL, 97),
+            ("product", 12, (300, 300), ALL, 1999),
         ],
-        ids=["grid", "cells", "dense", "grid-sq-skewed", "grid-delta"],
+        ids=["grid", "cells", "dense", "grid-sq-skewed", "grid-delta", "grid-short-wide"],
     )
-    def test_estimate_bounds_the_allocation(self, kind, split, policy):
-        # wide enough that the per-row feature terms outweigh the fixed panels
+    def test_estimate_bounds_the_allocation(self, kind, n, split, policy, stride):
+        # wide enough that the per-row feature terms outweigh the fixed panels;
+        # H_SS takes every stride-th column
         if kind == "delta":
-            data, f = make_coded_dataset(40, *split, categories=3, seed=5), FeatureMap.kronecker_delta(3)
+            data, f = make_coded_dataset(n, *split, categories=3, seed=5), FeatureMap.kronecker_delta(3)
         else:
-            data, f = make_dataset(40, *split, seed=5), FeatureMap(kind)
+            data, f = make_dataset(n, *split, seed=5), FeatureMap(kind)
         index = build_pair_index(data.m)
         tracemalloc.start()
         try:
             terms = ModelTerms(data, f, pair_policy=policy)
             flat = np.zeros(index.dim)
             terms.value_grad(flat)
-            cols = np.arange(0, index.dim, 97)
+            cols = np.arange(0, index.dim, stride)
             terms.hessian(flat, cols, rows=cols)
+            fitting_peak = tracemalloc.get_traced_memory()[1]
             # diagnostics' H[:, S]: every row against a few columns
             terms.hessian(flat, cols[:8])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         estimate = model_mod._peak_bytes(data, index, policy.pair_count(data.n), policy.layout(data.n))
-        assert peak <= estimate
+        assert estimate == terms.peak_bytes
+        assert fitting_peak <= estimate
+        # diagnostics counts the dim x 8 result on top of the estimate
+        assert peak <= estimate + 8 * index.dim * 8
 
     def test_exact_pairs_at_large_n_exceed_this_machine(self):
         # 300,000 rows have 9e10 ordered pairs; their n x n score grid alone needs 720 GB

@@ -269,8 +269,8 @@ class TestModelSerialization:
                 f = FeatureMap.from_table(np.random.default_rng(72).standard_normal((3, 3, 2)) / 3)
         policy = PairPolicy(kind="all_ordered")
         idx = build_pair_index(data.m, block_dim=f.block_dim)
-        lam = 0.3 * lambda_max(data, f, index=idx, pair_policy=policy)
-        result = fit(data, f, lam, index=idx, pair_policy=policy)
+        lam = 0.3 * lambda_max(data, f, pair_policy=policy)
+        result = fit(data, f, lam, pair_policy=policy)
         assert result.theta_hat.nonzero_pairs()
         path = tmp_path / "fit.json"
         fit_to_json(result, data.partition, f, str(path))

@@ -308,9 +308,10 @@ class TestFit:
     def test_table_fit_certifies(self, coded_data):
         table = FeatureMap.from_table(np.random.default_rng(5).standard_normal((3, 3, 2)))
         index = build_pair_index(coded_data.m, block_dim=2)
-        lam = 0.4 * lambda_max(coded_data, table, index=index, pair_policy=ALL)
-        res = fit(coded_data, table, lam, index=index, pair_policy=ALL)
+        lam = 0.4 * lambda_max(coded_data, table, pair_policy=ALL)
+        res = fit(coded_data, table, lam, pair_policy=ALL)
         assert res.converged
+        assert res.theta_hat.index == index
         assert 0 < len(res.theta_hat.nonzero_pairs()) < index.n_pairs
         g = gradient(res.theta_hat, coded_data, table, pair_policy=ALL)
         assert kkt_residuals(res.theta_hat.flat, g, index, lam).satisfied(1e-6)
@@ -399,6 +400,62 @@ class TestPath:
     def test_unknown_schedule_type(self, small_data):
         with pytest.raises(ConfigError):
             lambda_path(small_data, FeatureMap.product(), object())
+
+
+# each entry point that takes ModelTerms, called with its other arguments fixed
+TERMS_CALLERS = {
+    "fit": lambda data, f, **kw: fit(data, f, 0.05, **kw).theta_hat.flat,
+    "lambda_path": lambda data, f, **kw: lambda_path(data, f, GeometricSchedule(count=3), **kw).lambdas,
+    "lambda_max": lambda_max,
+    "cross_validate": lambda data, f, **kw: cross_validate(data, f, [0.2, 0.05], folds=2, **kw).fold_scores,
+}
+
+
+class TestTermsMustMatch:
+    """Passed ``terms`` must be of the data, feature map and pair policy given with them."""
+
+    @pytest.fixture
+    def two_sets(self):
+        return make_dataset(60, 6, 2, seed=1), make_dataset(60, 6, 2, seed=2)
+
+    @pytest.mark.parametrize("call", TERMS_CALLERS.values(), ids=TERMS_CALLERS.keys())
+    def test_other_data(self, call, two_sets):
+        a, b = two_sets
+        f = FeatureMap.product()
+        with pytest.raises(ConfigError, match="other data"):
+            call(b, f, terms=ModelTerms(a, f))
+
+    @pytest.mark.parametrize("call", TERMS_CALLERS.values(), ids=TERMS_CALLERS.keys())
+    @pytest.mark.parametrize("other", [FeatureMap.squared_product(), FeatureMap.product()],
+                             ids=["sq", "product"])
+    def test_other_feature_map(self, call, other, two_sets):
+        a, _ = two_sets
+        with pytest.raises(ConfigError, match="feature map"):
+            call(a, other, terms=ModelTerms(a, FeatureMap.product()))
+
+    @pytest.mark.parametrize("call", TERMS_CALLERS.values(), ids=TERMS_CALLERS.keys())
+    def test_other_pair_policy(self, call, two_sets):
+        a, _ = two_sets
+        f = FeatureMap.product()
+        with pytest.raises(ConfigError, match="pair policy"):
+            call(a, f, pair_policy=PairPolicy(cap=100, seed=1), terms=ModelTerms(a, f))
+
+    @pytest.mark.parametrize("call", TERMS_CALLERS.values(), ids=TERMS_CALLERS.keys())
+    def test_matching_terms_give_the_unshared_result(self, call, two_sets):
+        a, _ = two_sets
+        f = FeatureMap.product()
+        want = np.asarray(call(a, f))
+        for kw in ({}, {"pair_policy": PairPolicy()}):
+            got = np.asarray(call(a, f, terms=ModelTerms(a, f), **kw))
+            assert got.tobytes() == want.tobytes()
+
+    def test_cv_folds_take_the_policy_of_terms(self, two_sets):
+        a, _ = two_sets
+        # a fold's 30 rows have 870 ordered pairs: the default keeps all, this keeps 500
+        f, sampled = FeatureMap.product(), PairPolicy(cap=500, seed=3)
+        got = cross_validate(a, f, lambdas=[0.2, 0.05], folds=2, terms=ModelTerms(a, f, pair_policy=sampled))
+        want = cross_validate(a, f, lambdas=[0.2, 0.05], folds=2, pair_policy=sampled)
+        assert got.fold_scores.tobytes() == want.fold_scores.tobytes()
 
 
 class TestCrossValidation:
