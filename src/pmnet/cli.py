@@ -12,6 +12,7 @@ stderr and exit 3.
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
@@ -301,16 +302,20 @@ def _cmd_diag(args):
         raise ConfigError("fitted model has empty support; nothing to diagnose")
     # scored on the fit's own pairs
     report = diagnostics(theta, data, feature, sorted(support.active), pair_policy=_pair_policy(payload))
+
+    def number(x):  # strict JSON: an undefined margin or an overflowed bound is null
+        return x if math.isfinite(x) else None
+
     write_json({
         "format_version": 1,
         "support_size": report.support_size,
         "lambda_min": report.lambda_min,
-        "incoherence_margin": report.incoherence_margin,
+        "incoherence_margin": number(report.incoherence_margin),
         "degenerate": report.degenerate,
         "feature_bound_inf": report.feature_bounds.observed_inf,
         "feature_bound_l2": report.feature_bounds.observed_l2,
-        "ratio_min": report.ratio_bounds.min,
-        "ratio_max": report.ratio_bounds.max,
+        "ratio_min": number(report.ratio_bounds.min),
+        "ratio_max": number(report.ratio_bounds.max),
     }, args.out)
     return 0, {"fit": args.fit, "data": args.data}, {"diag": args.out}
 

@@ -7,15 +7,12 @@ vectors are laid out pair-major in the lexicographic order of ``pairs``.
 """
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
-
-CONTINUOUS = "continuous"
-CATEGORICAL = "categorical"
 
 
 @dataclass(frozen=True)
@@ -58,14 +55,13 @@ class Partition:
 class Dataset:
     """Immutable (n, m) sample matrix with its variable partition.
 
-    ``domain_tag`` is "continuous" or "categorical"; categorical data must be
-    integer-coded in [0, categories).  Every value must be finite; the error
-    names the first bad sample row and column (both 1-based).
+    The data are categorical exactly when ``categories`` is given: then every
+    value must be an integer code in [0, categories).  Every value must be
+    finite; the error names the first bad sample row and column (both 1-based).
     """
 
     samples: np.ndarray
     partition: Partition
-    domain_tag: str = CONTINUOUS
     categories: int | None = None
 
     def __post_init__(self):
@@ -78,14 +74,12 @@ class Dataset:
             raise DimensionError(
                 f"samples have {x.shape[1]} columns, partition covers {self.partition.m}"
             )
-        if self.domain_tag not in (CONTINUOUS, CATEGORICAL):
-            raise DomainError(f"unknown domain_tag {self.domain_tag!r}")
         bad = ~np.isfinite(x)
         if bad.any():
             i, j = (int(k) for k in np.argwhere(bad)[0])
             raise DomainError(f"non-finite value {x[i, j]} at sample row {i + 1}, column {j + 1}")
-        if self.domain_tag == CATEGORICAL:
-            if self.categories is None or self.categories < 2:
+        if self.categories is not None:
+            if self.categories < 2:
                 raise DomainError("categorical data needs categories >= 2")
             if np.any(x != np.floor(x)):
                 raise DomainError("categorical data must be integer-coded")
@@ -105,8 +99,8 @@ class Dataset:
         return self.samples.shape[1]
 
     def subset(self, rows) -> "Dataset":
-        """New dataset over the given row indices (same partition/domain)."""
-        return Dataset(self.samples[np.asarray(rows)], self.partition, self.domain_tag, self.categories)
+        """New dataset over the given row indices (same partition and categories)."""
+        return Dataset(self.samples[np.asarray(rows)], self.partition, self.categories)
 
 
 @dataclass(frozen=True)
@@ -235,12 +229,11 @@ class FeatureMap:
 
     Built-in kinds are scalar (block_dim 1): product x_u*x_v, squared product
     x_u^2*x_v^2, and the match indicator 1(x_u == x_v).  ``table`` carries an
-    explicit (categories, categories, block_dim) lookup for coded data.
-    Bounds are declared when known and can be measured from data otherwise.
+    explicit (categories, categories, block_dim) lookup for coded data, whose
+    depth is the block_dim.  Bounds are declared when known.
     """
 
     kind: str
-    block_dim: int = 1
     bound_inf: float | None = None
     bound_l2: float | None = None
     table: np.ndarray | None = None
@@ -249,19 +242,24 @@ class FeatureMap:
     def __post_init__(self):
         if self.kind not in _BUILTIN_KINDS + (TABLE,):
             raise DomainError(f"unknown feature kind {self.kind!r}")
-        if self.kind in _BUILTIN_KINDS and self.block_dim != 1:
-            raise DimensionError(f"{self.kind} features are scalar (block_dim 1)")
         if self.kind == TABLE:
             if self.table is None:
                 raise DomainError("table features need an explicit table")
             tab = np.array(self.table, dtype=np.float64)
             if tab.ndim != 3 or tab.shape[0] != tab.shape[1]:
                 raise DimensionError("table must have shape (k, k, block_dim)")
-            if tab.shape[2] != self.block_dim:
-                raise DimensionError("table depth must equal block_dim")
+            bad = ~np.isfinite(tab)
+            if bad.any():
+                i, j, d = (int(k) for k in np.argwhere(bad)[0])
+                raise DomainError(f"non-finite table entry {tab[i, j, d]} at ({i}, {j}, {d})")
             tab.setflags(write=False)
             object.__setattr__(self, "table", tab)
             object.__setattr__(self, "categories", tab.shape[0])
+
+    @property
+    def block_dim(self) -> int:
+        """Coefficients per pair: the table's depth, 1 for the built-in kinds."""
+        return self.table.shape[2] if self.kind == TABLE else 1
 
     @classmethod
     def product(cls) -> "FeatureMap":
@@ -280,7 +278,7 @@ class FeatureMap:
         tab = np.asarray(table, dtype=np.float64)
         bound_inf = float(np.abs(tab).max())
         bound_l2 = float(np.sqrt((tab**2).sum(axis=2)).max())
-        return cls(TABLE, block_dim=tab.shape[2], bound_inf=bound_inf, bound_l2=bound_l2, table=tab)
+        return cls(TABLE, bound_inf=bound_inf, bound_l2=bound_l2, table=tab)
 
 
 def _check_codes(f: FeatureMap, values: np.ndarray):
@@ -383,14 +381,3 @@ def observed_feature_bounds(f: FeatureMap, x_rows: np.ndarray, index: PairIndex)
     bound_l2 = float(np.sqrt((blocks**2).sum(axis=2)).max())
     return bound_inf, bound_l2
 
-
-def with_measured_bounds(f: FeatureMap, data: Dataset, index: PairIndex) -> FeatureMap:
-    """Copy of ``f`` with bounds filled in from a dataset scan when missing."""
-    if f.bound_inf is not None and f.bound_l2 is not None:
-        return f
-    bound_inf, bound_l2 = observed_feature_bounds(f, data.samples, index)
-    return replace(
-        f,
-        bound_inf=f.bound_inf if f.bound_inf is not None else bound_inf,
-        bound_l2=f.bound_l2 if f.bound_l2 is not None else bound_l2,
-    )

@@ -45,7 +45,6 @@ from .core import (
 )
 from .errors import DimensionError, NumericError, SizeError
 
-HESSIAN_DIM_CAP = 4096
 # floats in each temporary of a Hessian panel (2 MB)
 GRAM_PANEL_FLOATS = 1 << 18
 # A sampled pair set is scored on the factor grid while the n(n-1) ordered
@@ -180,9 +179,9 @@ class DensePairRows:
         # max |F| per column, from two reductions rather than an |F| temporary
         self._col_max = np.maximum(self.f_perm.max(axis=0), -self.f_perm.min(axis=0))
 
-    def scores(self, v: np.ndarray, excluded: float = 0.0) -> tuple[np.ndarray, float]:
-        """F v, one entry per pair (nothing is excluded), and a bound on its
-        magnitude: |F_i v| <= sum over d of max|F[:, d]| |v_d|."""
+    def scores(self, v: np.ndarray) -> tuple[np.ndarray, float]:
+        """F v, one entry per pair, and a bound on its magnitude:
+        |F_i v| <= sum over d of max|F[:, d]| |v_d|."""
         return self.f_perm @ v, float(self._col_max @ np.abs(v))
 
     def spread(self, w: np.ndarray) -> np.ndarray:
@@ -232,7 +231,7 @@ class PairScoreGrid:
     one nonzero (c, c') entry of the feature's bilinear forms, and M_t holds
     the cross-pair blocks contracted with it.  A cross pair whose first variable is in group 2 sees
     the forms transposed.  The diagonal j == k is no permuted pair:
-    ``scores`` fills it with ``excluded``, and weights must be zero there.
+    ``scores`` fills it with -inf, and weights must be zero there.
     With ``cells``, ``scores`` is the 1-D array of the kept cells in order,
     and ``spread`` lays pair weights back out as a grid, zero off the cells.
 
@@ -314,8 +313,8 @@ class PairScoreGrid:
             self._b[:, t * m2 : (t + 1) * m2] = self._beta[:, c * m2 : (c + 1) * m2]
         self._b[:, width] = 1.0
 
-    def scores(self, v: np.ndarray, excluded: float = 0.0) -> tuple[np.ndarray, float]:
-        """F v as an n x n grid, the diagonal holding ``excluded`` (or, with
+    def scores(self, v: np.ndarray) -> tuple[np.ndarray, float]:
+        """F v as an n x n grid, the diagonal holding -inf (or, with
         ``cells``, the kept cells of it), and a bound on the magnitude of the
         pair scores: max_j ||A_j||_1 max|B|."""
         m1, m2 = self._block_shape
@@ -332,7 +331,7 @@ class PairScoreGrid:
         bound = float(np.abs(a).sum(axis=1).max()) * float(np.abs(b).max())
         if self.cells is not None:
             return grid.ravel()[self.cells], bound
-        np.fill_diagonal(grid, excluded)
+        np.fill_diagonal(grid, -np.inf)
         return grid, bound
 
     def spread(self, w: np.ndarray) -> np.ndarray:
@@ -502,6 +501,15 @@ def physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _check_memory(what: str, need: int):
+    """Raise ``SizeError`` when ``need`` bytes exceed physical memory; the
+    message opens with ``what``, which says what needs them."""
+    have = physical_memory_bytes()
+    if need > have:
+        raise SizeError(f"{what} about {need / 2**30:.1f} GiB, more than the "
+                        f"{have / 2**30:.1f} GiB of physical memory")
+
+
 def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, layout: str) -> int:
     """Estimated peak bytes of the arrays ``ModelTerms`` builds for a dataset.
 
@@ -579,18 +587,13 @@ class ModelTerms:
         self.data = data
         self.feature = feature
         self.index = index or build_pair_index(data.m, block_dim=feature.block_dim)
-        if self.index.m != data.m:
-            raise DimensionError("pair index and dataset disagree on m")
+        if self.index.m != data.m or self.index.block_dim != feature.block_dim:
+            raise DimensionError("pair index disagrees with the dataset on m or the feature on block_dim")
         self.policy = pair_policy or PairPolicy()
         pair_count = self.policy.pair_count(data.n)
         layout = self.policy.layout(data.n)
-        self.peak_bytes = need = _peak_bytes(data, self.index, pair_count, layout)
-        have = physical_memory_bytes()
-        if need > have:
-            raise SizeError(
-                f"{pair_count} permuted pairs over {self.index.dim} features need about "
-                f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of physical memory"
-            )
+        self.peak_bytes = _peak_bytes(data, self.index, pair_count, layout)
+        _check_memory(f"{pair_count} permuted pairs over {self.index.dim} features need", self.peak_bytes)
         if layout == "grid":
             self.backing = PairScoreGrid(data, feature, self.index)
         else:
@@ -640,7 +643,7 @@ class ModelTerms:
         flat = self._check_flat(flat)
         # overflow is caught by the guard below; the numpy warning is noise
         with np.errstate(over="ignore", invalid="ignore"):
-            scores, bound = self.backing.scores(flat, excluded=-np.inf)
+            scores, bound = self.backing.scores(flat)
         if not bound < FINITE_SCORE_BOUND:  # also when the bound is NaN
             self._guard_finite(scores, flat)
         return scores
@@ -782,14 +785,12 @@ def hessian(
     covariance over permuted pairs, F^T diag(w) F - g g^T (positive
     semidefinite), built by ``ModelTerms.hessian`` in one call: closed form
     from the grid's factors, or one weighted product of the dense feature
-    rows.  Refuses to materialize more than ``HESSIAN_DIM_CAP`` rows.
+    rows.  A Hessian that, with its symmetrized copy and ``terms.peak_bytes``,
+    exceeds physical memory raises ``SizeError`` before it is built.
     """
     terms = _terms_for(theta, data, f, pair_policy)
     cols = _restrict_columns(theta.index, restrict)
-    if cols.size > HESSIAN_DIM_CAP:
-        raise SizeError(
-            f"restricted Hessian dimension {cols.size} exceeds cap {HESSIAN_DIM_CAP}"
-        )
+    _check_memory(f"the {cols.size} x {cols.size} Hessian needs", terms.peak_bytes + 16 * cols.size**2)
     return _hessian_from_terms(terms, theta.flat, cols)
 
 
@@ -826,6 +827,7 @@ class DiagnosticsReport:
     Hessian; ``incoherence_margin`` is one minus the largest entrywise-L1
     norm of the complement-to-support Hessian alignment.  ``degenerate``
     marks a singular restricted Hessian, in which case the margin is NaN.
+    A ratio bound past the float64 range is inf.
     """
 
     lambda_min: float
@@ -872,9 +874,8 @@ def diagnostics(
     weighted product on dense rows); H_SS and the complement's rows are
     slices of them.  Feature bounds scan the permuted samples in panels;
     the ratio bounds score the data rows' features, built here, and the
-    pair set's scores.  A support over ``HESSIAN_DIM_CAP`` coordinates, or
-    an H[:, S] that with ``terms.peak_bytes`` exceeds physical memory,
-    raises ``SizeError`` before the Hessian is built.
+    pair set's scores.  An H[:, S] that with ``terms.peak_bytes`` exceeds
+    physical memory raises ``SizeError`` before the Hessian is built.
     """
     index = theta_star.index
     support_pairs = [tuple(p) for p in support]
@@ -887,12 +888,7 @@ def diagnostics(
 
     terms = _terms_for(theta_star, data, f, pair_policy)
     s_cols = _restrict_columns(index, support_pairs)
-    if s_cols.size > HESSIAN_DIM_CAP:
-        raise SizeError(f"support dimension {s_cols.size} exceeds cap {HESSIAN_DIM_CAP}")
-    need, have = terms.peak_bytes + 8 * index.dim * s_cols.size, physical_memory_bytes()
-    if need > have:
-        raise SizeError(f"H[:, S] needs about {need / 2**30:.1f} GiB, more than the "
-                        f"{have / 2**30:.1f} GiB of physical memory")
+    _check_memory("H[:, S] needs", terms.peak_bytes + 8 * index.dim * s_cols.size)
 
     # H[:, S]; rows for the complement come from the same columns
     h_cols = terms.hessian(theta_star.flat, s_cols)
@@ -922,7 +918,8 @@ def diagnostics(
     # every pair score passed the finite guard; -inf marks the grid's diagonal
     scores_perm = scores_perm[np.isfinite(scores_perm)]
     log_ratios = np.concatenate([scores_data, scores_perm]) - log_norm
-    ratios = RatioBounds(float(np.exp(log_ratios.min())), float(np.exp(log_ratios.max())))
+    with np.errstate(over="ignore"):  # a bound past float64 is inf
+        ratios = RatioBounds(float(np.exp(log_ratios.min())), float(np.exp(log_ratios.max())))
 
     return DiagnosticsReport(
         lambda_min=lambda_min,

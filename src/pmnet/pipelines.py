@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .core import CATEGORICAL, CONTINUOUS, TABLE, Dataset, FeatureMap, Partition, build_pair_index
+from .core import TABLE, Dataset, FeatureMap, Partition, build_pair_index
 from .errors import ConfigError, DimensionError, DomainError, ParseError, PmnetError
 from .model import ParamBlocks
 from .solver import FitResult, PathResult
@@ -146,7 +146,7 @@ def load_csv_dataset(path: str, partition_spec: str, categories: int | None = No
                     f"{path}: line {i + offset}, column {j + 1}: bad number {cell!r}"
                 ) from None
     partition = parse_partition_spec(partition_spec, m, headers)
-    return Dataset(values, partition, CATEGORICAL if categories else CONTINUOUS, categories)
+    return Dataset(values, partition, categories)
 
 
 def save_csv_dataset(data: Dataset, path: str):
@@ -251,10 +251,7 @@ def window_sequences(seq1, seq2, cfg: SequencePairConfig) -> Dataset:
         return np.column_stack([s[j * cfg.step : j * cfg.step + cfg.window] for j in range(count)])
 
     x = np.hstack([_columns(s1, m1), _columns(s2, m2)])
-    partition = Partition(tuple(range(m1)), tuple(range(m1, m1 + m2)))
-    if cfg.alphabet == "coded":
-        return Dataset(x, partition, CATEGORICAL, categories)
-    return Dataset(x, partition)
+    return Dataset(x, Partition(tuple(range(m1)), tuple(range(m1, m1 + m2))), categories)
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +402,11 @@ def fit_to_json(
 
 
 def fit_from_json(path: str) -> tuple[ParamBlocks, Partition, FeatureMap, dict]:
+    """A fit's coefficients, partition, feature and payload; each pair's
+    block holds the feature's block_dim finite coefficients."""
+
     def decode(payload):
         m = payload["m"]
-        index = build_pair_index(m, payload.get("include_diagonal", False), payload.get("block_dim", 1))
-        flat = np.zeros(index.dim)
-        for entry in payload["theta"]:
-            flat[index.slice_of((entry["u"], entry["v"]))] = entry["coef"]
         partition = parse_partition_spec(payload["partition"], m)
         for key, low in (("categories", 2), ("pair_seed", 0), ("pair_cap", 1)):
             value = payload.get(key)
@@ -422,18 +418,20 @@ def fit_from_json(path: str) -> tuple[ParamBlocks, Partition, FeatureMap, dict]:
             feature = FeatureMap.from_table(payload["table"])
         else:
             feature = feature_by_name(payload["feature"], payload.get("categories"))
+        dim = feature.block_dim
+        index = build_pair_index(m, payload.get("include_diagonal", False), dim)
+        flat = np.zeros(index.dim)
+        for entry in payload["theta"]:
+            pair, coef = (entry["u"], entry["v"]), np.asarray(entry["coef"], dtype=np.float64)
+            if coef.shape != (dim,) or not np.isfinite(coef).all():
+                raise ParseError(f"pair {pair} must have {dim} finite coefficient(s), got {entry['coef']!r}")
+            flat[index.slice_of(pair)] = coef
         return ParamBlocks(flat, index), partition, feature, payload
 
     return read_json(path, decode)
 
 
-def path_to_json(
-    result: PathResult,
-    partition: Partition,
-    feature: FeatureMap,
-    path: str,
-    extras: dict | None = None,
-):
+def path_to_json(result: PathResult, partition: Partition, feature: FeatureMap, path: str):
     entries = []
     for e in result.entries:
         entries.append(
@@ -454,7 +452,7 @@ def path_to_json(
         "stop_reason": result.stop_reason,
         "entries": entries,
     }
-    write_json({**payload, **(extras or {})}, path)
+    write_json(payload, path)
 
 
 def truth_to_json(truth: SupportSet, m: int, path: str, extras: dict | None = None):

@@ -43,6 +43,17 @@ DAMPING = 0.5
 # sweeps.
 FORCING = 0.1
 MAX_SWEEPS = 50
+# An until-support walk stops after this many penalties when the support
+# never grows; cross-validation's default grid has this many penalties.
+UNTIL_MAX_STEPS = 200
+CV_GRID_SIZE = 20
+
+
+def _check_finite(name: str, value: float, positive: bool = True):
+    """``ConfigError`` naming ``value`` unless it is finite and positive
+    (nonnegative when not ``positive``)."""
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        raise ConfigError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +67,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ConfigError("max_iter must be positive")
-        if self.tol_kkt <= 0.0:
-            raise ConfigError("tol_kkt must be positive")
+        _check_finite("tol_kkt", self.tol_kkt)
 
 
 def group_soft_threshold(v: np.ndarray, tau: float, block_dim: int = 1) -> np.ndarray:
@@ -272,8 +282,7 @@ def fit(
     A start that already satisfies the KKT conditions (for instance zero at
     lam >= lambda_max) returns after no iteration and builds no Hessian.
     """
-    if lam < 0.0:
-        raise ConfigError("lam must be nonnegative")
+    _check_finite("lam", lam, positive=False)
     cfg = cfg or SolverConfig()
     terms = _checked_terms(data, f, pair_policy, terms)
     idx = terms.index
@@ -379,8 +388,8 @@ class GeometricSchedule:
             raise ConfigError("factor must lie in (0, 1)")
         if self.count < 1:
             raise ConfigError("count must be positive")
-        if self.start is not None and self.start <= 0.0:
-            raise ConfigError("start must be positive")
+        if self.start is not None:
+            _check_finite("start", self.start)
 
 
 @dataclass(frozen=True)
@@ -388,21 +397,20 @@ class UntilSupportSchedule:
     """Shrink the penalty geometrically until the support exceeds cap_k.
 
     cap_k = 0 degenerates to a single entry at lambda_max (the null-model
-    baseline).  ``max_steps`` bounds the walk when the support never grows.
+    baseline).  The walk stops after ``UNTIL_MAX_STEPS`` penalties when the
+    support never grows.
     """
 
     start: float = 10.0
     factor: float = 0.8
     cap_k: int = 15
-    max_steps: int = 200
 
     def __post_init__(self):
         if not 0.0 < self.factor < 1.0:
             raise ConfigError("factor must lie in (0, 1)")
-        if self.start <= 0.0:
-            raise ConfigError("start must be positive")
-        if self.cap_k < 0 or self.max_steps < 1:
-            raise ConfigError("cap_k must be >= 0 and max_steps >= 1")
+        _check_finite("start", self.start)
+        if self.cap_k < 0:
+            raise ConfigError("cap_k must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,7 +456,7 @@ def lambda_path(
     if isinstance(schedule, UntilSupportSchedule):
         lam = min(schedule.start, lam_max)
         stop_reason = "grid_exhausted"
-        for _ in range(schedule.max_steps):
+        for _ in range(UNTIL_MAX_STEPS):
             res = fit(data, f, lam, cfg=cfg, warm_start=warm, terms=terms)
             warm = res.theta_hat
             size = len(res.theta_hat.nonzero_pairs())
@@ -474,11 +482,11 @@ class CvResult:
     uncertified: tuple[tuple[int, float, int, float], ...] = ()
 
 
-def default_lambda_grid(lam_max: float, count: int = 20) -> np.ndarray:
-    """Geometric grid spanning [1e-3 * lam_max, lam_max], descending."""
+def default_lambda_grid(lam_max: float) -> np.ndarray:
+    """``CV_GRID_SIZE`` geometric steps spanning [1e-3 * lam_max, lam_max], descending."""
     if lam_max <= 0.0:
         raise ConfigError("lambda_max is zero; supply an explicit grid")
-    return np.geomspace(lam_max, 1e-3 * lam_max, count)
+    return np.geomspace(lam_max, 1e-3 * lam_max, CV_GRID_SIZE)
 
 
 def cross_validate(
@@ -510,8 +518,10 @@ def cross_validate(
     if lambdas is None:
         lambdas = default_lambda_grid(lambda_max(data, f, pair_policy=pair_policy, terms=terms))
     lambdas = np.sort(np.asarray(lambdas, dtype=np.float64))[::-1]
-    if lambdas.size == 0 or lambdas[-1] < 0.0:
-        raise ConfigError("lambda grid must be nonempty and nonnegative")
+    if lambdas.size == 0:
+        raise ConfigError("lambda grid must be nonempty")
+    for lam in lambdas.tolist():
+        _check_finite("every lambda of the grid", lam, positive=False)
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(data.n)

@@ -26,6 +26,8 @@ from .model import ModelTerms, PairPolicy, ParamBlocks
 from .structure import SupportSet
 
 ENUMERATION_CAP = 64
+# variance of the diamond density's Gaussian factor
+DIAMOND_BASE_VARIANCE = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,25 +141,20 @@ class McmcConfig:
 class DiamondSpec:
     """Independent 4-variable blocks (a, b, c, d) with density proportional to
 
-        exp(-rho * a^2 b^2 - 0.5 b c - 0.5 b d) * N(0, base_variance * I4).
+        exp(-rho * a^2 b^2 - 0.5 b c - 0.5 b d) * N(0, DIAMOND_BASE_VARIANCE * I4).
 
     Group 1 collects every ``a``; b, c, d go to group 2, so the planted
-    cross-group pairs are (a_i, b_i).  ``rho`` must be finite and >= 0 and
-    ``base_variance`` finite and > 0, or the density has no normalizer.
+    cross-group pairs are (a_i, b_i).  ``rho`` must be finite and >= 0, or
+    the density has no normalizer.
     """
 
     blocks: int = 13
     rho: float = 1.0
-    base_variance: float = 0.5
     mcmc: McmcConfig = McmcConfig()
 
     def __post_init__(self):
         if self.blocks < 1:
             raise GeneratorError("need at least one block")
-        if not (math.isfinite(self.base_variance) and self.base_variance > 0.0):
-            raise GeneratorError(
-                f"base_variance must be positive and finite, got {self.base_variance!r}"
-            )
         # at rho < 0 the a^2 b^2 term outgrows the Gaussian factor: no density
         if not (math.isfinite(self.rho) and self.rho >= 0.0):
             raise GeneratorError(f"rho must be finite and >= 0, got {self.rho!r}")
@@ -184,7 +181,7 @@ def sample_diamond(spec: DiamondSpec, n: int) -> Dataset:
         raise DimensionError("need at least two samples")
     cfg = spec.mcmc
     total = cfg.burn_in + n * cfg.thinning
-    gauss_coeff = 1.0 / (2.0 * spec.base_variance)
+    gauss_coeff = 1.0 / (2.0 * DIAMOND_BASE_VARIANCE)
     children = np.random.SeedSequence(cfg.seed).spawn(spec.blocks)
     x = np.empty((n, spec.m))
     for b in range(spec.blocks):

@@ -19,12 +19,7 @@ def make_dataset(n, m1, m2, seed=0, scale=1.0):
 def make_coded_dataset(n, m1, m2, categories=3, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.integers(0, categories, size=(n, m1 + m2)).astype(np.float64)
-    return Dataset(
-        x,
-        Partition(tuple(range(m1)), tuple(range(m1, m1 + m2))),
-        domain_tag="categorical",
-        categories=categories,
-    )
+    return Dataset(x, Partition(tuple(range(m1)), tuple(range(m1, m1 + m2))), categories)
 
 
 @pytest.fixture

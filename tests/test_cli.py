@@ -527,6 +527,28 @@ class TestErrorPaths:
         assert repr(flags[-1].partition(":")[2] or flags[-1]) in err  # quotes the bad value
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("path", ["--tol-kkt", "inf"], "tol_kkt must be finite and > 0, got inf"),
+            ("path", ["--tol-kkt", "nan"], "tol_kkt must be finite and > 0, got nan"),
+            ("fit", ["--lambda", "nan"], "lam must be finite and >= 0, got nan"),
+            ("fit", ["--lambda", "inf"], "lam must be finite and >= 0, got inf"),
+            ("path", ["--schedule", "geom:nan,0.7,5"], "start must be finite and > 0, got nan"),
+            ("path", ["--schedule", "until:15,inf,0.8"], "start must be finite and > 0, got inf"),
+        ],
+        ids=["tol_kkt_inf", "tol_kkt_nan", "lambda_nan", "lambda_inf", "geom_start_nan", "until_start_inf"],
+    )
+    def test_non_finite_solver_inputs(self, tmp_path, monkeypatch, capsys, command, flags, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(GEN_ARGS) == 0
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        argv = [command, "--data", "data.csv", "--partition", "1-6|7-8", *flags, "--out", "out.json"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"pmnet: error: {message}\n"
+        assert sorted(tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("command", ["fit", "path"])
     def test_negative_pair_seed(self, tmp_path, monkeypatch, capsys, command):
         monkeypatch.chdir(tmp_path)
@@ -615,8 +637,18 @@ class TestMalformedInputs:
             ("edges --fit", "partition", "1-6", "partition spec must contain exactly one '|'"),
             ("roc --path", "entries", [], "path has no entries"),
             ("roc --truth", "pairs", [[0, 99]], "active pairs must lie inside the universe"),
+            # json writes these as NaN and Infinity, which Python's json reads
+            ("edges --fit", "theta", [{"u": 0, "v": 6, "coef": [float("nan")]}],
+             "pair (0, 6) must have 1 finite coefficient(s), got [nan]"),
+            ("edges --fit", "theta", [{"u": 0, "v": 6, "coef": [float("inf")]}],
+             "pair (0, 6) must have 1 finite coefficient(s), got [inf]"),
+            ("diag --fit", "theta", [{"u": 0, "v": 6, "coef": [float("nan")]}],
+             "pair (0, 6) must have 1 finite coefficient(s), got [nan]"),
+            ("diag --fit", "theta", [{"u": 0, "v": 6, "coef": [float("inf")]}],
+             "pair (0, 6) must have 1 finite coefficient(s), got [inf]"),
         ],
-        ids=["pair_outside_index", "reversed_pair", "bad_partition", "no_entries", "truth_pair_outside"],
+        ids=["pair_outside_index", "reversed_pair", "bad_partition", "no_entries", "truth_pair_outside",
+             "edges_nan_coef", "edges_inf_coef", "diag_nan_coef", "diag_inf_coef"],
     )
     def test_decoding_errors_name_the_file(self, tmp_path, monkeypatch, capsys, valid_files,
                                            command, key, value, message):
@@ -632,6 +664,42 @@ class TestMalformedInputs:
         assert capsys.readouterr().err == f"pmnet: error: bad.json: {message}\n"
         assert sorted(tmp_path.iterdir()) == before
 
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestDiagStrictJson:
+    """diag.json is strict JSON: an undefined margin, or a ratio bound past
+    the float64 range, is written as null."""
+
+    def test_degenerate_margin_is_null(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        x = np.random.default_rng(0).standard_normal((30, 3))
+        np.savetxt("twin.csv", np.column_stack([x, x[:, 2]]), delimiter=",")  # columns 3 and 4 equal
+        theta = [{"u": 0, "v": 2, "coef": [0.1]}, {"u": 0, "v": 3, "coef": [0.1]}]
+        Path("fit.json").write_text(json.dumps(
+            {"m": 4, "partition": "1-2|3-4", "feature": "product", "theta": theta}
+        ))
+        assert main(["diag", "--fit", "fit.json", "--data", "twin.csv", "--out", "diag.json"]) == 0
+        report = json.loads(Path("diag.json").read_text(), parse_constant=reject_constant)
+        assert report["degenerate"] is True
+        assert report["incoherence_margin"] is None
+        assert report["ratio_max"] > 0.0
+
+    def test_overflowing_ratio_bound_is_null(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        # every data row scores 100 v^2, far above any permuted pair's 100 v_j v_k
+        v = np.arange(1.0, 11.0)
+        np.savetxt("peak.csv", np.column_stack([v, np.zeros(10), v]), delimiter=",")
+        Path("fit.json").write_text(json.dumps(
+            {"m": 3, "partition": "1-2|3", "feature": "product", "theta": [{"u": 0, "v": 2, "coef": [100.0]}]}
+        ))
+        assert main(["diag", "--fit", "fit.json", "--data", "peak.csv", "--out", "diag.json"]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads(Path("diag.json").read_text(), parse_constant=reject_constant)
+        assert report["ratio_max"] is None
+        assert report["ratio_min"] >= 0.0
 
 
 class TestCodedDiag:

@@ -17,7 +17,6 @@ from pmnet import (
 from pmnet.core import (
     observed_feature_bounds,
     permuted_matrix,
-    with_measured_bounds,
 )
 
 from conftest import make_coded_dataset, make_dataset
@@ -76,15 +75,15 @@ class TestDataset:
 
     def test_categorical_checks(self):
         p = Partition((0,), (1,))
-        Dataset([[0, 1], [2, 0]], p, domain_tag="categorical", categories=3)
+        assert Dataset([[0, 1], [2, 0]], p, categories=3).categories == 3
         with pytest.raises(DomainError):
-            Dataset([[0, 1], [3, 0]], p, domain_tag="categorical", categories=3)
+            Dataset([[0, 1], [3, 0]], p, categories=3)
         with pytest.raises(DomainError):
-            Dataset([[0.5, 1], [0, 0]], p, domain_tag="categorical", categories=3)
-        with pytest.raises(DomainError):
-            Dataset([[0, 1], [1, 0]], p, domain_tag="categorical", categories=None)
-        with pytest.raises(DomainError):
-            Dataset([[0, 1], [1, 0]], p, domain_tag="weird")
+            Dataset([[0.5, 1], [0, 0]], p, categories=3)
+        with pytest.raises(DomainError, match="categories >= 2"):
+            Dataset([[0, 1], [1, 0]], p, categories=1)
+        # without a category count the same values are continuous data
+        assert Dataset([[0.5, 1], [3, 0]], p).categories is None
 
     def test_subset_keeps_partition(self):
         d = make_dataset(6, 2, 2, seed=1)
@@ -236,8 +235,18 @@ class TestFeatures:
             FeatureMap("table")
         with pytest.raises(DomainError):
             FeatureMap("nope")
-        with pytest.raises(DimensionError):
-            FeatureMap("product", block_dim=2)
+
+    def test_block_dim_is_the_table_depth(self):
+        assert FeatureMap.product().block_dim == 1
+        assert FeatureMap.kronecker_delta(3).block_dim == 1
+        assert FeatureMap.from_table(np.zeros((3, 3, 2))).block_dim == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_table_rejects_non_finite(self, bad):
+        table = np.zeros((2, 2, 3))
+        table[1, 0, 2] = bad
+        with pytest.raises(DomainError, match=r"non-finite table entry .* at \(1, 0, 2\)"):
+            FeatureMap.from_table(table)
 
     def test_matrix_agrees_with_scalar_eval(self):
         d = make_dataset(8, 3, 2, seed=5)
@@ -271,11 +280,3 @@ class TestFeatures:
         mat = np.abs(pair_feature_matrix(f, d.samples, idx))
         assert inf == pytest.approx(mat.max())
         assert l2 == pytest.approx(mat.max())  # scalar blocks: same value
-
-    def test_with_measured_bounds_fills_missing_only(self):
-        d = make_dataset(10, 2, 2, seed=4)
-        idx = build_pair_index(4)
-        filled = with_measured_bounds(FeatureMap.product(), d, idx)
-        assert filled.bound_inf is not None and filled.bound_l2 is not None
-        delta = FeatureMap.kronecker_delta()
-        assert with_measured_bounds(delta, d, idx) is delta

@@ -3,7 +3,7 @@ import pytest
 
 import pmnet
 from pmnet import _kernels as K
-from pmnet.synth import DiamondSpec
+from pmnet.synth import DIAMOND_BASE_VARIANCE, DiamondSpec
 
 
 def test_backend_name_matches_flag():
@@ -30,7 +30,7 @@ class TestNumpyVariants:
 def diamond_log_density(spec, x):
     """Unnormalized log-density of one (a, b, c, d) block, as DiamondSpec states it."""
     a, b, c, d = x
-    gauss_coeff = 1.0 / (2.0 * spec.base_variance)
+    gauss_coeff = 1.0 / (2.0 * DIAMOND_BASE_VARIANCE)
     return (
         -spec.rho * a * a * b * b
         - 0.5 * b * c
@@ -70,7 +70,7 @@ def check_chain_against_reference_loop(burn_in, thinning, n_keep):
             kept.append(x)
 
     got, got_accepted = K.diamond_chain(
-        spec.rho, 1.0 / (2.0 * spec.base_variance), np.zeros(4), steps, log_u, burn_in, thinning, n_keep
+        spec.rho, 1.0 / (2.0 * DIAMOND_BASE_VARIANCE), np.zeros(4), steps, log_u, burn_in, thinning, n_keep
     )
     if total > 20:
         assert 0 < accepted < total

@@ -197,6 +197,12 @@ class TestObjective:
             negative_log_likelihood(theta, small_data, FeatureMap.product(), pair_policy=ALL)
 
 
+    @pytest.mark.parametrize("m, block_dim", [(4, 1), (5, 2)])
+    def test_index_must_match_the_data_and_feature(self, small_data, m, block_dim):
+        with pytest.raises(DimensionError, match="disagrees"):
+            ModelTerms(small_data, FeatureMap.product(), index=build_pair_index(m, block_dim=block_dim))
+
+
 class TestGradient:
     def test_matches_finite_differences(self):
         data = make_dataset(9, 3, 2, seed=21)
@@ -262,15 +268,21 @@ class TestHessian:
         np.testing.assert_allclose(sub, full[np.ix_(cols, cols)], atol=1e-14)
         assert hessian(theta, data, f, restrict=[], pair_policy=ALL).shape == (0, 0)
 
-    def test_dim_cap(self, monkeypatch):
+    def test_over_physical_memory_raises_before_gram(self, monkeypatch):
         data = make_dataset(6, 2, 2, seed=33)
         idx = build_pair_index(4)
         theta, f = ParamBlocks.zeros(idx), FeatureMap.product()
-        monkeypatch.setattr(model_mod, "HESSIAN_DIM_CAP", 3)
-        assert hessian(theta, data, f, restrict=idx.pairs[:3]).shape == (3, 3)
-        with pytest.raises(SizeError, match="exceeds cap 3"):
+        # room for the terms themselves, none for a Hessian on top of them
+        peak = ModelTerms(data, f).peak_bytes
+        monkeypatch.setattr(model_mod, "physical_memory_bytes", lambda: peak)
+
+        def builds(*args, **kwargs):
+            raise AssertionError("ran gram before the size check")
+
+        monkeypatch.setattr(model_mod.PairScoreGrid, "gram", builds)
+        with pytest.raises(SizeError, match=r"the 6 x 6 Hessian needs .* physical memory"):
             hessian(theta, data, f)
-        with pytest.raises(SizeError, match="exceeds cap 3"):
+        with pytest.raises(SizeError, match=r"H\[:, S\] needs .* physical memory"):
             diagnostics(theta, data, f, idx.pairs[:4])
 
     def test_rank_one_term_in_row_chunks_is_bit_equal(self, small_data, monkeypatch):
@@ -466,7 +478,7 @@ def grid_problems(draw):
     else:
         categories = draw(st.integers(2, 4))
         codes = rng.integers(0, categories, size=(n, m)).astype(np.float64)
-        data = Dataset(codes, partition, "categorical", categories)
+        data = Dataset(codes, partition, categories)
         if kind == "table":
             # asymmetric in its two code arguments, so a flipped pair matters
             f = FeatureMap.from_table(rng.standard_normal((categories, categories, draw(st.integers(1, 2)))))
@@ -509,7 +521,7 @@ class TestScoreGrid:
     def test_flipped_table_pair_sees_transposed_table(self):
         # the only pair is (0, 1) with variable 0 in group 2: psi = table[x_0, x_1]
         codes = np.random.default_rng(4).integers(0, 3, size=(6, 2)).astype(np.float64)
-        data = Dataset(codes, Partition((1,), (0,)), "categorical", 3)
+        data = Dataset(codes, Partition((1,), (0,)), 3)
         table = FeatureMap.from_table(np.arange(18.0).reshape(3, 3, 2) / 10.0)
         theta = ParamBlocks([0.3, -0.2], build_pair_index(2, block_dim=2))
         est = normalizer_hat(theta, data, table, ALL)
@@ -589,7 +601,7 @@ class TestScoreGrid:
         if kind in ("product", "squared_product"):
             data, f = Dataset(rng.standard_normal((13, 7)), partition), FeatureMap(kind)
         else:
-            data = Dataset(rng.integers(0, 3, size=(13, 7)).astype(np.float64), partition, "categorical", 3)
+            data = Dataset(rng.integers(0, 3, size=(13, 7)).astype(np.float64), partition, 3)
             f = {"delta": FeatureMap.kronecker_delta(3), "delta_uncoded": FeatureMap.kronecker_delta(),
                  "table": FeatureMap.from_table(rng.standard_normal((3, 3, 2)))}[kind]
         idx = build_pair_index(7, include_diagonal=diagonal, block_dim=f.block_dim)
@@ -686,7 +698,7 @@ class TestGramPlan:
         if kind in ("product", "squared_product"):
             data, f = Dataset(rng.standard_normal((13, 7)), partition), FeatureMap(kind)
         else:
-            data = Dataset(rng.integers(0, 3, size=(13, 7)).astype(np.float64), partition, "categorical", 3)
+            data = Dataset(rng.integers(0, 3, size=(13, 7)).astype(np.float64), partition, 3)
             f = FeatureMap.kronecker_delta(3) if kind == "delta" else FeatureMap.from_table(
                 rng.standard_normal((3, 3, 2)))
         idx = build_pair_index(7, block_dim=f.block_dim)
@@ -905,6 +917,13 @@ class TestFiniteGuard:
         flat[index.slice_of(self.PAIR)] = value
         return flat
 
+    @staticmethod
+    def pair_scores(scores):
+        """The scores of the pairs: off the full grid's -inf diagonal."""
+        if scores.ndim == 1:
+            return scores
+        return scores[~np.eye(scores.shape[0], dtype=bool)]
+
     def spy_scan(self, terms, monkeypatch):
         scans = []
         scan = terms.backing.bad_pair_features
@@ -924,8 +943,8 @@ class TestFiniteGuard:
         assert layout_of(terms) == layout
         flat = self.theta_on_pair(terms.index, value)
         with np.errstate(over="ignore", invalid="ignore"):
-            scores, bound = terms.backing.scores(flat, excluded=0.0)
-        assert not np.isfinite(scores).all()
+            scores, bound = terms.backing.scores(flat)
+        assert not np.isfinite(self.pair_scores(scores)).all()
         assert not bound < model_mod.FINITE_SCORE_BOUND
         if np.isnan(value):
             assert np.isnan(bound)
@@ -941,7 +960,7 @@ class TestFiniteGuard:
         assert layout_of(terms) == layout
         flat = self.theta_on_pair(terms.index, 1e300)
         scores, bound = terms.backing.scores(flat)
-        assert np.isfinite(scores).all()
+        assert np.isfinite(self.pair_scores(scores)).all()
         assert bound >= model_mod.FINITE_SCORE_BOUND
         scans = self.spy_scan(terms, monkeypatch)
         value, grad = terms.value_grad(flat)

@@ -193,7 +193,6 @@ class TestSequences:
 
     def test_window_layout_coded(self):
         data = window_sequences("abcab", "bbab", SequencePairConfig(window=3, alphabet="coded"))
-        assert data.domain_tag == "categorical"
         assert data.categories == 3
         assert data.n == 3
 
@@ -298,6 +297,34 @@ class TestModelSerialization:
         del payload["table"]
         path.write_text(json.dumps(payload))
         with pytest.raises(ParseError, match="table"):
+            fit_from_json(str(path))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_table_fit_with_non_finite_table_is_rejected(self, tmp_path, bad):
+        data = make_coded_dataset(12, 1, 2, categories=2, seed=74)
+        f = FeatureMap.from_table(np.ones((2, 2, 1)))
+        result = fit(data, f, 1.0, pair_policy=PairPolicy(kind="all_ordered"))
+        path = tmp_path / "fit.json"
+        fit_to_json(result, data.partition, f, str(path))
+        payload = json.loads(path.read_text())
+        payload["table"][1][0][0] = bad
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DomainError, match=r"fit\.json: non-finite table entry .* at \(1, 0, 0\)"):
+            fit_from_json(str(path))
+
+    def test_coefficients_must_fill_the_feature_block(self, tmp_path):
+        data = make_coded_dataset(12, 1, 2, categories=2, seed=74)
+        f = FeatureMap.from_table(np.random.default_rng(1).standard_normal((2, 2, 2)))
+        result = fit(data, f, 0.01, pair_policy=PairPolicy(kind="all_ordered"))
+        path = tmp_path / "fit.json"
+        fit_to_json(result, data.partition, f, str(path))
+        payload = json.loads(path.read_text())
+        payload["block_dim"] = 1  # the table is 2 deep
+        entry = payload["theta"][0]
+        entry["coef"] = entry["coef"][:1]
+        path.write_text(json.dumps(payload))
+        pair = rf"\({entry['u']}, {entry['v']}\)"
+        with pytest.raises(ParseError, match=rf"fit\.json: pair {pair} must have 2 finite coefficient"):
             fit_from_json(str(path))
 
     @pytest.mark.parametrize("categories", [3, None])

@@ -346,6 +346,16 @@ class TestFit:
         with pytest.raises(ConfigError):
             SolverConfig(tol_kkt=0.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_tol_kkt_rejected(self, bad):
+        with pytest.raises(ConfigError, match=f"tol_kkt must be finite and > 0, got {bad!r}"):
+            SolverConfig(tol_kkt=bad)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_lam_rejected(self, small_data, bad):
+        with pytest.raises(ConfigError, match=f"lam must be finite and >= 0, got {bad!r}"):
+            fit(small_data, FeatureMap.product(), bad)
+
     def test_negative_lam_rejected(self, small_data):
         with pytest.raises(ConfigError):
             fit(small_data, FeatureMap.product(), -0.1)
@@ -389,13 +399,20 @@ class TestPath:
         lmax = lambda_max(small_data, f, pair_policy=ALL)
         assert res.entries[0].lam == pytest.approx(min(10.0, lmax))
 
-    def test_until_support_respects_max_steps(self, small_data):
+    def test_until_support_respects_max_steps(self, small_data, monkeypatch):
         f = FeatureMap.product()
         lmax = lambda_max(small_data, f, pair_policy=ALL)
-        sched = UntilSupportSchedule(start=100 * lmax, factor=0.99, cap_k=1000, max_steps=4)
+        monkeypatch.setattr(solver, "UNTIL_MAX_STEPS", 4)
+        sched = UntilSupportSchedule(start=100 * lmax, factor=0.99, cap_k=1000)
         res = lambda_path(small_data, f, sched, pair_policy=ALL)
         assert len(res.entries) == 4
         assert res.stop_reason == "grid_exhausted"
+
+    @pytest.mark.parametrize("schedule", [GeometricSchedule, UntilSupportSchedule])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_start_rejected(self, schedule, bad):
+        with pytest.raises(ConfigError, match=f"start must be finite and > 0, got {bad!r}"):
+            schedule(start=bad)
 
     def test_unknown_schedule_type(self, small_data):
         with pytest.raises(ConfigError):
@@ -465,6 +482,11 @@ class TestCrossValidation:
         with pytest.raises(ConfigError):
             cross_validate(small_data, FeatureMap.product(), folds=7)  # n=12 < 14
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_grid_rejected(self, small_data, bad):
+        with pytest.raises(ConfigError, match=f"every lambda of the grid must be finite and >= 0, got {bad!r}"):
+            cross_validate(small_data, FeatureMap.product(), lambdas=[0.1, bad], folds=3)
+
     def test_shapes_and_grid_order(self):
         data = make_dataset(30, 2, 2, seed=19)
         f = FeatureMap.product()
@@ -524,7 +546,8 @@ class TestCrossValidation:
 
 class TestLambdaGrids:
     def test_default_grid(self):
-        grid = default_lambda_grid(2.0, count=5)
+        grid = default_lambda_grid(2.0)
+        assert grid.size == solver.CV_GRID_SIZE == 20
         assert grid[0] == pytest.approx(2.0)
         assert grid[-1] == pytest.approx(2e-3)
         assert (np.diff(grid) < 0).all()

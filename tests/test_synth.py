@@ -201,8 +201,6 @@ class TestDiamond:
         with pytest.raises(GeneratorError):
             DiamondSpec(blocks=0)
         with pytest.raises(GeneratorError):
-            DiamondSpec(base_variance=0.0)
-        with pytest.raises(GeneratorError):
             McmcConfig(thinning=0)
         with pytest.raises(DimensionError):
             sample_diamond(DiamondSpec(blocks=1), 1)
@@ -213,9 +211,7 @@ class TestDiamond:
             DiamondSpec(rho=rho)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_base_variance_and_proposal_rejected(self, value):
-        with pytest.raises(GeneratorError, match="base_variance"):
-            DiamondSpec(base_variance=value)
+    def test_non_finite_proposal_rejected(self, value):
         with pytest.raises(GeneratorError, match="proposal_std"):
             McmcConfig(proposal_std=value)
 
