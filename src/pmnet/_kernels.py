@@ -38,7 +38,11 @@ def diamond_chain(rho, gauss_coeff, x0, steps, log_u, burn_in, thinning, n_keep)
 
     ``steps`` has one proposal increment per iteration, ``log_u`` the matching
     log-uniform acceptance draw; total iterations = burn_in + n_keep*thinning.
+    Both are arrays, or both are iterables of matching consecutive chunks of
+    them, so that the whole chain's draws need never be held at once.
     """
+    if isinstance(steps, np.ndarray):
+        steps, log_u = [steps], [log_u]
     # -rho * a parses as (-rho) * a, so negating once keeps every bit
     neg_rho = -float(rho)
     gauss_coeff = float(gauss_coeff)
@@ -54,29 +58,30 @@ def diamond_chain(rho, gauss_coeff, x0, steps, log_u, burn_in, thinning, n_keep)
     kept_i = 0
     # iterations left until the next kept state; below 0 once n_keep are kept
     to_keep = burn_in + thinning if n_keep > 0 else -1
-    for start in range(0, steps.shape[0], _CHUNK_ROWS):
-        cols = steps[start : start + _CHUNK_ROWS].T.tolist()
-        for sa, sb, sc, sd, lu in zip(*cols, log_u[start : start + _CHUNK_ROWS].tolist()):
-            ya = xa + sa
-            yb = xb + sb
-            yc = xc + sc
-            yd = xd + sd
-            logq = (
-                neg_rho * ya * ya * yb * yb
-                - 0.5 * yb * yc
-                - 0.5 * yb * yd
-                - gauss_coeff * (ya * ya + yb * yb + yc * yc + yd * yd)
-            )
-            if logq - logp >= lu:
-                xa = ya
-                xb = yb
-                xc = yc
-                xd = yd
-                logp = logq
-                accepted += 1
-            to_keep -= 1
-            if not to_keep:
-                kept[kept_i] = (xa, xb, xc, xd)
-                kept_i += 1
-                to_keep = thinning if kept_i < n_keep else -1
+    for step_chunk, u_chunk in zip(steps, log_u):
+        for start in range(0, u_chunk.shape[0], _CHUNK_ROWS):
+            cols = step_chunk[start : start + _CHUNK_ROWS].T.tolist()
+            for sa, sb, sc, sd, lu in zip(*cols, u_chunk[start : start + _CHUNK_ROWS].tolist()):
+                ya = xa + sa
+                yb = xb + sb
+                yc = xc + sc
+                yd = xd + sd
+                logq = (
+                    neg_rho * ya * ya * yb * yb
+                    - 0.5 * yb * yc
+                    - 0.5 * yb * yd
+                    - gauss_coeff * (ya * ya + yb * yb + yc * yc + yd * yd)
+                )
+                if logq - logp >= lu:
+                    xa = ya
+                    xb = yb
+                    xc = yc
+                    xd = yd
+                    logp = logq
+                    accepted += 1
+                to_keep -= 1
+                if not to_keep:
+                    kept[kept_i] = (xa, xb, xc, xd)
+                    kept_i += 1
+                    to_keep = thinning if kept_i < n_keep else -1
     return kept, accepted

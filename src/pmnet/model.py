@@ -21,7 +21,10 @@ set that keeps at least 1 in ``CELLS_MAX_SPARSITY`` of them, which it holds
 as the sorted grid cells j n + k.  A sparser sample keeps its feature rows
 in ``DensePairRows``.  Both expose the pair scores F v, the weighted feature
 sum F^T w and the weighted Gram block F[:, rows]^T diag(w) F[:, cols]; every
-evaluation here, the Hessian included, is written on those three.
+evaluation here, the Hessian included, is written on those three.  A grid
+whose narrower factor table has few column products (``FUSED_MAX_PRODUCTS``)
+takes the sum and the block from one set of weight-grid moments instead, so
+a point's gradient and Hessian share one pass over the weights.
 """
 
 import os
@@ -47,6 +50,15 @@ from .errors import DimensionError, NumericError, SizeError
 
 # floats in each temporary of a Hessian panel (2 MB)
 GRAM_PANEL_FLOATS = 1 << 18
+# The grid takes the gradient and the Hessian from one set of weight-grid
+# moments (``PairScoreGrid.moments``) while the narrower factor table has at
+# most this many symmetric column products.  Measured crossover, whole lambda
+# paths at n = 400 with every ordered pair, product feature, two seeds each:
+# at 10 and 28 products the moments were 2-57% faster on every path tried,
+# short (6 points by 0.7), medium (25 by 0.9) and long (20 by 0.7); at 66
+# they were 1-7% slower on the short and medium paths, and at 136-435 3-86%
+# slower there, although 47-80% faster on the long ones.
+FUSED_MAX_PRODUCTS = 28
 # A sampled pair set is scored on the factor grid while the n(n-1) ordered
 # pairs number at most this many times the kept ones; a sparser one keeps
 # dense feature rows.  Measured crossover, whole lambda paths at n = 400
@@ -170,6 +182,8 @@ class DensePairRows:
     """Materialized feature rows of a sparsely sampled permuted-pair set,
     and ``data_mean``, the mean feature row of the data rows."""
 
+    fused = False
+
     def __init__(self, data: Dataset, feature: FeatureMap, index: PairIndex, pair_j, pair_k):
         self.data_mean = pair_feature_matrix(feature, data.samples, index).mean(axis=0)
         self.pair_j, self.pair_k = pair_j, pair_k
@@ -240,6 +254,12 @@ class PairScoreGrid:
     1 | s2], held in buffers reused across calls.  The gradient side is one
     product too: w [phi2_t ... | 1] gives every cross term and the row sums.
 
+    When the narrower of the row-j table alpha and the row-k table beta
+    has at most ``FUSED_MAX_PRODUCTS`` symmetric column products, the grid
+    is ``fused``: ``moments`` multiplies w by all of those products at once,
+    and ``moment_sum`` (F^T w) and ``moment_gram`` (any Gram block) read
+    that one result instead of w.
+
     ``data_mean`` is the data rows' mean feature row: the column means of
     s1's and s2's features, and for the cross pairs psi(x_a, x_b) of every
     group-1 variable a and group-2 variable b summed over the rows as one
@@ -304,6 +324,16 @@ class PairScoreGrid:
         self._coef = np.where(flipped[:, None, None], forms[:, c2, c1], forms[:, c1, c2])
         self._block_shape = (m1, m2)
         self._plan_gram(forms, c1, c2, flipped)
+        # the narrower table's symmetric column products, when few enough
+        # that one product of w with all of them beats a pass per Hessian
+        inner = self._alpha if self._gram_on_alpha else self._beta
+        self.fused = inner.shape[1] * (inner.shape[1] + 1) // 2 <= FUSED_MAX_PRODUCTS
+        if self.fused:
+            i1, i2 = np.triu_indices(inner.shape[1])
+            self._products = inner[:, i1] * inner[:, i2]
+            # column of U for each pair of narrow columns, either way round
+            self._slot = np.empty((inner.shape[1],) * 2, dtype=np.intp)
+            self._slot[i1, i2] = self._slot[i2, i1] = np.arange(i1.size)
 
         width = len(self._terms) * m2
         self._a = np.empty((self.n, width + 2))
@@ -461,6 +491,77 @@ class PairScoreGrid:
                 out[r_lo : r_lo + row_panel, lo : lo + panel] = k.sum(axis=(1, 3))
         return out
 
+    def moments(self, w: np.ndarray) -> np.ndarray:
+        """U = w times the product table (w^T when alpha is the narrower
+        table): column (i, i') holds, for each row of the other table, the
+        weighted sum over the narrower side's rows of its columns i and i'."""
+        return (w.T if self._gram_on_alpha else w) @ self._products
+
+    def moment_sum(self, u: np.ndarray) -> np.ndarray:
+        """F^T w from the moments U of w.  The columns of U that pair a
+        narrow-table column with its column of ones, summed against the
+        other table, give every entry of alpha^T w beta; each feature column
+        reads its terms' entries."""
+        (m1, m2), n_emb = self._block_shape, len(self._phi1)
+        if self._gram_on_alpha:
+            sums = (self._beta.T @ u[:, self._slot[:, -1]]).T
+        else:
+            sums = self._alpha.T @ u[:, self._slot[:, n_emb * m2]]
+        out = np.empty(self._index.dim)
+        out[self._cols1] = sums[n_emb * m1 : -1, n_emb * m2]
+        out[self._cols2] = sums[-1, n_emb * m2 + 1 :]
+        cross = np.empty((len(self._terms), self._pq.size))
+        for t, (c1, c2) in enumerate(self._terms):
+            cross[t] = sums[c1 * m1 : (c1 + 1) * m1, c2 * m2 : (c2 + 1) * m2].ravel()[self._pq]
+        out[self._cols_x] = np.einsum("ti,idt->id", cross, self._coef).ravel()
+        return out
+
+    def moment_gram(self, u: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """F[:, rows]^T diag(w) F[:, cols] from the moments U of w.
+
+        With the weights on the narrower table, a term pair (r, c) sums
+        coef_r coef_c outer_r outer_c U[:, (inner_r, inner_c)] over the other
+        table's rows.  So for each narrow column i, the column terms give
+        one n x cols matrix, sum over c of U[:, (i, inner_c)] coef_c
+        outer_c, and the row terms whose inner column is i meet it in one
+        product.  The terms are looked up per panel (``_gram_terms``), so
+        no table over all of dim is built: a ``table`` feature's columns can
+        have dozens of terms.  Rows, then columns, come in panels that keep
+        each temporary within ``GRAM_PANEL_FLOATS`` floats, or one row's and
+        column's worth if that is more; when ``cols is rows`` and both fit
+        one panel, the columns reuse the rows' terms.
+        """
+        outer = self._beta if self._gram_on_alpha else self._alpha
+        n, width = self.n, self._gram_width
+        out = np.zeros((rows.size, cols.size))
+        panel = max(1, GRAM_PANEL_FLOATS // (n * width))
+        row_panel = max(1, GRAM_PANEL_FLOATS // max(n * width, min(panel, cols.size)))
+        for r_lo in range(0, rows.size, row_panel):
+            r_in, r_side = self._term_sides(rows[r_lo : r_lo + row_panel], outer)
+            for lo in range(0, cols.size, panel):
+                square = cols is rows and rows.size <= min(panel, row_panel)
+                c_in, c_side = (r_in, r_side) if square else self._term_sides(cols[lo : lo + panel], outer)
+                block = out[r_lo : r_lo + row_panel, lo : lo + panel]
+                for i in np.flatnonzero(np.bincount(r_in.ravel(), minlength=self._slot.shape[0])):
+                    right = u[:, self._slot[i, c_in[:, 0]]] * c_side[:, 0]
+                    for t in range(1, width):
+                        right += u[:, self._slot[i, c_in[:, t]]] * c_side[:, t]
+                    for t in range(width):
+                        sel = np.flatnonzero(r_in[:, t] == i)
+                        if sel.size:
+                            block[sel] += r_side[:, t, sel].T @ right
+                del c_side  # free each panel before the next is gathered
+            del r_side
+        return out
+
+    def _term_sides(self, cols: np.ndarray, outer: np.ndarray):
+        """Each column's terms' inner indices (cols x width) and their outer
+        columns times their weights, (n, width, cols)."""
+        inner_idx, outer_idx, coef = self._gram_terms(cols)
+        side = outer[:, outer_idx.T]
+        side *= coef.T
+        return inner_idx, side
+
     def pairs(self, lo: int, hi: int):
         """(j, k) rows of the pairs at positions lo..hi, in row-major order."""
         if self.cells is not None:
@@ -514,15 +615,17 @@ def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, layout: str) -
     """Estimated peak bytes of the arrays ``ModelTerms`` builds for a dataset.
 
     Counts the pair backing's (``PairPolicy.layout``) largest moment.  The
-    grid holds the within-group features of every data row and a few
-    integers of bookkeeping per feature column; on top of them come either
-    the build's temporaries (those features' gathered operands, then the
-    n x m1 x m2 cross-mean temporary next to a delta feature's boolean
-    matches) or an evaluation: the n x n scores plus the Hessian's panels
-    (four of ``GRAM_PANEL_FLOATS`` at once), and for kept cells the cell
-    codes and their scores.  Dense rows hold the data rows' features, then
-    the permuted samples, the two gathered feature operands and the feature
-    rows at once.
+    grid holds the within-group features of every data row, a few integers
+    of bookkeeping per feature column and the fused path's product table,
+    n x ``FUSED_MAX_PRODUCTS`` at most; on
+    top of them come either the build's temporaries (those features'
+    gathered operands, then the n x m1 x m2 cross-mean temporary next to a
+    delta feature's boolean matches) or an evaluation: the n x n scores, the
+    moments (as wide as the product table) and the Hessian's panels (four of
+    ``GRAM_PANEL_FLOATS`` at once), and for kept cells the cell codes and
+    their scores.  Dense rows hold the data rows' features, then the
+    permuted samples, the two gathered feature operands and the feature rows
+    at once.
     """
     n, m, dim = data.n, index.m, index.dim
     if layout == "dense":
@@ -530,8 +633,9 @@ def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, layout: str) -
     cross = int(index.cross_mask(data.partition).sum()) * index.block_dim
     within = dim - cross
     build = max(2 * n * within, n * cross + n * cross // 8)
-    evaluation = n * n + 4 * GRAM_PANEL_FLOATS + (2 * pair_count if layout == "cells" else 0)
-    return 8 * (8 * dim + n * within + max(build, evaluation))
+    products = n * FUSED_MAX_PRODUCTS
+    evaluation = n * n + products + 4 * GRAM_PANEL_FLOATS + (2 * pair_count if layout == "cells" else 0)
+    return 8 * (8 * dim + n * within + products + max(build, evaluation))
 
 
 @dataclass(eq=False)
@@ -540,7 +644,9 @@ class _Evaluated:
 
     ``weights`` holds exp(scores - top), never divided, as the backing's
     ``spread`` lays it out; ``grad`` is filled in when the gradient is first
-    taken.
+    taken, and on a fused grid so are ``moments``, the weights' moments that
+    the Hessian reads.  They belong to this point: a cells backing's next
+    point rewrites the weight grid they were taken from.
     """
 
     key: bytes
@@ -548,6 +654,7 @@ class _Evaluated:
     total: float
     weights: np.ndarray
     grad: np.ndarray | None = None
+    moments: np.ndarray | None = None
 
 
 class ModelTerms:
@@ -681,14 +788,28 @@ class ModelTerms:
 
     def _gradient(self, last: _Evaluated) -> np.ndarray:
         if last.grad is None:
-            last.grad = self.backing.weighted_sum(last.weights) / last.total - self.mean_f
+            if self.backing.fused:
+                last.moments = self.backing.moments(last.weights)
+                weighted = self.backing.moment_sum(last.moments)
+            else:
+                weighted = self.backing.weighted_sum(last.weights)
+            last.grad = weighted / last.total - self.mean_f
         return last.grad
+
+    def _gram(self, last: _Evaluated, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """F[:, rows]^T diag(w) F[:, cols] at the remembered point: from the
+        moments its gradient left when the backing is fused, else from w."""
+        self._gradient(last)
+        if self.backing.fused:
+            return self.backing.moment_gram(last.moments, rows, cols)
+        return self.backing.gram(last.weights, rows, cols)
 
     def hessian(self, flat: np.ndarray, cols: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """H[rows, cols] of the normalized objective, every row by default.
 
         H = F^T diag(w) F - g g^T with w the softmax pair weights and
-        g = F^T w; the backing's ``gram`` gives the first term, and the
+        g = F^T w; the backing's ``gram`` (``moment_gram`` on the moments the
+        gradient left, on a fused grid) gives the first term, and the
         weights come from the remembered point, so a Hessian at the point
         just evaluated scores nothing.  g g^T is subtracted in chunks of rows
         of about ``GRAM_PANEL_FLOATS`` floats, so no temporary is the size of
@@ -697,7 +818,7 @@ class ModelTerms:
         last = self._evaluated(flat)
         grad = self._gradient(last)
         rows = np.arange(self.index.dim) if rows is None else rows
-        out = self.backing.gram(last.weights, rows, cols)
+        out = self._gram(last, rows, cols)
         out /= last.total
         g_rows, g_cols = grad[rows] + self.mean_f[rows], grad[cols] + self.mean_f[cols]
         chunk = max(1, GRAM_PANEL_FLOATS // max(1, cols.size))

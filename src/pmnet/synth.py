@@ -6,6 +6,8 @@ independent 4-variable blocks from a non-Gaussian density by random-walk
 Metropolis; its planted cross-group structure couples squared variables.
 """
 
+import copy
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,6 +30,8 @@ from .structure import SupportSet
 ENUMERATION_CAP = 64
 # variance of the diamond density's Gaussian factor
 DIAMOND_BASE_VARIANCE = 0.5
+# iterations of proposal and acceptance draws made at once per chain (1.3 MB)
+CHAIN_DRAW_ROWS = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,21 +177,34 @@ def diamond_partition(spec: DiamondSpec) -> Partition:
 def sample_diamond(spec: DiamondSpec, n: int) -> Dataset:
     """Metropolis sample of n rows; blocks use independent seeded substreams.
 
-    Proposal increments and acceptance draws are pre-generated with numpy,
-    so the seed alone fixes every chain's trajectory.  Warns when any
-    block's acceptance rate leaves [0.1, 0.7].
+    Each block's stream holds every proposal increment (normals) and then
+    every acceptance draw (uniforms), so the seed alone fixes every chain's
+    trajectory.  They are drawn ``CHAIN_DRAW_ROWS`` iterations at a time:
+    one generator draws the first chunk of normals, is walked past the rest
+    and then yields the uniforms, while a copy taken after the first chunk
+    draws the later normals again beside them.  The bits are those of
+    drawing each whole array at once, and a chain of one chunk draws
+    nothing twice.  Warns when any block's acceptance rate leaves
+    [0.1, 0.7].
     """
     if n < 2:
         raise DimensionError("need at least two samples")
     cfg = spec.mcmc
     total = cfg.burn_in + n * cfg.thinning
+    sizes = [min(CHAIN_DRAW_ROWS, total - lo) for lo in range(0, total, CHAIN_DRAW_ROWS)]
     gauss_coeff = 1.0 / (2.0 * DIAMOND_BASE_VARIANCE)
     children = np.random.SeedSequence(cfg.seed).spawn(spec.blocks)
     x = np.empty((n, spec.m))
     for b in range(spec.blocks):
-        rng = np.random.default_rng(children[b])
-        steps = cfg.proposal_std * rng.standard_normal((total, 4))
-        log_u = np.log(1.0 - rng.random(total))  # uniform on (0, 1]
+        uniforms = np.random.default_rng(children[b])
+        first = uniforms.standard_normal((sizes[0], 4))
+        normals = copy.deepcopy(uniforms)
+        for size in sizes[1:]:
+            uniforms.standard_normal((size, 4))
+        later = (normals.standard_normal((size, 4)) for size in sizes[1:])
+        steps = (cfg.proposal_std * d for d in itertools.chain([first], later))
+        del first  # held by the chain alone, so freed once walked
+        log_u = (np.log(1.0 - uniforms.random(size)) for size in sizes)  # uniform on (0, 1]
         kept, accepted = _kernels.diamond_chain(
             spec.rho, gauss_coeff, np.zeros(4), steps, log_u, cfg.burn_in, cfg.thinning, n
         )

@@ -292,7 +292,7 @@ class TestHessian:
         monkeypatch.setattr(model_mod, "GRAM_PANEL_FLOATS", 7)  # g g^T two rows at a time
         g = terms.value_grad(flat)[1] + terms.mean_f
         last = terms._last
-        gram = terms.backing.gram(last.weights, np.arange(terms.index.dim), cols)
+        gram = terms._gram(last, np.arange(terms.index.dim), cols)
         want = gram / last.total - np.outer(g, g[cols])
         assert terms.hessian(flat, cols).tobytes() == want.tobytes()
 
@@ -581,15 +581,29 @@ class TestScoreGrid:
     @pytest.mark.parametrize("split, on_alpha", [((2, 6), True), ((6, 2), False), ((4, 4), False)])
     def test_gram_contracts_the_narrower_side(self, split, on_alpha, monkeypatch):
         data = make_dataset(15, *split, seed=sum(split))
-        f = FeatureMap.squared_product()
+        f, policy = FeatureMap.squared_product(), PairPolicy(cap=60, seed=2)
         theta = random_theta(build_pair_index(8), 3, scale=0.05)
-        terms = ModelTerms(data, f, index=theta.index, pair_policy=PairPolicy(cap=60, seed=2))
-        assert layout_of(terms) == "cells"
-        assert terms.backing._gram_on_alpha is on_alpha
         cols = np.arange(theta.index.dim)
-        got = terms.hessian(theta.flat, cols)
-        monkeypatch.setattr(terms.backing, "_gram_on_alpha", not on_alpha)
-        np.testing.assert_allclose(terms.hessian(theta.flat, cols), got, rtol=1e-12, atol=1e-12)
+        plan = PairScoreGrid._plan_gram
+
+        def flipped(grid, *args):
+            grid._gram_on_alpha = not grid._gram_on_alpha
+            plan(grid, *args)
+
+        # each path, on the narrower side and then rebuilt on the wider one
+        for fused_max in (0, 10_000):
+            with monkeypatch.context() as patch:
+                patch.setattr(model_mod, "FUSED_MAX_PRODUCTS", fused_max)
+                terms = ModelTerms(data, f, index=theta.index, pair_policy=policy)
+                assert layout_of(terms) == "cells"
+                assert terms.backing._gram_on_alpha is on_alpha
+                assert terms.backing.fused is bool(fused_max)
+                got = terms.hessian(theta.flat, cols)
+                patch.setattr(PairScoreGrid, "_plan_gram", flipped)
+                other = ModelTerms(data, f, index=theta.index, pair_policy=policy)
+                assert other.backing._gram_on_alpha is not on_alpha
+                assert other.backing.fused is bool(fused_max)
+                np.testing.assert_allclose(other.hessian(theta.flat, cols), got, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("diagonal", [False, True])
     @pytest.mark.parametrize("layout", ["grid", "cells", "dense"])
@@ -722,6 +736,78 @@ class TestGramPlan:
             want = np.vstack([whole_dim_gram(grid, w, r[lo : lo + row_panel], c)
                               for lo in range(0, r.size, row_panel)])
             assert grid.gram(w, r, c).tobytes() == want.tobytes()
+
+
+def fused_problem(kind, split, layout):
+    """Data, feature and policy on 15 rows: groups of ``split`` sizes, or the
+    interleaved (0, 3, 4, 6) | (1, 2, 5), whose pairs such as (1, 3) start
+    in group 2."""
+    rng = np.random.default_rng(71)
+    if split == "interleaved":
+        partition = Partition((0, 3, 4, 6), (1, 2, 5))
+    else:
+        partition = Partition(tuple(range(split[0])), tuple(range(split[0], sum(split))))
+    if kind in ("product", "squared_product"):
+        data, f = Dataset(rng.standard_normal((15, partition.m)), partition), FeatureMap(kind)
+    else:
+        data = Dataset(rng.integers(0, 3, size=(15, partition.m)).astype(np.float64), partition, 3)
+        f = FeatureMap.kronecker_delta(3) if kind == "delta" else FeatureMap.from_table(
+            rng.standard_normal((3, 3, 2)))
+    return data, f, ALL if layout == "grid" else PairPolicy(cap=120, seed=4)
+
+
+class TestFusedMoments:
+    """A grid whose narrower factor table has few column products takes the
+    gradient and the Hessian from one set of weight-grid moments; it must
+    agree with the path that contracts w itself."""
+
+    @pytest.mark.parametrize("layout", ["grid", "cells"])
+    @pytest.mark.parametrize("split", [(2, 6), (6, 2), "interleaved"])
+    @pytest.mark.parametrize("kind", ["product", "squared_product", "delta", "table"])
+    def test_matches_the_general_path(self, kind, split, layout, monkeypatch):
+        data, f, policy = fused_problem(kind, split, layout)
+        idx = build_pair_index(data.m, block_dim=f.block_dim)
+        if kind in ("product", "squared_product"):  # 10 or 28 products: fused unforced
+            assert ModelTerms(data, f, index=idx, pair_policy=policy).backing.fused
+        monkeypatch.setattr(model_mod, "FUSED_MAX_PRODUCTS", 10**6)
+        fused = ModelTerms(data, f, index=idx, pair_policy=policy)
+        monkeypatch.setattr(model_mod, "FUSED_MAX_PRODUCTS", 0)
+        general = ModelTerms(data, f, index=idx, pair_policy=policy)
+        assert layout_of(fused) == layout_of(general) == layout
+        assert fused.backing.fused and not general.backing.fused
+        rng = np.random.default_rng(5)
+        support = np.sort(rng.permutation(idx.dim)[:9])
+        for seed in (1, 2):
+            flat = random_theta(idx, seed, scale=0.2).flat
+            value, grad = fused.value_grad(flat)
+            want_value, want_grad = general.value_grad(flat)
+            assert value == want_value
+            np.testing.assert_allclose(grad, want_grad, rtol=1e-13, atol=1e-13 * np.abs(want_grad).max())
+            # the solver's H_SS and diagnostics' H[:, S]
+            for rows in (support, None):
+                got = fused.hessian(flat, support, rows=rows)
+                want = general.hessian(flat, support, rows=rows)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    def test_moments_belong_to_their_point(self):
+        # a cells backing writes every point's weights into one grid buffer,
+        # so moments kept by that buffer would be the last gradient point's
+        data, f, policy = fused_problem("squared_product", (2, 6), "cells")
+        terms = ModelTerms(data, f, pair_policy=policy)
+        assert layout_of(terms) == "cells" and terms.backing.fused
+        x, y = (random_theta(terms.index, seed, scale=0.2).flat for seed in (3, 4))
+        cols = np.arange(terms.index.dim)
+        terms.value_grad(x)
+        terms.value(y)
+        got = terms.hessian(y, cols, rows=cols)
+        assert got.tobytes() == ModelTerms(data, f, pair_policy=policy).hessian(y, cols, rows=cols).tobytes()
+
+    def test_wide_table_takes_the_general_path(self):
+        # the CLI's default 40|10 split: the narrower table has 56 columns
+        data = make_dataset(8, 40, 10, seed=2)
+        terms = ModelTerms(data, FeatureMap.product(), pair_policy=ALL)
+        assert terms.backing._beta.shape[1] == 56
+        assert not terms.backing.fused
 
 
 def loop_hessian(theta, data, f, pairs):
@@ -1026,20 +1112,29 @@ class TestPreflightSize:
             ("squared_product", 40, (30, 270), ALL, 97),
             ("delta", 40, (150, 150), ALL, 97),
             ("product", 12, (300, 300), ALL, 1999),
+            ("product", 40, (2, 100), ALL, 97),
+            ("table", 40, (1, 150), ALL, 97),
         ],
-        ids=["grid", "cells", "dense", "grid-sq-skewed", "grid-delta", "grid-short-wide"],
+        ids=["grid", "cells", "dense", "grid-sq-skewed", "grid-delta", "grid-short-wide", "grid-fused",
+             "grid-fused-table"],
     )
     def test_estimate_bounds_the_allocation(self, kind, n, split, policy, stride):
         # wide enough that the per-row feature terms outweigh the fixed panels;
         # H_SS takes every stride-th column
         if kind == "delta":
             data, f = make_coded_dataset(n, *split, categories=3, seed=5), FeatureMap.kronecker_delta(3)
+        elif kind == "table":
+            # 6 codes, every entry nonzero: cross columns of 36 terms
+            data = make_coded_dataset(n, *split, categories=6, seed=5)
+            f = FeatureMap.from_table(np.random.default_rng(5).standard_normal((6, 6, 1)))
         else:
             data, f = make_dataset(n, *split, seed=5), FeatureMap(kind)
         index = build_pair_index(data.m)
         tracemalloc.start()
         try:
             terms = ModelTerms(data, f, pair_policy=policy)
+            # 2|100 and 1|150 take the fused path: narrower tables of 4 and 7 columns
+            assert getattr(terms.backing, "fused", False) is (split in ((2, 100), (1, 150)))
             flat = np.zeros(index.dim)
             terms.value_grad(flat)
             cols = np.arange(0, index.dim, stride)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from pmnet import (
     truth_support,
 )
 from pmnet import _kernels
+from pmnet import synth as synth_mod
 from pmnet.model import PairPolicy
 from pmnet.synth import (
+    DIAMOND_BASE_VARIANCE,
     diamond_partition,
     diamond_truth_support,
     finite_difference_gradient,
@@ -196,6 +199,47 @@ class TestDiamond:
         data = sample_diamond(spec, n)
         assert hashlib.sha256(data.samples.tobytes()).hexdigest() == sha256
         assert seen == accepts
+
+    @pytest.mark.parametrize("draw_rows", [synth_mod.CHAIN_DRAW_ROWS, 1000, 7])
+    def test_chunked_draws_match_the_whole_chain_draw(self, monkeypatch, draw_rows):
+        # 300 + 250 * 7 = 2050 iterations: chunk edges fall inside burn-in
+        # and inside thinning segments
+        monkeypatch.setattr(synth_mod, "CHAIN_DRAW_ROWS", draw_rows)
+        spec = DiamondSpec(blocks=2, mcmc=McmcConfig(burn_in=300, thinning=7, seed=13))
+        n, cfg = 250, spec.mcmc
+        data = sample_diamond(spec, n)
+        total = cfg.burn_in + n * cfg.thinning
+        for b, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(spec.blocks)):
+            # the reference draws each block's whole chain at once
+            rng = np.random.default_rng(child)
+            steps = cfg.proposal_std * rng.standard_normal((total, 4))
+            log_u = np.log(1.0 - rng.random(total))
+            kept, _ = _kernels.diamond_chain(spec.rho, 1.0 / (2.0 * DIAMOND_BASE_VARIANCE), np.zeros(4),
+                                             steps, log_u, cfg.burn_in, cfg.thinning, n)
+            assert data.samples[:, 4 * b : 4 * b + 4].tobytes() == kept.tobytes()
+
+    def test_draw_memory_does_not_grow_with_the_chain(self, monkeypatch):
+        def drain(rho, gauss_coeff, x0, steps, log_u, burn_in, thinning, n_keep):
+            # takes every draw without walking, so only the draws are traced
+            for _ in zip(steps, log_u):
+                pass
+            return np.zeros((n_keep, 4)), (burn_in + n_keep * thinning) // 3
+
+        monkeypatch.setattr(_kernels, "diamond_chain", drain)
+
+        def peak(thinning):
+            spec = DiamondSpec(blocks=1, mcmc=McmcConfig(burn_in=0, thinning=thinning, seed=1))
+            tracemalloc.start()
+            try:
+                sample_diamond(spec, 10)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 160,000 and 640,000 iterations, both at least four full chunks;
+        # whole-chain draws would hold 5 MB and 20 MB of normals
+        assert 160_000 >= 4 * synth_mod.CHAIN_DRAW_ROWS
+        assert peak(64_000) < peak(16_000) + 64 * 1024
 
     def test_guards(self):
         with pytest.raises(GeneratorError):
