@@ -323,8 +323,11 @@ def _cmd_diag(args):
 def _add_solver_flags(p):
     p.add_argument("--max-iter", type=int, default=2000)
     p.add_argument("--tol-kkt", type=float, default=1e-6)
-    p.add_argument("--pair-seed", type=int, default=0, help="seed for permuted-pair subsampling")
-    p.add_argument("--pair-cap", type=int, default=40_000, help="max permuted pairs kept")
+    p.add_argument("--pair-seed", type=int, default=0,
+                   help="seed for the sampled permuted pairs, drawn when n(n-1) > 5 x cap")
+    p.add_argument("--pair-cap", type=int, default=40_000,
+                   help="every ordered pair is used while n(n-1) <= 5 x cap, else cap sampled pairs "
+                        "(default: every pair up to n = 447, 40,000 from n = 448)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,12 +13,10 @@ The fitted objective is
 whose gradient is the permuted-pair softmax-weighted feature mean minus the
 per-sample feature mean.  All pair sums run in the log domain.
 
-Two backings evaluate the permuted pairs.  ``PairScoreGrid`` scores pairs
-as an n x n grid built from per-row within-group scores and per-variable
-embeddings, in which every feature kind is bilinear; no permuted sample is
-ever materialized.  It backs the set of every ordered pair, and a sampled
-set that keeps at least 1 in ``CELLS_MAX_SPARSITY`` of them, which it holds
-as the sorted grid cells j n + k.  A sparser sample keeps its feature rows
+Two backings evaluate the permuted pairs.  ``PairScoreGrid`` scores every
+ordered pair as an n x n grid built from per-row within-group scores and
+per-variable embeddings, in which every feature kind is bilinear; no
+permuted sample is ever materialized.  A sampled set keeps its feature rows
 in ``DensePairRows``.  Both expose the pair scores F v, the weighted feature
 sum F^T w and the weighted Gram block F[:, rows]^T diag(w) F[:, cols]; every
 evaluation here, the Hessian included, is written on those three.  A grid
@@ -59,13 +57,15 @@ GRAM_PANEL_FLOATS = 1 << 18
 # they were 1-7% slower on the short and medium paths, and at 136-435 3-86%
 # slower there, although 47-80% faster on the long ones.
 FUSED_MAX_PRODUCTS = 28
-# A sampled pair set is scored on the factor grid while the n(n-1) ordered
-# pairs number at most this many times the kept ones; a sparser one keeps
-# dense feature rows.  Measured crossover, whole lambda paths at n = 400
-# (2|6 partition with sq and product features, 10|10 with product on a
-# short and a long path): at density 1/5 the grid was 12-73% faster in all
-# four; at 1/6 it was 12% slower in one, and at 1/8 10-74% slower in three.
-CELLS_MAX_SPARSITY = 5
+# The "auto" policy keeps every ordered pair, on the grid, while the n(n-1)
+# ordered pairs number at most this many times its cap; past that it samples
+# cap pairs into dense feature rows.  Measured crossover of scoring a sample
+# on the grid (the whole n x n product) against its dense rows, whole lambda
+# paths at n = 400 (2|6 partition with sq and product features, 10|10 with
+# product on a short and a long path): at density 1/5 the grid was 12-73%
+# faster in all four; at 1/6 it was 12% slower in one, and at 1/8 10-74%
+# slower in three.  Where the grid is computed anyway, every pair is kept.
+GRID_MAX_SPARSITY = 5
 
 
 @dataclass(frozen=True)
@@ -73,13 +73,11 @@ class PairPolicy:
     """How permuted pairs are enumerated for the normalizer estimate.
 
     "all_ordered" uses every ordered pair j != k.  "auto" (default) does the
-    same while the n(n-1) ordered pairs number at most ``cap``, and otherwise
-    draws ``cap`` distinct ordered pairs with ``seed``.  Every-pair sets are
-    evaluated as an n x n score grid without materializing permuted samples,
-    and so is a sample that keeps at least 1 in ``CELLS_MAX_SPARSITY`` of
-    the ordered pairs, as the grid cells it keeps.  A sparser sample keeps
-    one dense feature row per pair.  The layout only changes how the same
-    pairs are scored.
+    same while the n(n-1) ordered pairs number at most ``GRID_MAX_SPARSITY``
+    times ``cap`` (with the default cap, up to n = 447), and otherwise draws
+    ``cap`` distinct ordered pairs with ``seed``.  Every-pair sets are
+    evaluated as an n x n score grid without materializing permuted samples;
+    a sample keeps one dense feature row per pair.
     """
 
     kind: str = "auto"
@@ -97,15 +95,12 @@ class PairPolicy:
     def pair_count(self, n: int) -> int:
         """Number of ordered pairs kept for n rows."""
         total = n * (n - 1)
-        return min(total, self.cap) if self.kind == "auto" else total
+        return self.cap if self.kind == "auto" and total > GRID_MAX_SPARSITY * self.cap else total
 
     def layout(self, n: int) -> str:
-        """"grid" (every ordered pair), "cells" or "dense": how ``ModelTerms``
-        holds the pair set for n rows."""
-        total, count = n * (n - 1), self.pair_count(n)
-        if count == total:
-            return "grid"
-        return "cells" if total <= CELLS_MAX_SPARSITY * count else "dense"
+        """"grid" (every ordered pair) or "dense" (a sample): how
+        ``ModelTerms`` holds the pair set for n rows."""
+        return "grid" if self.pair_count(n) == n * (n - 1) else "dense"
 
 
 def select_ordered_pairs(n: int, policy: PairPolicy | None = None):
@@ -198,11 +193,6 @@ class DensePairRows:
         |F_i v| <= sum over d of max|F[:, d]| |v_d|."""
         return self.f_perm @ v, float(self._col_max @ np.abs(v))
 
-    def spread(self, w: np.ndarray) -> np.ndarray:
-        """Pair weights shaped like ``scores``, which is already the layout
-        that ``weighted_sum`` and ``gram`` take."""
-        return w
-
     def weighted_sum(self, w: np.ndarray) -> np.ndarray:
         """F^T w for pair weights shaped like ``scores``."""
         return self.f_perm.T @ w
@@ -235,8 +225,7 @@ class DensePairRows:
 
 
 class PairScoreGrid:
-    """Ordered pairs j != k scored as an n x n grid: every one, or only the
-    sorted grid cells j n + k in ``cells``.
+    """Every ordered pair j != k scored as an n x n grid.
 
     score(x^[j,k]) = s1[j] + s2[k] + sum_t phi1_t[j] M_t phi2_t[k]: s1 and s2
     are the within-group scores of rows j and k, from the within-group pairs'
@@ -246,8 +235,6 @@ class PairScoreGrid:
     the cross-pair blocks contracted with it.  A cross pair whose first variable is in group 2 sees
     the forms transposed.  The diagonal j == k is no permuted pair:
     ``scores`` fills it with -inf, and weights must be zero there.
-    With ``cells``, ``scores`` is the 1-D array of the kept cells in order,
-    and ``spread`` lays pair weights back out as a grid, zero off the cells.
 
     The grid is one product A B^T of two n x (T m2 + 2) factors,
     A = [phi1_t M_t for each term | s1 | 1] and B = [phi2_t for each term |
@@ -266,12 +253,10 @@ class PairScoreGrid:
     (n, m1, m2) array, so no data row's full feature row is ever built.
     """
 
-    def __init__(self, data: Dataset, feature: FeatureMap, index: PairIndex,
-                 cells: np.ndarray | None = None):
+    def __init__(self, data: Dataset, feature: FeatureMap, index: PairIndex):
         part = data.partition
         self.n = data.n
-        self.cells = cells
-        self.count = data.n * (data.n - 1) if cells is None else cells.size
+        self.count = data.n * (data.n - 1)
         self._data, self._feature, self._index = data, feature, index
         mask2 = part.group2_mask
         cross = index.cross_mask(part)
@@ -344,9 +329,8 @@ class PairScoreGrid:
         self._b[:, width] = 1.0
 
     def scores(self, v: np.ndarray) -> tuple[np.ndarray, float]:
-        """F v as an n x n grid, the diagonal holding -inf (or, with
-        ``cells``, the kept cells of it), and a bound on the magnitude of the
-        pair scores: max_j ||A_j||_1 max|B|."""
+        """F v as an n x n grid, the diagonal holding -inf, and a bound on
+        the magnitude of the pair scores: max_j ||A_j||_1 max|B|."""
         m1, m2 = self._block_shape
         a, b = self._a, self._b
         blocks = v[self._cols_x].reshape(self._coef.shape[:2])
@@ -359,26 +343,8 @@ class PairScoreGrid:
         grid = a @ b.T
         # a non-finite entry of A or B makes the bound inf or NaN
         bound = float(np.abs(a).sum(axis=1).max()) * float(np.abs(b).max())
-        if self.cells is not None:
-            return grid.ravel()[self.cells], bound
         np.fill_diagonal(grid, -np.inf)
         return grid, bound
-
-    def spread(self, w: np.ndarray) -> np.ndarray:
-        """Pair weights shaped like ``scores`` as the n x n weight grid that
-        ``weighted_sum`` and ``gram`` take, zero on every other cell.
-
-        With ``cells`` the grid is one buffer per backing: each call writes
-        only the cells, and no other entry is ever written, so the previous
-        call's grid is overwritten and must no longer be in use."""
-        if self.cells is None:
-            return w
-        self._weight_grid.ravel()[self.cells] = w
-        return self._weight_grid
-
-    @cached_property
-    def _weight_grid(self) -> np.ndarray:
-        return np.zeros((self.n, self.n))
 
     def weighted_sum(self, w: np.ndarray) -> np.ndarray:
         """F^T w for an n x n weight grid with a zero diagonal."""
@@ -564,19 +530,15 @@ class PairScoreGrid:
 
     def pairs(self, lo: int, hi: int):
         """(j, k) rows of the pairs at positions lo..hi, in row-major order."""
-        if self.cells is not None:
-            return np.divmod(self.cells[lo:hi], self.n)
         return _decode_pairs(np.arange(lo, min(hi, self.count), dtype=np.int64), self.n)
 
     def bad_pair_features(self, scores: np.ndarray) -> np.ndarray | None:
         """Rebuilt feature row of the first non-finite pair score, or None."""
         bad = ~np.isfinite(scores)
-        if self.cells is None:
-            np.fill_diagonal(bad, False)
+        np.fill_diagonal(bad, False)
         if not bad.any():
             return None
-        first = int(np.argmax(bad))
-        j, k = divmod(first if self.cells is None else int(self.cells[first]), self.n)
+        j, k = divmod(int(np.argmax(bad)), self.n)
         x_pair = permuted_matrix(self._data, np.array([j]), np.array([k]))
         return pair_feature_matrix(self._feature, x_pair, self._index)[0]
 
@@ -622,10 +584,9 @@ def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, layout: str) -
     gathered operands, then the n x m1 x m2 cross-mean temporary next to a
     delta feature's boolean matches) or an evaluation: the n x n scores, the
     moments (as wide as the product table) and the Hessian's panels (four of
-    ``GRAM_PANEL_FLOATS`` at once), and for kept cells the cell codes and
-    their scores.  Dense rows hold the data rows' features, then the
-    permuted samples, the two gathered feature operands and the feature rows
-    at once.
+    ``GRAM_PANEL_FLOATS`` at once).  Dense rows hold the data rows' features,
+    then the permuted samples, the two gathered feature operands and the
+    feature rows at once.
     """
     n, m, dim = data.n, index.m, index.dim
     if layout == "dense":
@@ -634,7 +595,7 @@ def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, layout: str) -
     within = dim - cross
     build = max(2 * n * within, n * cross + n * cross // 8)
     products = n * FUSED_MAX_PRODUCTS
-    evaluation = n * n + products + 4 * GRAM_PANEL_FLOATS + (2 * pair_count if layout == "cells" else 0)
+    evaluation = n * n + products + 4 * GRAM_PANEL_FLOATS
     return 8 * (8 * dim + n * within + products + max(build, evaluation))
 
 
@@ -642,11 +603,10 @@ def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, layout: str) -
 class _Evaluated:
     """The log-sum-exp parts of one parameter point, keyed on its bytes.
 
-    ``weights`` holds exp(scores - top), never divided, as the backing's
-    ``spread`` lays it out; ``grad`` is filled in when the gradient is first
+    ``weights`` holds exp(scores - top), never divided, shaped like the
+    backing's scores; ``grad`` is filled in when the gradient is first
     taken, and on a fused grid so are ``moments``, the weights' moments that
-    the Hessian reads.  They belong to this point: a cells backing's next
-    point rewrites the weight grid they were taken from.
+    the Hessian reads.
     """
 
     key: bytes
@@ -662,8 +622,7 @@ class ModelTerms:
 
     Holds the data rows' mean feature row ``mean_f`` and one pair backing,
     chosen by ``PairPolicy.layout``: a ``PairScoreGrid`` when the policy
-    keeps every ordered pair or at least 1 in ``CELLS_MAX_SPARSITY`` of them
-    (then as its sorted cells), otherwise ``DensePairRows`` with the
+    keeps every ordered pair, otherwise ``DensePairRows`` with the
     subsampled permuted feature rows.  Each backing computes ``mean_f`` its
     own way, bit-identical to the column mean of ``pair_feature_matrix``.
     The solver builds this once and reuses it across iterations, path
@@ -671,8 +630,7 @@ class ModelTerms:
     estimated peak (see ``_peak_bytes``; kept as ``peak_bytes``) exceeds
     physical memory raises ``SizeError`` before anything is allocated.
 
-    The last evaluated point is remembered with its pair weights (as the
-    backing's ``spread`` lays them out, once per scoring), so a
+    The last evaluated point is remembered with its pair weights, so a
     ``value_grad`` or ``hessian`` at the point whose ``value`` was just
     taken (the solver's accepted iterate), or a repeat at one whose gradient
     is known, skips the pair scoring; results are bit-identical to a fresh
@@ -704,12 +662,8 @@ class ModelTerms:
         if layout == "grid":
             self.backing = PairScoreGrid(data, feature, self.index)
         else:
-            pair_j, pair_k = select_ordered_pairs(data.n, self.policy)
-            if layout == "cells":
-                cells = pair_j * data.n + pair_k
-                self.backing = PairScoreGrid(data, feature, self.index, cells)
-            else:
-                self.backing = DensePairRows(data, feature, self.index, pair_j, pair_k)
+            self.backing = DensePairRows(data, feature, self.index,
+                                         *select_ordered_pairs(data.n, self.policy))
         self.mean_f = self.backing.data_mean
         self._last: _Evaluated | None = None
         self.scorings = 0
@@ -746,7 +700,7 @@ class ModelTerms:
 
     def perm_scores(self, flat: np.ndarray) -> np.ndarray:
         """Scores over the pair set, shaped as the backing lays them out;
-        the full grid's excluded diagonal holds -inf."""
+        the grid's excluded diagonal holds -inf."""
         flat = self._check_flat(flat)
         # overflow is caught by the guard below; the numpy warning is noise
         with np.errstate(over="ignore", invalid="ignore"):
@@ -759,13 +713,12 @@ class ModelTerms:
         """The remembered point if ``flat`` is it, else a freshly scored one."""
         key = flat.tobytes()
         if self._last is None or self._last.key != key:
-            # free the old pair scores before allocating new ones; a cells
-            # backing's spread also rewrites the weight grid the old point held
+            # free the old pair scores before allocating new ones
             self._last = None
             self.scorings += 1
             weights = self.perm_scores(flat)
             top, total = _shifted_exp(weights)
-            self._last = _Evaluated(key, top, total, self.backing.spread(weights))
+            self._last = _Evaluated(key, top, total, weights)
         return self._last
 
     def log_normalizer(self, flat: np.ndarray) -> float:

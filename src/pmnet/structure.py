@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PairIndex, Partition
-from .errors import DimensionError, DomainError
+from .errors import ConfigError, DimensionError, DomainError
 from .model import ParamBlocks
 
 
@@ -155,10 +155,13 @@ def cross_group_edges(
     """Ranked edges from a fitted model.
 
     Weight is the block 2-norm; sign follows the dominant-magnitude
-    coefficient of the block.  Rows sort by weight descending, then by pair.
+    coefficient of the block.  Rows sort by weight descending, then by pair;
+    ``top`` keeps the first that many.
     """
     if scope not in ("cross_group_only", "all"):
         raise DomainError(f"unknown edge scope {scope!r}")
+    if top is not None and top < 0:
+        raise ConfigError(f"top needs to be >= 0, got {top}")
     index = theta_hat.index
     if partition.m != index.m:
         raise DimensionError("partition and fitted model disagree on m")

@@ -194,13 +194,14 @@ class TestPipelines:
     def test_diag_scores_the_fit_on_its_own_pairs(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(GEN_ARGS) == 0
-        # 60 rows have 3540 ordered pairs; the fit keeps 1000 of them
+        # 60 rows have 3540 ordered pairs, more than 5 times the cap: the fit
+        # samples 500 of them
         assert main([
             "fit", "--data", "data.csv", "--partition", "1-6|7-8", "--lambda", "0.01",
-            "--pair-seed", "4", "--pair-cap", "1000", "--out", "fit.json",
+            "--pair-seed", "4", "--pair-cap", "500", "--out", "fit.json",
         ]) == 0
         theta, partition, feature, payload = fit_from_json("fit.json")
-        assert (payload["pair_seed"], payload["pair_cap"]) == (4, 1000)
+        assert (payload["pair_seed"], payload["pair_cap"]) == (4, 500)
         data = load_csv_dataset("data.csv", "1-6|7-8")
         support = sorted(extract_support(theta).active)
 
@@ -220,7 +221,7 @@ class TestPipelines:
 
         assert main(["diag", "--fit", "fit.json", "--data", "data.csv", "--out", "diag.json"]) == 0
         written = json.loads((tmp_path / "diag.json").read_text())
-        assert written == diag_json(PairPolicy(seed=4, cap=1000))
+        assert written == diag_json(PairPolicy(seed=4, cap=500))
         assert written != diag_json(PairPolicy())
         # a fit file without the keys was fitted on the default pairs
         del payload["pair_seed"], payload["pair_cap"]
@@ -564,6 +565,14 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err == "pmnet: error: pair policy needs seed >= 0, got -1\n"
         assert sorted(tmp_path.iterdir()) == before
+
+    def test_edges_rejects_negative_top(self, tmp_path, monkeypatch, capsys, valid_files):
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(valid_files / "fit.json", tmp_path / "fit.json")
+        rc = main(["edges", "--fit", "fit.json", "--top", "-1", "--format", "csv", "--out", "edges.csv"])
+        assert rc == 2
+        assert capsys.readouterr().err == "pmnet: error: top needs to be >= 0, got -1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fit.json"]
 
     def test_fit_rejects_lambda_with_cv(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -62,19 +62,21 @@ class TestPairSelection:
         assert len({(a, b) for a, b in zip(j1, k1)}) == 50
 
     def test_auto_switches_on_threshold(self):
-        # the default cap keeps every ordered pair up to n = 200 (39,800 pairs)
-        j_small, _ = select_ordered_pairs(200)
-        assert j_small.shape == (200 * 199,)
-        j_big, _ = select_ordered_pairs(201)
+        # the default cap keeps every ordered pair while n(n-1) <= 5 x 40,000:
+        # up to n = 447 (199,362 pairs)
+        j_small, _ = select_ordered_pairs(447)
+        assert j_small.shape == (447 * 446,)
+        j_big, _ = select_ordered_pairs(448)
         assert j_big.shape == (40_000,)
+        assert (PairPolicy().layout(447), PairPolicy().layout(448)) == ("grid", "dense")
 
     def test_auto_honours_cap_at_small_n(self):
         j, k = select_ordered_pairs(100, PairPolicy(cap=500))
         assert j.shape == (500,)
         assert len({(a, b) for a, b in zip(j, k)}) == 500
 
-    @pytest.mark.parametrize("n, cap, seed", [(7, 5, 0), (30, 50, 4), (200, 9_000, 3), (400, 40_000, 11),
-                                              (1000, 12_345, 1009), (20, 379, 2)])
+    @pytest.mark.parametrize("n, cap, seed", [(7, 5, 0), (30, 50, 4), (200, 7_000, 3), (448, 40_000, 11),
+                                              (1000, 12_345, 1009), (20, 75, 2)])
     def test_codes_match_unique_reference(self, n, cap, seed):
         # the draw-and-deduplicate loop with np.unique, as the codes were first made
         total = n * (n - 1)
@@ -406,29 +408,6 @@ class TestDiagnostics:
         if kind == "product":
             assert full[0] == 100.0
 
-    def test_sampled_cells_match_dense_rows(self, monkeypatch):
-        data = make_coded_dataset(12, 2, 2, categories=3, seed=47)
-        f = FeatureMap.from_table(np.random.default_rng(47).standard_normal((3, 3, 2)))
-        idx = build_pair_index(4, block_dim=f.block_dim)
-        theta = random_theta(idx, 47, scale=0.1)
-        pol = PairPolicy(cap=40, seed=3)
-        assert pol.layout(12) == "cells"
-        monkeypatch.setattr(model_mod, "BOUND_PANEL_FLOATS", 7 * idx.dim)
-        support = [(0, 2), (1, 3)]
-        rep = diagnostics(theta, data, f, support, pair_policy=pol)
-        j, k = select_ordered_pairs(12, pol)
-        full = observed_feature_bounds(f, np.vstack([data.samples, permuted_matrix(data, j, k)]), idx)
-        assert (rep.feature_bounds.observed_inf, rep.feature_bounds.observed_l2) == full
-        # the ratio bounds range over the sampled pairs' scores, as on dense rows
-        dense = dense_twin(ModelTerms(data, f, index=idx, pair_policy=pol))
-        scores = np.concatenate([pair_feature_matrix(f, data.samples, idx) @ theta.flat,
-                                 dense.perm_scores(theta.flat)])
-        scores -= dense.log_normalizer(theta.flat)
-        assert rep.ratio_bounds.min == pytest.approx(np.exp(scores.min()), rel=1e-12)
-        assert rep.ratio_bounds.max == pytest.approx(np.exp(scores.max()), rel=1e-12)
-        h = model_mod._hessian_from_terms(dense, theta.flat, model_mod._restrict_columns(idx, support))
-        assert rep.lambda_min == pytest.approx(np.linalg.eigvalsh(h)[0], rel=1e-9, abs=1e-12)
-
 
 def dense_twin(terms):
     """Same terms with the pair set held as dense permuted feature rows."""
@@ -439,22 +418,20 @@ def dense_twin(terms):
 
 
 def layout_of(terms) -> str:
-    """"grid", "cells" or "dense": the pair backing ``terms`` holds."""
+    """"grid" or "dense": the pair backing ``terms`` holds."""
     if isinstance(terms.backing, DensePairRows):
         return "dense"
     assert isinstance(terms.backing, PairScoreGrid)
-    return "grid" if terms.backing.cells is None else "cells"
+    return "grid"
 
 
-def sampled_policy(n, layout, rng):
-    """A sampled policy whose random cap puts n rows in ``layout`` ("cells" or
-    "dense"), or None when no cap does."""
-    total = n * (n - 1)
-    sparsity = model_mod.CELLS_MAX_SPARSITY
-    low, high = (-(-total // sparsity), total - 1) if layout == "cells" else (1, (total - 1) // sparsity)
-    if low > high:
+def sampled_policy(n, rng):
+    """A policy whose random cap samples n rows' pairs, or None when n(n-1)
+    is too few for any cap to sample."""
+    high = (n * (n - 1) - 1) // model_mod.GRID_MAX_SPARSITY
+    if high < 1:
         return None
-    return PairPolicy(cap=int(rng.integers(low, high + 1)), seed=int(rng.integers(2**31)))
+    return PairPolicy(cap=int(rng.integers(1, high + 1)), seed=int(rng.integers(2**31)))
 
 
 @st.composite
@@ -489,8 +466,8 @@ def grid_problems(draw):
 
 
 class TestScoreGrid:
-    @given(grid_problems(), st.integers(0, 2**32 - 1))
-    def test_matches_dense_rows_and_oracle(self, problem, seed):
+    @given(grid_problems())
+    def test_matches_dense_rows_and_oracle(self, problem):
         data, f, theta = problem
         terms = ModelTerms(data, f, index=theta.index, pair_policy=ALL)
         assert layout_of(terms) == "grid"
@@ -503,20 +480,6 @@ class TestScoreGrid:
         assert value == pytest.approx(oracle, rel=1e-12, abs=1e-12)
         assert terms.value(theta.flat) == pytest.approx(oracle, rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(grad, dense_grad, rtol=1e-10, atol=1e-12)
-
-        # a sampled set on the grid's cells: same pairs, same order as dense rows
-        cells = ModelTerms(data, f, index=theta.index,
-                           pair_policy=sampled_policy(data.n, "cells", np.random.default_rng(seed)))
-        assert layout_of(cells) == "cells"
-        value, grad = cells.value_grad(theta.flat)
-        dense_value, dense_grad = dense_twin(cells).value_grad(theta.flat)
-        assert value == pytest.approx(loop_objective(theta, data, f, cells), rel=1e-12, abs=1e-12)
-        assert value == pytest.approx(dense_value, rel=1e-12, abs=1e-12)
-        np.testing.assert_allclose(grad, dense_grad, rtol=1e-10, atol=1e-12)
-        scores = cells.perm_scores(theta.flat)
-        dense_scores = dense_twin(cells).perm_scores(theta.flat)
-        assert scores.shape == (cells.n_pairs_used,)
-        np.testing.assert_allclose(scores, dense_scores, rtol=1e-12, atol=1e-12)
 
     def test_flipped_table_pair_sees_transposed_table(self):
         # the only pair is (0, 1) with variable 0 in group 2: psi = table[x_0, x_1]
@@ -544,44 +507,39 @@ class TestScoreGrid:
         assert terms.n_pairs_used == small_data.n * (small_data.n - 1)
 
     def test_subsample_keeps_dense_rows(self, small_data):
-        # 132 ordered pairs, more than CELLS_MAX_SPARSITY times the 16 kept
-        assert 132 > model_mod.CELLS_MAX_SPARSITY * 16
+        # 132 ordered pairs, more than GRID_MAX_SPARSITY times the 16 kept
+        assert 132 > model_mod.GRID_MAX_SPARSITY * 16
         pol = PairPolicy(cap=16, seed=1)
         terms = ModelTerms(small_data, FeatureMap.product(), pair_policy=pol)
         assert isinstance(terms.backing, DensePairRows)
         assert terms.n_pairs_used == 16
 
-    def test_dense_enough_sample_keeps_grid_cells(self, small_data):
-        pol = PairPolicy(cap=50, seed=1)
-        terms = ModelTerms(small_data, FeatureMap.product(), pair_policy=pol)
-        assert layout_of(terms) == "cells"
-        assert not hasattr(terms.backing, "f_perm")
-        assert terms.n_pairs_used == 50
-        j, k = select_ordered_pairs(small_data.n, pol)
-        np.testing.assert_array_equal(terms.backing.cells, j * small_data.n + k)
-        assert np.all(np.diff(terms.backing.cells) > 0)
-        for lo, hi in ((0, 50), (7, 19), (45, 60)):
-            got = terms.backing.pairs(lo, hi)
-            np.testing.assert_array_equal(got[0], j[lo:hi])
-            np.testing.assert_array_equal(got[1], k[lo:hi])
+    def test_default_policy_scores_every_pair_at_n_400(self):
+        # the CLI's default shape: 159,600 ordered pairs, within 5 x 40,000
+        terms = ModelTerms(make_dataset(400, 2, 2, seed=400), FeatureMap.product())
+        assert layout_of(terms) == "grid"
+        assert terms.n_pairs_used == 400 * 399
+        assert terms.perm_scores(random_theta(terms.index, 1).flat).shape == (400, 400)
 
     @pytest.mark.parametrize("n", [5, 11, 16, 26])
     def test_layout_boundary(self, n):
-        # n(n-1) = CELLS_MAX_SPARSITY cap keeps the grid's cells; one kept pair
-        # fewer, dense rows
+        # n(n-1) = GRID_MAX_SPARSITY cap keeps every ordered pair on the grid;
+        # one cap fewer samples cap - 1 pairs into dense rows
         data = make_dataset(n, 2, 2, seed=n)
-        cap = n * (n - 1) // model_mod.CELLS_MAX_SPARSITY
-        assert n * (n - 1) == model_mod.CELLS_MAX_SPARSITY * cap
+        cap = n * (n - 1) // model_mod.GRID_MAX_SPARSITY
+        assert n * (n - 1) == model_mod.GRID_MAX_SPARSITY * cap
         at, below = PairPolicy(cap=cap, seed=3), PairPolicy(cap=cap - 1, seed=3)
-        assert (at.layout(n), below.layout(n)) == ("cells", "dense")
-        assert layout_of(ModelTerms(data, FeatureMap.product(), pair_policy=at)) == "cells"
-        assert layout_of(ModelTerms(data, FeatureMap.product(), pair_policy=below)) == "dense"
-        assert PairPolicy(cap=n * (n - 1)).layout(n) == ALL.layout(n) == "grid"
+        assert (at.layout(n), below.layout(n)) == ("grid", "dense")
+        on_grid = ModelTerms(data, FeatureMap.product(), pair_policy=at)
+        assert (layout_of(on_grid), on_grid.n_pairs_used) == ("grid", n * (n - 1))
+        sampled = ModelTerms(data, FeatureMap.product(), pair_policy=below)
+        assert (layout_of(sampled), sampled.n_pairs_used) == ("dense", cap - 1)
+        assert ALL.layout(n) == "grid"
 
     @pytest.mark.parametrize("split, on_alpha", [((2, 6), True), ((6, 2), False), ((4, 4), False)])
     def test_gram_contracts_the_narrower_side(self, split, on_alpha, monkeypatch):
         data = make_dataset(15, *split, seed=sum(split))
-        f, policy = FeatureMap.squared_product(), PairPolicy(cap=60, seed=2)
+        f = FeatureMap.squared_product()
         theta = random_theta(build_pair_index(8), 3, scale=0.05)
         cols = np.arange(theta.index.dim)
         plan = PairScoreGrid._plan_gram
@@ -594,19 +552,18 @@ class TestScoreGrid:
         for fused_max in (0, 10_000):
             with monkeypatch.context() as patch:
                 patch.setattr(model_mod, "FUSED_MAX_PRODUCTS", fused_max)
-                terms = ModelTerms(data, f, index=theta.index, pair_policy=policy)
-                assert layout_of(terms) == "cells"
+                terms = ModelTerms(data, f, index=theta.index, pair_policy=ALL)
                 assert terms.backing._gram_on_alpha is on_alpha
                 assert terms.backing.fused is bool(fused_max)
                 got = terms.hessian(theta.flat, cols)
                 patch.setattr(PairScoreGrid, "_plan_gram", flipped)
-                other = ModelTerms(data, f, index=theta.index, pair_policy=policy)
+                other = ModelTerms(data, f, index=theta.index, pair_policy=ALL)
                 assert other.backing._gram_on_alpha is not on_alpha
                 assert other.backing.fused is bool(fused_max)
                 np.testing.assert_allclose(other.hessian(theta.flat, cols), got, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("diagonal", [False, True])
-    @pytest.mark.parametrize("layout", ["grid", "cells", "dense"])
+    @pytest.mark.parametrize("layout", ["grid", "dense"])
     @pytest.mark.parametrize("kind", ["product", "squared_product", "delta", "delta_uncoded", "table"])
     def test_data_terms_are_bit_equal_to_the_feature_matrix(self, kind, layout, diagonal):
         # interleaved groups: pairs such as (1, 3) start in group 2
@@ -619,7 +576,7 @@ class TestScoreGrid:
             f = {"delta": FeatureMap.kronecker_delta(3), "delta_uncoded": FeatureMap.kronecker_delta(),
                  "table": FeatureMap.from_table(rng.standard_normal((3, 3, 2)))}[kind]
         idx = build_pair_index(7, include_diagonal=diagonal, block_dim=f.block_dim)
-        policy = {"grid": ALL, "cells": PairPolicy(cap=100, seed=2), "dense": PairPolicy(cap=20, seed=2)}[layout]
+        policy = {"grid": ALL, "dense": PairPolicy(cap=20, seed=2)}[layout]
         terms = ModelTerms(data, f, index=idx, pair_policy=policy)
         assert layout_of(terms) == layout
         f_data = pair_feature_matrix(f, data.samples, idx)
@@ -703,9 +660,8 @@ class TestGramPlan:
     same bits, row panel by row panel."""
 
     @pytest.mark.parametrize("panel_floats", [model_mod.GRAM_PANEL_FLOATS, 200, 7])
-    @pytest.mark.parametrize("layout", ["grid", "cells"])
     @pytest.mark.parametrize("kind", ["product", "squared_product", "delta", "table"])
-    def test_bit_equal_to_the_whole_dim_table(self, kind, layout, panel_floats, monkeypatch):
+    def test_bit_equal_to_the_whole_dim_table(self, kind, panel_floats, monkeypatch):
         # interleaved groups: pairs such as (1, 3) start in group 2
         partition = Partition((0, 3, 4, 6), (1, 2, 5))
         rng = np.random.default_rng(67)
@@ -716,9 +672,7 @@ class TestGramPlan:
             f = FeatureMap.kronecker_delta(3) if kind == "delta" else FeatureMap.from_table(
                 rng.standard_normal((3, 3, 2)))
         idx = build_pair_index(7, block_dim=f.block_dim)
-        policy = ALL if layout == "grid" else PairPolicy(cap=100, seed=2)
-        terms = ModelTerms(data, f, index=idx, pair_policy=policy)
-        assert layout_of(terms) == layout
+        terms = ModelTerms(data, f, index=idx, pair_policy=ALL)
         grid, flat = terms.backing, random_theta(idx, 3, scale=0.1).flat
         terms.value(flat)
         w = terms._last.weights
@@ -738,8 +692,8 @@ class TestGramPlan:
             assert grid.gram(w, r, c).tobytes() == want.tobytes()
 
 
-def fused_problem(kind, split, layout):
-    """Data, feature and policy on 15 rows: groups of ``split`` sizes, or the
+def fused_problem(kind, split):
+    """Data and feature on 15 rows: groups of ``split`` sizes, or the
     interleaved (0, 3, 4, 6) | (1, 2, 5), whose pairs such as (1, 3) start
     in group 2."""
     rng = np.random.default_rng(71)
@@ -753,7 +707,7 @@ def fused_problem(kind, split, layout):
         data = Dataset(rng.integers(0, 3, size=(15, partition.m)).astype(np.float64), partition, 3)
         f = FeatureMap.kronecker_delta(3) if kind == "delta" else FeatureMap.from_table(
             rng.standard_normal((3, 3, 2)))
-    return data, f, ALL if layout == "grid" else PairPolicy(cap=120, seed=4)
+    return data, f
 
 
 class TestFusedMoments:
@@ -761,19 +715,17 @@ class TestFusedMoments:
     gradient and the Hessian from one set of weight-grid moments; it must
     agree with the path that contracts w itself."""
 
-    @pytest.mark.parametrize("layout", ["grid", "cells"])
     @pytest.mark.parametrize("split", [(2, 6), (6, 2), "interleaved"])
     @pytest.mark.parametrize("kind", ["product", "squared_product", "delta", "table"])
-    def test_matches_the_general_path(self, kind, split, layout, monkeypatch):
-        data, f, policy = fused_problem(kind, split, layout)
+    def test_matches_the_general_path(self, kind, split, monkeypatch):
+        data, f = fused_problem(kind, split)
         idx = build_pair_index(data.m, block_dim=f.block_dim)
         if kind in ("product", "squared_product"):  # 10 or 28 products: fused unforced
-            assert ModelTerms(data, f, index=idx, pair_policy=policy).backing.fused
+            assert ModelTerms(data, f, index=idx, pair_policy=ALL).backing.fused
         monkeypatch.setattr(model_mod, "FUSED_MAX_PRODUCTS", 10**6)
-        fused = ModelTerms(data, f, index=idx, pair_policy=policy)
+        fused = ModelTerms(data, f, index=idx, pair_policy=ALL)
         monkeypatch.setattr(model_mod, "FUSED_MAX_PRODUCTS", 0)
-        general = ModelTerms(data, f, index=idx, pair_policy=policy)
-        assert layout_of(fused) == layout_of(general) == layout
+        general = ModelTerms(data, f, index=idx, pair_policy=ALL)
         assert fused.backing.fused and not general.backing.fused
         rng = np.random.default_rng(5)
         support = np.sort(rng.permutation(idx.dim)[:9])
@@ -790,17 +742,17 @@ class TestFusedMoments:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
     def test_moments_belong_to_their_point(self):
-        # a cells backing writes every point's weights into one grid buffer,
-        # so moments kept by that buffer would be the last gradient point's
-        data, f, policy = fused_problem("squared_product", (2, 6), "cells")
-        terms = ModelTerms(data, f, pair_policy=policy)
-        assert layout_of(terms) == "cells" and terms.backing.fused
+        # the Hessian at a point whose value alone was taken reads that
+        # point's moments, not those the previous point's gradient left
+        data, f = fused_problem("squared_product", (2, 6))
+        terms = ModelTerms(data, f, pair_policy=ALL)
+        assert terms.backing.fused
         x, y = (random_theta(terms.index, seed, scale=0.2).flat for seed in (3, 4))
         cols = np.arange(terms.index.dim)
         terms.value_grad(x)
         terms.value(y)
         got = terms.hessian(y, cols, rows=cols)
-        assert got.tobytes() == ModelTerms(data, f, pair_policy=policy).hessian(y, cols, rows=cols).tobytes()
+        assert got.tobytes() == ModelTerms(data, f, pair_policy=ALL).hessian(y, cols, rows=cols).tobytes()
 
     def test_wide_table_takes_the_general_path(self):
         # the CLI's default 40|10 split: the narrower table has 56 columns
@@ -836,11 +788,10 @@ class TestHessianPrimitive:
         grid = ModelTerms(data, f, index=theta.index, pair_policy=ALL)
         assert layout_of(grid) == "grid"
         backings = [grid, dense_twin(grid)]
-        for layout in ("cells", "dense"):
-            sampled = sampled_policy(n, layout, rng)
-            if sampled is not None:  # a few pairs are never sparse enough for dense rows
-                backings.append(ModelTerms(data, f, index=theta.index, pair_policy=sampled))
-                assert layout_of(backings[-1]) == layout
+        sampled = sampled_policy(n, rng)
+        if sampled is not None:  # a few pairs are never sparse enough for dense rows
+            backings.append(ModelTerms(data, f, index=theta.index, pair_policy=sampled))
+            assert layout_of(backings[-1]) == "dense"
         every = np.arange(dim)
         rows = rng.permutation(dim)[: rng.integers(1, dim + 1)]
         cols = rng.permutation(dim)[: rng.integers(1, dim + 1)]
@@ -880,12 +831,11 @@ class Forgetful(ModelTerms):
 
 # (layout, rows, policy): each pair backing on data shaped like small_data
 # (12 rows when ``rows`` is 12).  Dense rows need a cap below
-# n(n-1)/CELLS_MAX_SPARSITY, and on 12 rows every such set (26 pairs or
+# n(n-1)/GRID_MAX_SPARSITY, and on 12 rows every such set (26 pairs or
 # fewer) has no minimizer at the path's last points, so that case takes 24
 # rows, 60 of their 552 pairs.
 MEMO_POLICIES = [
     pytest.param("grid", 12, ALL, id="grid"),
-    pytest.param("cells", 12, PairPolicy(cap=100, seed=1), id="cells"),
     pytest.param("dense", 24, PairPolicy(cap=60, seed=1), id="dense"),
 ]
 
@@ -950,7 +900,7 @@ class TestScorings:
         "layout, rows, policy, scorings, iterations",
         [
             pytest.param(*case.values, *pinned, id=case.id)
-            for case, pinned in zip(MEMO_POLICIES, [(12, [0, 4, 4, 3]), (13, [0, 4, 4, 4]), (10, [0, 3, 3, 3])])
+            for case, pinned in zip(MEMO_POLICIES, [(12, [0, 4, 4, 3]), (10, [0, 3, 3, 3])])
         ],
     )
     def test_path_scorings_are_pinned(self, layout, rows, policy, scorings, iterations):
@@ -1107,7 +1057,6 @@ class TestPreflightSize:
         "kind, n, split, policy, stride",
         [
             ("product", 40, (150, 150), ALL, 97),
-            ("product", 40, (150, 150), PairPolicy(cap=1000, seed=1), 97),
             ("product", 40, (150, 150), PairPolicy(cap=60, seed=1), 97),
             ("squared_product", 40, (30, 270), ALL, 97),
             ("delta", 40, (150, 150), ALL, 97),
@@ -1115,7 +1064,7 @@ class TestPreflightSize:
             ("product", 40, (2, 100), ALL, 97),
             ("table", 40, (1, 150), ALL, 97),
         ],
-        ids=["grid", "cells", "dense", "grid-sq-skewed", "grid-delta", "grid-short-wide", "grid-fused",
+        ids=["grid", "dense", "grid-sq-skewed", "grid-delta", "grid-short-wide", "grid-fused",
              "grid-fused-table"],
     )
     def test_estimate_bounds_the_allocation(self, kind, n, split, policy, stride):

@@ -468,8 +468,8 @@ class TestTermsMustMatch:
 
     def test_cv_folds_take_the_policy_of_terms(self, two_sets):
         a, _ = two_sets
-        # a fold's 30 rows have 870 ordered pairs: the default keeps all, this keeps 500
-        f, sampled = FeatureMap.product(), PairPolicy(cap=500, seed=3)
+        # a fold's 30 rows have 870 ordered pairs: the default keeps all, this samples 150
+        f, sampled = FeatureMap.product(), PairPolicy(cap=150, seed=3)
         got = cross_validate(a, f, lambdas=[0.2, 0.05], folds=2, terms=ModelTerms(a, f, pair_policy=sampled))
         want = cross_validate(a, f, lambdas=[0.2, 0.05], folds=2, pair_policy=sampled)
         assert got.fold_scores.tobytes() == want.fold_scores.tobytes()

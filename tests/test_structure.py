@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pmnet import (
+    ConfigError,
     DimensionError,
     FeatureMap,
     GeometricSchedule,
@@ -174,6 +175,12 @@ class TestEdges:
         edges = cross_group_edges(theta, part, scope="all", top=1)
         assert len(edges.edges) == 1
         assert edges.edges[0].weight == pytest.approx(0.9)
+
+    def test_negative_top_is_rejected(self):
+        theta, part = self.build_theta()
+        with pytest.raises(ConfigError, match="top needs to be >= 0, got -1"):
+            cross_group_edges(theta, part, top=-1)
+        assert cross_group_edges(theta, part, top=0).edges == ()
 
     def test_within_only_support_is_empty_cross(self):
         idx = build_pair_index(4)
