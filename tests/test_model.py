@@ -660,8 +660,9 @@ class TestGramPlan:
     same bits, row panel by row panel."""
 
     @pytest.mark.parametrize("panel_floats", [model_mod.GRAM_PANEL_FLOATS, 200, 7])
+    @pytest.mark.parametrize("layout", ["grid"])
     @pytest.mark.parametrize("kind", ["product", "squared_product", "delta", "table"])
-    def test_bit_equal_to_the_whole_dim_table(self, kind, panel_floats, monkeypatch):
+    def test_bit_equal_to_the_whole_dim_table(self, kind, layout, panel_floats, monkeypatch):
         # interleaved groups: pairs such as (1, 3) start in group 2
         partition = Partition((0, 3, 4, 6), (1, 2, 5))
         rng = np.random.default_rng(67)
@@ -673,6 +674,7 @@ class TestGramPlan:
                 rng.standard_normal((3, 3, 2)))
         idx = build_pair_index(7, block_dim=f.block_dim)
         terms = ModelTerms(data, f, index=idx, pair_policy=ALL)
+        assert layout_of(terms) == layout
         grid, flat = terms.backing, random_theta(idx, 3, scale=0.1).flat
         terms.value(flat)
         w = terms._last.weights
@@ -715,9 +717,10 @@ class TestFusedMoments:
     gradient and the Hessian from one set of weight-grid moments; it must
     agree with the path that contracts w itself."""
 
+    @pytest.mark.parametrize("layout", ["grid"])
     @pytest.mark.parametrize("split", [(2, 6), (6, 2), "interleaved"])
     @pytest.mark.parametrize("kind", ["product", "squared_product", "delta", "table"])
-    def test_matches_the_general_path(self, kind, split, monkeypatch):
+    def test_matches_the_general_path(self, kind, split, layout, monkeypatch):
         data, f = fused_problem(kind, split)
         idx = build_pair_index(data.m, block_dim=f.block_dim)
         if kind in ("product", "squared_product"):  # 10 or 28 products: fused unforced
@@ -726,6 +729,7 @@ class TestFusedMoments:
         fused = ModelTerms(data, f, index=idx, pair_policy=ALL)
         monkeypatch.setattr(model_mod, "FUSED_MAX_PRODUCTS", 0)
         general = ModelTerms(data, f, index=idx, pair_policy=ALL)
+        assert layout_of(fused) == layout_of(general) == layout
         assert fused.backing.fused and not general.backing.fused
         rng = np.random.default_rng(5)
         support = np.sort(rng.permutation(idx.dim)[:9])
