@@ -21,8 +21,8 @@ in ``DensePairRows``.  Both expose the pair scores F v, the weighted feature
 sum F^T w and the weighted Gram block F[:, rows]^T diag(w) F[:, cols]; every
 evaluation here, the Hessian included, is written on those three.  A grid
 whose narrower factor table has few column products (``FUSED_MAX_PRODUCTS``)
-takes the sum and the block from one set of weight-grid moments instead, so
-a point's gradient and Hessian share one pass over the weights.
+is weighed in panels of rows straight into the weights' moments U, from which
+its value, gradient and Hessian are read; no n x n array is kept.
 """
 
 import os
@@ -48,15 +48,17 @@ from .errors import DimensionError, NumericError, SizeError
 
 # floats in each temporary of a Hessian panel (2 MB)
 GRAM_PANEL_FLOATS = 1 << 18
-# The grid takes the gradient and the Hessian from one set of weight-grid
-# moments (``PairScoreGrid.moments``) while the narrower factor table has at
-# most this many symmetric column products.  Measured crossover, whole lambda
-# paths at n = 400 with every ordered pair, product feature, two seeds each:
-# at 10 and 28 products the moments were 2-57% faster on every path tried,
-# short (6 points by 0.7), medium (25 by 0.9) and long (20 by 0.7); at 66
-# they were 1-7% slower on the short and medium paths, and at 136-435 3-86%
-# slower there, although 47-80% faster on the long ones.
+# The grid is weighed straight into its moments (``PairScoreGrid.weigh``)
+# while the narrower factor table has at most this many symmetric column
+# products.  Whole lambda paths at n = 400, every ordered pair, product
+# feature, seeds 3 and 11: at 28 products the moments were 22-59% faster on
+# short (6 points by 0.7), medium (25 by 0.9) and long (20 by 0.7) paths;
+# at 66 and 136, up to 6% and 38% slower on the short and medium ones,
+# though 52-77% faster on the long.
 FUSED_MAX_PRODUCTS = 28
+# floats per panel of scores when a fused grid is weighed (200 kB): 64 rows
+# at n = 400, where 40, 81 and 163 rows took 15-88% longer per scoring
+WEIGH_PANEL_FLOATS = 25_600
 # The "auto" policy keeps every ordered pair, on the grid, while the n(n-1)
 # ordered pairs number at most this many times its cap; past that it samples
 # cap pairs into dense feature rows.  Measured crossover of scoring a sample
@@ -243,9 +245,10 @@ class PairScoreGrid:
 
     When the narrower of the row-j table alpha and the row-k table beta
     has at most ``FUSED_MAX_PRODUCTS`` symmetric column products, the grid
-    is ``fused``: ``moments`` multiplies w by all of those products at once,
+    is ``fused``: ``weigh`` scores it a panel of the narrower table's rows
+    at a time and multiplies each panel's weights by all of those products,
     and ``moment_sum`` (F^T w) and ``moment_gram`` (any Gram block) read
-    that one result instead of w.
+    the resulting moments U instead of w.
 
     ``data_mean`` is the data rows' mean feature row: the column means of
     s1's and s2's features, and for the cross pairs psi(x_a, x_b) of every
@@ -319,6 +322,13 @@ class PairScoreGrid:
             # column of U for each pair of narrow columns, either way round
             self._slot = np.empty((inner.shape[1],) * 2, dtype=np.intp)
             self._slot[i1, i2] = self._slot[i2, i1] = np.arange(i1.size)
+            # U's column of the narrow table's 1 times itself: the weights' sums
+            ones = inner.shape[1] - 1 if self._gram_on_alpha else n_emb * m2
+            self._total_column = int(self._slot[ones, ones])
+            # shift by the score bound up to here: the largest weight is then
+            # at least exp(-2 limit), and any that can move the sum is normal
+            finfo = np.finfo(np.float64)
+            self._shift_limit = (np.log(finfo.eps) - np.log(finfo.tiny) - np.log(self.count)) / 2
 
         width = len(self._terms) * m2
         self._a = np.empty((self.n, width + 2))
@@ -328,9 +338,9 @@ class PairScoreGrid:
             self._b[:, t * m2 : (t + 1) * m2] = self._beta[:, c * m2 : (c + 1) * m2]
         self._b[:, width] = 1.0
 
-    def scores(self, v: np.ndarray) -> tuple[np.ndarray, float]:
-        """F v as an n x n grid, the diagonal holding -inf, and a bound on
-        the magnitude of the pair scores: max_j ||A_j||_1 max|B|."""
+    def _factors(self, v: np.ndarray) -> float:
+        """Fill the factors A and B for v; return the bound on the magnitude
+        of the pair scores, max_j ||A_j||_1 max|B|."""
         m1, m2 = self._block_shape
         a, b = self._a, self._b
         blocks = v[self._cols_x].reshape(self._coef.shape[:2])
@@ -340,11 +350,57 @@ class PairScoreGrid:
             a[:, t * m2 : (t + 1) * m2] = self._phi1[c1] @ mats[t].reshape(m1, m2)
         a[:, -2] = self._f1 @ v[self._cols1]
         b[:, -1] = self._f2 @ v[self._cols2]
-        grid = a @ b.T
         # a non-finite entry of A or B makes the bound inf or NaN
-        bound = float(np.abs(a).sum(axis=1).max()) * float(np.abs(b).max())
+        return float(np.abs(a).sum(axis=1).max()) * float(np.abs(b).max())
+
+    def scores(self, v: np.ndarray) -> tuple[np.ndarray, float]:
+        """F v as an n x n grid, the diagonal holding -inf, and the bound
+        on the magnitude of the pair scores from ``_factors``."""
+        bound = self._factors(v)
+        grid = self._a @ self._b.T
         np.fill_diagonal(grid, -np.inf)
         return grid, bound
+
+    def _panels(self):
+        """(lo, panel): the scores of the narrower table's rows from lo on,
+        as many as fit ``WEIGH_PANEL_FLOATS``, against every row of the
+        other, the diagonal at -inf; rows of the grid, or of its transpose
+        when beta is the narrower table."""
+        rows, cols = (self._a, self._b) if self._gram_on_alpha else (self._b, self._a)
+        step = max(1, WEIGH_PANEL_FLOATS // self.n)
+        for lo in range(0, self.n, step):
+            panel = rows[lo : lo + step] @ cols.T
+            i = np.arange(panel.shape[0])
+            panel[i, lo + i] = -np.inf
+            yield lo, panel
+
+    def weigh(self, v: np.ndarray, guard) -> tuple[float, float, np.ndarray]:
+        """(top, total, U): the shift, the sum and the moments of the weights
+        w = exp(scores - top) at v.
+
+        top is the score bound up to ``_shift_limit``, else the maximum:
+        over the panels, or over the whole grid once ``guard`` has checked
+        it when the bound is not below ``FINITE_SCORE_BOUND``.  It is folded
+        into A's within-group column, which meets B's ones.  Each panel is
+        exponentiated in place and adds panel^T times its rows of the
+        products to U in panel order, so U's bits do not depend on the
+        number of BLAS threads.
+        """
+        bound = self._factors(v)
+        if bound <= self._shift_limit:
+            top = bound
+        elif bound < FINITE_SCORE_BOUND:
+            top = max(float(panel.max()) for _, panel in self._panels())
+        else:
+            grid, _ = self.scores(v)
+            guard(grid)
+            top = float(grid.max())
+        self._a[:, -2] -= top
+        u = np.zeros((self.n, self._products.shape[1]))
+        for lo, panel in self._panels():
+            np.exp(panel, out=panel)
+            u += panel.T @ self._products[lo : lo + panel.shape[0]]
+        return top, float(u[:, self._total_column].sum()), u
 
     def weighted_sum(self, w: np.ndarray) -> np.ndarray:
         """F^T w for an n x n weight grid with a zero diagonal."""
@@ -457,15 +513,11 @@ class PairScoreGrid:
                 out[r_lo : r_lo + row_panel, lo : lo + panel] = k.sum(axis=(1, 3))
         return out
 
-    def moments(self, w: np.ndarray) -> np.ndarray:
-        """U = w times the product table (w^T when alpha is the narrower
-        table): column (i, i') holds, for each row of the other table, the
-        weighted sum over the narrower side's rows of its columns i and i'."""
-        return (w.T if self._gram_on_alpha else w) @ self._products
-
     def moment_sum(self, u: np.ndarray) -> np.ndarray:
-        """F^T w from the moments U of w.  The columns of U that pair a
-        narrow-table column with its column of ones, summed against the
+        """F^T w from the moments U of w (``weigh``).  Column (i, i') of U
+        holds, for each row of the other table, the weighted sum over the
+        narrower side's rows of its columns i and i'.  The columns that pair
+        a narrow-table column with its column of ones, summed against the
         other table, give every entry of alpha^T w beta; each feature column
         reads its terms' entries."""
         (m1, m2), n_emb = self._block_shape, len(self._phi1)
@@ -582,8 +634,9 @@ def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, layout: str) -
     n x ``FUSED_MAX_PRODUCTS`` at most; on
     top of them come either the build's temporaries (those features'
     gathered operands, then the n x m1 x m2 cross-mean temporary next to a
-    delta feature's boolean matches) or an evaluation: the n x n scores, the
-    moments (as wide as the product table) and the Hessian's panels (four of
+    delta feature's boolean matches) or an evaluation: the n x n scores
+    (which on a fused grid only ``diagnostics`` holds), the moments (as wide
+    as the product table) and the Hessian's panels (four of
     ``GRAM_PANEL_FLOATS`` at once).  Dense rows hold the data rows' features,
     then the permuted samples, the two gathered feature operands and the
     feature rows at once.
@@ -603,18 +656,19 @@ def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, layout: str) -
 class _Evaluated:
     """The log-sum-exp parts of one parameter point, keyed on its bytes.
 
-    ``weights`` holds exp(scores - top), never divided, shaped like the
-    backing's scores; ``grad`` is filled in when the gradient is first
-    taken, and on a fused grid so are ``moments``, the weights' moments that
-    the Hessian reads.
+    ``total`` is the sum of the weights exp(scores - top).  A fused grid
+    keeps only their moments U (``PairScoreGrid.weigh``), from which its
+    gradient and Hessian are read; any other backing keeps the ``weights``
+    themselves, never divided, shaped like its scores.  ``grad`` is filled
+    in when the gradient is first taken.
     """
 
     key: bytes
     top: float
     total: float
-    weights: np.ndarray
-    grad: np.ndarray | None = None
+    weights: np.ndarray | None = None
     moments: np.ndarray | None = None
+    grad: np.ndarray | None = None
 
 
 class ModelTerms:
@@ -630,7 +684,8 @@ class ModelTerms:
     estimated peak (see ``_peak_bytes``; kept as ``peak_bytes``) exceeds
     physical memory raises ``SizeError`` before anything is allocated.
 
-    The last evaluated point is remembered with its pair weights, so a
+    The last evaluated point is remembered with its pair weights (on a
+    fused grid, their moments; see ``_Evaluated``), so a
     ``value_grad`` or ``hessian`` at the point whose ``value`` was just
     taken (the solver's accepted iterate), or a repeat at one whose gradient
     is known, skips the pair scoring; results are bit-identical to a fresh
@@ -716,9 +771,15 @@ class ModelTerms:
             # free the old pair scores before allocating new ones
             self._last = None
             self.scorings += 1
-            weights = self.perm_scores(flat)
-            top, total = _shifted_exp(weights)
-            self._last = _Evaluated(key, top, total, weights)
+            if self.backing.fused:
+                # overflow is caught by the guard; the numpy warning is noise
+                with np.errstate(over="ignore", invalid="ignore"):
+                    top, total, moments = self.backing.weigh(flat, lambda scores: self._guard_finite(scores, flat))
+                self._last = _Evaluated(key, top, total, moments=moments)
+            else:
+                weights = self.perm_scores(flat)
+                top, total = _shifted_exp(weights)
+                self._last = _Evaluated(key, top, total, weights=weights)
         return self._last
 
     def log_normalizer(self, flat: np.ndarray) -> float:
@@ -742,7 +803,6 @@ class ModelTerms:
     def _gradient(self, last: _Evaluated) -> np.ndarray:
         if last.grad is None:
             if self.backing.fused:
-                last.moments = self.backing.moments(last.weights)
                 weighted = self.backing.moment_sum(last.moments)
             else:
                 weighted = self.backing.weighted_sum(last.weights)
@@ -750,9 +810,8 @@ class ModelTerms:
         return last.grad
 
     def _gram(self, last: _Evaluated, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """F[:, rows]^T diag(w) F[:, cols] at the remembered point: from the
-        moments its gradient left when the backing is fused, else from w."""
-        self._gradient(last)
+        """F[:, rows]^T diag(w) F[:, cols] at the remembered point: from
+        its moments when the backing is fused, else from w."""
         if self.backing.fused:
             return self.backing.moment_gram(last.moments, rows, cols)
         return self.backing.gram(last.weights, rows, cols)
@@ -761,8 +820,8 @@ class ModelTerms:
         """H[rows, cols] of the normalized objective, every row by default.
 
         H = F^T diag(w) F - g g^T with w the softmax pair weights and
-        g = F^T w; the backing's ``gram`` (``moment_gram`` on the moments the
-        gradient left, on a fused grid) gives the first term, and the
+        g = F^T w; the backing's ``gram`` (``moment_gram`` on the point's
+        moments, on a fused grid) gives the first term, and the
         weights come from the remembered point, so a Hessian at the point
         just evaluated scores nothing.  g g^T is subtracted in chunks of rows
         of about ``GRAM_PANEL_FLOATS`` floats, so no temporary is the size of

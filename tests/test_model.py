@@ -676,8 +676,9 @@ class TestGramPlan:
         terms = ModelTerms(data, f, index=idx, pair_policy=ALL)
         assert layout_of(terms) == layout
         grid, flat = terms.backing, random_theta(idx, 3, scale=0.1).flat
-        terms.value(flat)
-        w = terms._last.weights
+        # the full grid's weights: a fused point keeps only their moments
+        w = terms.perm_scores(flat)
+        model_mod._shifted_exp(w)
         every = np.arange(idx.dim)
         t_a, t_b, t_coef = whole_dim_gram_terms(grid)
         a, b, coef = grid._gram_terms(every)
@@ -712,10 +713,53 @@ def fused_problem(kind, split):
     return data, f
 
 
+def fused_and_general(data, f, monkeypatch):
+    """The same terms twice: forced onto the fused path and off it."""
+    idx = build_pair_index(data.m, block_dim=f.block_dim)
+    with monkeypatch.context() as patch:
+        patch.setattr(model_mod, "FUSED_MAX_PRODUCTS", 10**6)
+        fused = ModelTerms(data, f, index=idx, pair_policy=ALL)
+        patch.setattr(model_mod, "FUSED_MAX_PRODUCTS", 0)
+        general = ModelTerms(data, f, index=idx, pair_policy=ALL)
+    assert fused.backing.fused and not general.backing.fused
+    return fused, general
+
+
+def fused_tolerance(terms, flat):
+    """Error allowed to a fused evaluation at flat, per unit of the result's
+    largest entry.  The fused and full-grid paths round each pair score's
+    exponent differently by a few eps times its magnitude, which the score
+    bound caps, and every weight, sum and moment carries that relative
+    error: 16 eps (1 + bound)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = terms.backing.scores(flat)[1]
+    return 16 * np.finfo(np.float64).eps * (1 + bound)
+
+
+def assert_matches_general(fused, general, flat, support):
+    """Value, gradient, H_SS and H[:, S] of the fused terms equal the
+    general path's to ``fused_tolerance``, per unit of the largest term
+    each result is a difference of: F^T w and the data mean for the
+    gradient, F^T diag(w) F and g g^T (g = F^T w) for the Hessian."""
+    tol = fused_tolerance(general, flat)
+    value, grad = fused.value_grad(flat)
+    want_value, want_grad = general.value_grad(flat)
+    assert abs(value - want_value) <= tol * max(1.0, abs(want_value))
+    weighted = want_grad + general.mean_f
+    scale = max(np.abs(weighted).max(), np.abs(general.mean_f).max())
+    np.testing.assert_allclose(grad, want_grad, rtol=0, atol=tol * scale)
+    # the solver's H_SS and diagnostics' H[:, S]
+    for rows in (support, None):
+        want = general.hessian(flat, support, rows=rows)
+        scale = max(np.abs(want).max(), np.abs(weighted).max() ** 2)
+        np.testing.assert_allclose(fused.hessian(flat, support, rows=rows), want, rtol=0, atol=tol * scale)
+
+
 class TestFusedMoments:
-    """A grid whose narrower factor table has few column products takes the
-    gradient and the Hessian from one set of weight-grid moments; it must
-    agree with the path that contracts w itself."""
+    """A grid whose narrower factor table has few column products is
+    weighed in panels straight into one set of weight-grid moments, from
+    which its value, gradient and Hessian are read; it must agree with the
+    path that scores the whole grid and contracts w itself."""
 
     @pytest.mark.parametrize("layout", ["grid"])
     @pytest.mark.parametrize("split", [(2, 6), (6, 2), "interleaved"])
@@ -725,25 +769,86 @@ class TestFusedMoments:
         idx = build_pair_index(data.m, block_dim=f.block_dim)
         if kind in ("product", "squared_product"):  # 10 or 28 products: fused unforced
             assert ModelTerms(data, f, index=idx, pair_policy=ALL).backing.fused
-        monkeypatch.setattr(model_mod, "FUSED_MAX_PRODUCTS", 10**6)
-        fused = ModelTerms(data, f, index=idx, pair_policy=ALL)
-        monkeypatch.setattr(model_mod, "FUSED_MAX_PRODUCTS", 0)
-        general = ModelTerms(data, f, index=idx, pair_policy=ALL)
+        fused, general = fused_and_general(data, f, monkeypatch)
         assert layout_of(fused) == layout_of(general) == layout
-        assert fused.backing.fused and not general.backing.fused
-        rng = np.random.default_rng(5)
-        support = np.sort(rng.permutation(idx.dim)[:9])
+        support = np.sort(np.random.default_rng(5).permutation(idx.dim)[:9])
         for seed in (1, 2):
-            flat = random_theta(idx, seed, scale=0.2).flat
-            value, grad = fused.value_grad(flat)
-            want_value, want_grad = general.value_grad(flat)
-            assert value == want_value
-            np.testing.assert_allclose(grad, want_grad, rtol=1e-13, atol=1e-13 * np.abs(want_grad).max())
-            # the solver's H_SS and diagnostics' H[:, S]
-            for rows in (support, None):
-                got = fused.hessian(flat, support, rows=rows)
-                want = general.hessian(flat, support, rows=rows)
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+            assert_matches_general(fused, general, random_theta(idx, seed, scale=0.2).flat, support)
+
+    @pytest.mark.parametrize("panel_rows", [4, 64], ids=["15-rows-in-4s", "one-short-panel"])
+    @pytest.mark.parametrize("split, on_alpha", [((2, 6), True), ((6, 2), False)],
+                             ids=["alpha-narrower", "beta-narrower"])
+    def test_panels_match_the_full_grid(self, split, on_alpha, panel_rows, monkeypatch):
+        # 15 rows: not a multiple of 4, and fewer than one panel of 64; a
+        # panel of the 15 x 15 grid holds panel_rows x 15 floats
+        monkeypatch.setattr(model_mod, "WEIGH_PANEL_FLOATS", panel_rows * 15)
+        data, f = fused_problem("squared_product", split)
+        fused, general = fused_and_general(data, f, monkeypatch)
+        assert fused.backing._gram_on_alpha is on_alpha
+        support = np.sort(np.random.default_rng(6).permutation(fused.index.dim)[:9])
+        for seed in (1, 2):
+            assert_matches_general(fused, general, random_theta(fused.index, seed, scale=0.2).flat, support)
+
+    @pytest.mark.parametrize("split", [(2, 6), (6, 2)])
+    def test_bound_past_the_shift_limit_shifts_by_the_maximum(self, split, monkeypatch):
+        monkeypatch.setattr(model_mod, "WEIGH_PANEL_FLOATS", 4 * 15)
+        data, f = fused_problem("product", split)
+        fused, general = fused_and_general(data, f, monkeypatch)
+        grid, limit = fused.backing, fused.backing._shift_limit
+        flat = random_theta(fused.index, 7).flat
+        # bisect the scale of flat to the two sides of the limit; the bound
+        # grows with the scale
+        lo, hi = 0.0, 1.0
+        while grid.scores(hi * flat)[1] <= limit:
+            hi *= 2
+        for _ in range(100):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if grid.scores(mid * flat)[1] <= limit else (lo, mid)
+        below, above = lo * flat, hi * flat
+        assert limit < general.backing.scores(above)[1] <= limit * (1 + 1e-12)
+        support = np.sort(np.random.default_rng(6).permutation(fused.index.dim)[:9])
+        for point in (below, above):
+            assert_matches_general(fused, general, point, support)
+            scores, bound = general.backing.scores(point)
+            # the shift is the bound up to the limit, the grid's maximum past it
+            assert scores.max() < 0.9 * bound
+            want = bound if bound <= limit else scores.max()
+            assert fused._last.top == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("split, pair", [((2, 6), (0, 2)), ((6, 2), (0, 6))])
+    def test_non_finite_score_in_a_later_panel_names_the_block(self, split, pair, monkeypatch):
+        # only row 13, in the fourth panel of 4 rows, scores past float64:
+        # its narrow-group variable of the pair is 1e150, the pair's weight
+        # 1e200; its other variable is 0, so the data term stays finite
+        monkeypatch.setattr(model_mod, "WEIGH_PANEL_FLOATS", 4 * 15)
+        data, f = fused_problem("product", split)
+        x = data.samples.copy()
+        narrow = pair[0] if split == (2, 6) else pair[1]
+        x[13, list(pair)] = 0.0
+        x[13, narrow] = 1e150
+        terms = ModelTerms(Dataset(x, data.partition), f, pair_policy=ALL)
+        assert terms.backing.fused and terms.backing._gram_on_alpha is (split == (2, 6))
+        flat = 0.01 * np.ones(terms.index.dim)
+        flat[terms.index.slice_of(pair)] = 1e200
+        for method in ("value", "value_grad"):
+            with pytest.raises(NumericError, match=rf"dominant block is pair \({pair[0]}, {pair[1]}\)"):
+                getattr(terms, method)(flat)
+
+    def test_one_evaluation_holds_no_n_by_n_array(self):
+        # 2000 rows: one n x n float64 grid is 32 MB; the panels, factors and
+        # moments of a value, gradient and Hessian take a fraction of that
+        data = make_dataset(2000, 2, 6, seed=12)
+        terms = ModelTerms(data, FeatureMap.product(), pair_policy=ALL)
+        assert terms.backing.fused
+        flat, cols = random_theta(terms.index, 12, scale=0.1).flat, np.arange(terms.index.dim)
+        tracemalloc.start()
+        try:
+            terms.value_grad(flat)
+            terms.hessian(flat, cols, rows=cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2000 * 2000 / 8
 
     def test_moments_belong_to_their_point(self):
         # the Hessian at a point whose value alone was taken reads that
