@@ -1,9 +1,9 @@
 """Data model: partitioned datasets, pair indexing, permuted samples, features.
 
 Variables are split into two fixed groups.  Model parameters live on
-unordered variable pairs ``(u, v)`` with ``u < v`` (optionally ``u == v``),
-each pair carrying a block of ``block_dim`` coefficients.  Flat parameter
-vectors are laid out pair-major in the lexicographic order of ``pairs``.
+unordered variable pairs ``(u, v)`` with ``u < v``, each pair carrying a
+block of ``block_dim`` coefficients.  Flat parameter vectors are laid out
+pair-major in the lexicographic order of ``pairs``.
 """
 
 import operator
@@ -105,8 +105,8 @@ class Dataset:
 
 @dataclass(frozen=True)
 class PairIndex:
-    """Lexicographic index of the pairs u < v (u <= v with ``include_diagonal``)
-    over m variables, and their flat-vector layout.
+    """Lexicographic index of the pairs u < v over m variables, and their
+    flat-vector layout.
 
     Positions and counts are closed-form and the pair arrays come from
     ``np.triu_indices``; the tuple of pairs is built only when asked for.
@@ -114,7 +114,6 @@ class PairIndex:
 
     m: int
     block_dim: int = 1
-    include_diagonal: bool = False
 
     def __post_init__(self):
         if self.m < 2:
@@ -122,17 +121,11 @@ class PairIndex:
         if self.block_dim < 1:
             raise DimensionError(f"block_dim must be >= 1, got {self.block_dim}")
 
-    @property
-    def _skip(self) -> int:
-        """Offset of row u's first partner from u: 0 with the diagonal, else 1."""
-        return 0 if self.include_diagonal else 1
-
-    @property
+    @cached_property
     def n_pairs(self) -> int:
-        row = self.m - self._skip
-        return row * (row + 1) // 2
+        return self.m * (self.m - 1) // 2
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return self.n_pairs * self.block_dim
 
@@ -146,7 +139,7 @@ class PairIndex:
 
     @cached_property
     def _triu(self) -> tuple[np.ndarray, np.ndarray]:
-        triu = np.triu_indices(self.m, k=self._skip)
+        triu = np.triu_indices(self.m, k=1)
         for idx in triu:
             idx.setflags(write=False)
         return triu
@@ -161,11 +154,10 @@ class PairIndex:
             u, v = (operator.index(i) for i in pair)
         except (TypeError, ValueError):
             raise DimensionError(f"pair {pair} is not in the index") from None
-        skip = self._skip
-        if not (0 <= u and u + skip <= v < self.m):
+        if not 0 <= u < v < self.m:
             raise DimensionError(f"pair {pair} is not in the index")
-        # rows 0..u-1 hold m - skip - r pairs each
-        return u * (self.m - skip) - u * (u - 1) // 2 + v - u - skip
+        # rows 0..u-1 hold m - 1 - r pairs each
+        return u * (self.m - 1) - u * (u - 1) // 2 + v - u - 1
 
     def slice_of(self, pair) -> slice:
         """Flat-vector slice of one block; accepts a pair tuple or position."""
@@ -182,9 +174,9 @@ class PairIndex:
         return mask2[self.u_idx] != mask2[self.v_idx]
 
 
-def build_pair_index(m: int, include_diagonal: bool = False, block_dim: int = 1) -> PairIndex:
-    """All variable pairs u < v (u <= v when include_diagonal) over m columns."""
-    return PairIndex(m, block_dim, include_diagonal)
+def build_pair_index(m: int, block_dim: int = 1) -> PairIndex:
+    """All variable pairs u < v over m columns."""
+    return PairIndex(m, block_dim)
 
 
 @dataclass(frozen=True, eq=False)

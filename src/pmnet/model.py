@@ -33,6 +33,8 @@ import numpy as np
 
 from . import _kernels
 from .core import (
+    KRONECKER_DELTA,
+    TABLE,
     Dataset,
     FeatureMap,
     PairIndex,
@@ -121,11 +123,7 @@ def select_ordered_pairs(n: int, policy: PairPolicy | None = None):
         codes = codes[:count]
     else:
         codes = np.arange(total, dtype=np.int64)
-    return _decode_pairs(codes, n)
-
-
-def _decode_pairs(codes: np.ndarray, n: int):
-    """(j, k) of ordered-pair codes: code = j (n - 1) + k, less one when k > j."""
+    # code = j (n - 1) + k, less one when k > j
     j_idx = codes // (n - 1)
     rem = codes % (n - 1)
     return j_idx, rem + (rem >= j_idx)
@@ -183,7 +181,6 @@ class DensePairRows:
 
     def __init__(self, data: Dataset, feature: FeatureMap, index: PairIndex, pair_j, pair_k):
         self.data_mean = pair_feature_matrix(feature, data.samples, index).mean(axis=0)
-        self.pair_j, self.pair_k = pair_j, pair_k
         x_perm = permuted_matrix(data, pair_j, pair_k)
         self.f_perm = pair_feature_matrix(feature, x_perm, index)
         self.count = self.f_perm.shape[0]
@@ -213,10 +210,6 @@ class DensePairRows:
             left = right if square else self.f_perm[lo : lo + panel, rows] * root[lo : lo + panel, None]
             out += left.T @ right
         return out
-
-    def pairs(self, lo: int, hi: int):
-        """(j, k) rows of the pairs at positions lo..hi."""
-        return self.pair_j[lo:hi], self.pair_k[lo:hi]
 
     def bad_pair_features(self, scores: np.ndarray) -> np.ndarray | None:
         """Feature row of the first non-finite pair score, or None."""
@@ -580,10 +573,6 @@ class PairScoreGrid:
         side *= coef.T
         return inner_idx, side
 
-    def pairs(self, lo: int, hi: int):
-        """(j, k) rows of the pairs at positions lo..hi, in row-major order."""
-        return _decode_pairs(np.arange(lo, min(hi, self.count), dtype=np.int64), self.n)
-
     def bad_pair_features(self, scores: np.ndarray) -> np.ndarray | None:
         """Rebuilt feature row of the first non-finite pair score, or None."""
         bad = ~np.isfinite(scores)
@@ -635,11 +624,12 @@ def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, layout: str) -
     top of them come either the build's temporaries (those features'
     gathered operands, then the n x m1 x m2 cross-mean temporary next to a
     delta feature's boolean matches) or an evaluation: the n x n scores
-    (which on a fused grid only ``diagnostics`` holds), the moments (as wide
-    as the product table) and the Hessian's panels (four of
-    ``GRAM_PANEL_FLOATS`` at once).  Dense rows hold the data rows' features,
-    then the permuted samples, the two gathered feature operands and the
-    feature rows at once.
+    (which a fused grid holds only for ``diagnostics``' ratio bounds and
+    when ``weigh`` guards a score bound of ``FINITE_SCORE_BOUND`` or more),
+    the moments (as wide as the product table) and the Hessian's panels
+    (four of ``GRAM_PANEL_FLOATS`` at once).  Dense rows hold the data rows'
+    features, then the permuted samples, the two gathered feature operands
+    and the feature rows at once.
     """
     n, m, dim = data.n, index.m, index.dim
     if layout == "dense":
@@ -697,18 +687,10 @@ class ModelTerms:
     dominant block of a non-finite score.
     """
 
-    def __init__(
-        self,
-        data: Dataset,
-        feature: FeatureMap,
-        index: PairIndex | None = None,
-        pair_policy: PairPolicy | None = None,
-    ):
+    def __init__(self, data: Dataset, feature: FeatureMap, pair_policy: PairPolicy | None = None):
         self.data = data
         self.feature = feature
-        self.index = index or build_pair_index(data.m, block_dim=feature.block_dim)
-        if self.index.m != data.m or self.index.block_dim != feature.block_dim:
-            raise DimensionError("pair index disagrees with the dataset on m or the feature on block_dim")
+        self.index = build_pair_index(data.m, block_dim=feature.block_dim)
         self.policy = pair_policy or PairPolicy()
         pair_count = self.policy.pair_count(data.n)
         layout = self.policy.layout(data.n)
@@ -839,8 +821,16 @@ class ModelTerms:
         return out
 
 
+def check_index(index: PairIndex, data: Dataset, f: FeatureMap):
+    """Raise ``DimensionError`` unless ``index`` is the pair index of the
+    data's m and the feature's block_dim."""
+    if index != build_pair_index(data.m, block_dim=f.block_dim):
+        raise DimensionError("pair index disagrees with the dataset on m or the feature on block_dim")
+
+
 def _terms_for(theta: ParamBlocks, data: Dataset, f: FeatureMap, pair_policy) -> ModelTerms:
-    return ModelTerms(data, f, index=theta.index, pair_policy=pair_policy)
+    check_index(theta.index, data, f)
+    return ModelTerms(data, f, pair_policy=pair_policy)
 
 
 def unnormalized_log_ratio(theta: ParamBlocks, x: np.ndarray, f: FeatureMap) -> float:
@@ -971,26 +961,33 @@ class DiagnosticsReport:
     support_size: int
 
 
-# feature floats per panel of permuted samples in the bound scan (8 MB)
-BOUND_PANEL_FLOATS = 1 << 20
+def _pair_feature_bounds(data: Dataset, f: FeatureMap, index: PairIndex) -> tuple[float, float]:
+    """``observed_feature_bounds`` over the data rows and every permuted
+    sample x^[j,k], j != k, in one pass over the data.
 
-
-def _observed_pair_bounds(terms: ModelTerms) -> tuple[float, float]:
-    """``observed_feature_bounds`` over the data rows and every permuted sample.
-
-    The permuted samples are built one panel of pairs at a time, each panel's
-    (j, k) from the backing's ``pairs``, and the maxima kept running, which
-    gives the same result as one scan of all rows without holding every
-    permuted sample or pair index at once.
+    A permuted sample's within-group pairs are those of a data row.  A cross
+    pair (u, v) takes x_u and x_v from two rows, so over all (j, k), the
+    data rows' j == k included, its feature is psi(a, b) for every value a of
+    column u and b of column v.  Product and squared product peak at the
+    product of the two groups' largest |value| (rounding is monotone, so that
+    is the largest rounded product, bit for bit); delta is 1 when the groups
+    share a value; a table peaks over the code pairs (a, b) some cross
+    pair's columns hold, read as table[a, b] for u's code a.
     """
-    data, f, index = terms.data, terms.feature, terms.index
     obs_inf, obs_l2 = observed_feature_bounds(f, data.samples, index)
-    panel = max(1, BOUND_PANEL_FLOATS // index.dim)
-    for lo in range(0, terms.n_pairs_used, panel):
-        rows = permuted_matrix(data, *terms.backing.pairs(lo, lo + panel))
-        panel_inf, panel_l2 = observed_feature_bounds(f, rows, index)
-        obs_inf, obs_l2 = max(obs_inf, panel_inf), max(obs_l2, panel_l2)
-    return obs_inf, obs_l2
+    part = data.partition
+    values = feature_values(f, data.samples)
+    values1, values2 = values[:, list(part.group1)], values[:, list(part.group2)]
+    if f.kind == TABLE:
+        held = np.zeros((index.m, f.categories), dtype=bool)
+        held[np.arange(index.m), values] = True
+        cross = index.cross_mask(part)
+        blocks = np.abs(f.table[held[index.u_idx[cross]].T @ held[index.v_idx[cross]]])
+    elif f.kind == KRONECKER_DELTA:
+        blocks = np.full((1, 1), float(np.intersect1d(values1, values2).size > 0))
+    else:
+        blocks = np.full((1, 1), np.abs(values1).max() * np.abs(values2).max())
+    return max(obs_inf, float(blocks.max())), max(obs_l2, float(np.sqrt((blocks**2).sum(axis=1)).max()))
 
 
 def diagnostics(
@@ -1005,19 +1002,23 @@ def diagnostics(
     The Hessian columns H[:, S] of the support come from one
     ``ModelTerms.hessian`` call (closed form on the grid's factors, one
     weighted product on dense rows); H_SS and the complement's rows are
-    slices of them.  Feature bounds scan the permuted samples in panels;
-    the ratio bounds score the data rows' features, built here, and the
-    pair set's scores.  An H[:, S] that with ``terms.peak_bytes`` exceeds
+    slices of them.  Feature bounds cover the data rows and every permuted
+    sample, whatever the pair set, from one pass over the data
+    (``_pair_feature_bounds``); the ratio bounds score the data rows'
+    features, built here, and the pair set's scores.  An H[:, S] that with ``terms.peak_bytes`` exceeds
     physical memory raises ``SizeError`` before the Hessian is built.
     """
     index = theta_star.index
     support_pairs = [tuple(p) for p in support]
     if not support_pairs:
         raise DimensionError("diagnostics needs a nonempty support")
+    seen = set()
     for p in support_pairs:
-        index.position(p)
-    support_set = set(support_pairs)
-    comp_pairs = [p for p in index.pairs if p not in support_set]
+        t = index.position(p)
+        if t in seen:
+            raise DimensionError(f"support repeats pair {p}")
+        seen.add(t)
+    comp_pairs = [p for t, p in enumerate(index.pairs) if t not in seen]
 
     terms = _terms_for(theta_star, data, f, pair_policy)
     s_cols = _restrict_columns(index, support_pairs)
@@ -1042,7 +1043,7 @@ def diagnostics(
         worst = np.abs(y).reshape(s_cols.size, len(comp_pairs), index.block_dim).sum(axis=(0, 2)).max()
         margin = 1.0 - float(worst)
 
-    obs_inf, obs_l2 = _observed_pair_bounds(terms)
+    obs_inf, obs_l2 = _pair_feature_bounds(data, f, index)
     bounds = FeatureBoundReport(obs_inf, obs_l2, f.bound_inf, f.bound_l2)
 
     log_norm = terms.log_normalizer(theta_star.flat)

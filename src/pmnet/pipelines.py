@@ -383,7 +383,6 @@ def fit_to_json(
         "format_version": FORMAT_VERSION,
         "m": index.m,
         "block_dim": index.block_dim,
-        "include_diagonal": index.include_diagonal,
         "partition": partition_spec_string(partition),
         "feature": feature.kind,
         "lambda": result.lam,
@@ -418,8 +417,10 @@ def fit_from_json(path: str) -> tuple[ParamBlocks, Partition, FeatureMap, dict]:
             feature = FeatureMap.from_table(payload["table"])
         else:
             feature = feature_by_name(payload["feature"], payload.get("categories"))
+        if payload.get("include_diagonal", False) is not False:
+            raise ParseError(f"'include_diagonal' must be false, got {payload['include_diagonal']!r}")
         dim = feature.block_dim
-        index = build_pair_index(m, payload.get("include_diagonal", False), dim)
+        index = build_pair_index(m, block_dim=dim)
         flat = np.zeros(index.dim)
         for entry in payload["theta"]:
             pair, coef = (entry["u"], entry["v"]), np.asarray(entry["coef"], dtype=np.float64)

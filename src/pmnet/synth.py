@@ -24,7 +24,7 @@ from .core import (
     permuted_pair,
 )
 from .errors import DimensionError, GeneratorError, SizeError
-from .model import ModelTerms, PairPolicy, ParamBlocks
+from .model import PairPolicy, ParamBlocks, _terms_for, check_index
 from .structure import SupportSet
 
 ENUMERATION_CAP = 64
@@ -244,7 +244,7 @@ def finite_difference_gradient(
     Reference implementation for tests: touches the model only through its
     objective value, never through the analytic gradient.
     """
-    terms = ModelTerms(data, f, index=theta.index, pair_policy=pair_policy)
+    terms = _terms_for(theta, data, f, pair_policy)
     base = np.array(theta.flat, dtype=np.float64)
     grad = np.empty_like(base)
     for i in range(base.shape[0]):
@@ -262,6 +262,7 @@ def normalizer_enumeration_oracle(theta: ParamBlocks, data: Dataset, f: FeatureM
     n = data.n
     if n > ENUMERATION_CAP:
         raise SizeError(f"enumeration oracle capped at n={ENUMERATION_CAP}, got {n}")
+    check_index(theta.index, data, f)
     total = 0.0
     count = 0
     for j in range(n):

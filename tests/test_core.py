@@ -97,7 +97,6 @@ class TestPairIndex:
     def test_counts(self):
         # m*(m-1)/2 off-diagonal pairs
         assert build_pair_index(50).n_pairs == 1225
-        assert build_pair_index(3, include_diagonal=True).n_pairs == 6
 
     def test_lexicographic_order(self):
         idx = build_pair_index(4)
@@ -130,11 +129,11 @@ class TestPairIndex:
             assert idx.position(pair) == t
 
     @pytest.mark.parametrize("block_dim", [1, 3])
-    @pytest.mark.parametrize("diagonal", [False, True])
+    @pytest.mark.parametrize("diagonal", [False])
     def test_matches_the_nested_loop(self, diagonal, block_dim):
         for m in range(2, 41):
             pairs = [(u, v) for u in range(m) for v in range(u if diagonal else u + 1, m)]
-            idx = build_pair_index(m, include_diagonal=diagonal, block_dim=block_dim)
+            idx = build_pair_index(m, block_dim=block_dim)
             assert idx.pairs == tuple(pairs)
             assert (idx.n_pairs, idx.dim) == (len(pairs), len(pairs) * block_dim)
             np.testing.assert_array_equal(idx.u_idx, [u for u, _ in pairs])
@@ -153,13 +152,6 @@ class TestPairIndex:
         if not isinstance(pair, int):
             with pytest.raises(DimensionError, match="is not in the index"):
                 idx.slice_of(pair)
-
-    def test_diagonal_pairs_only_with_the_diagonal(self):
-        assert build_pair_index(5, include_diagonal=True).position((2, 2)) == 9
-        with pytest.raises(DimensionError):
-            build_pair_index(5).position((2, 2))
-        with pytest.raises(DimensionError):
-            build_pair_index(5, include_diagonal=True).position((2, 1))
 
 
 class TestPermutedSamples:

@@ -201,8 +201,11 @@ class TestObjective:
 
     @pytest.mark.parametrize("m, block_dim", [(4, 1), (5, 2)])
     def test_index_must_match_the_data_and_feature(self, small_data, m, block_dim):
-        with pytest.raises(DimensionError, match="disagrees"):
-            ModelTerms(small_data, FeatureMap.product(), index=build_pair_index(m, block_dim=block_dim))
+        theta = ParamBlocks.zeros(build_pair_index(m, block_dim=block_dim))
+        f = FeatureMap.product()
+        for evaluate in (negative_log_likelihood, finite_difference_gradient, normalizer_enumeration_oracle):
+            with pytest.raises(DimensionError, match="disagrees"):
+                evaluate(theta, small_data, f)
 
 
 class TestGradient:
@@ -384,34 +387,62 @@ class TestDiagnostics:
         rep = diagnostics(theta, data, f, [(0, 2)], pair_policy=ALL)
         assert rep.feature_bounds.within_declared
 
-    @pytest.mark.parametrize("kind", ["product", "table"])
-    def test_panelled_bound_scan_equals_full_scan(self, kind, monkeypatch):
-        if kind == "product":
-            data = make_dataset(12, 2, 2, seed=45)
-            x = data.samples.copy()
-            # the largest feature is x[11, 0] * x[10, 2], met only by the last pair (11, 10)
-            x[11, 0], x[10, 2] = 10.0, 10.0
-            data = Dataset(x, data.partition)
-            f = FeatureMap.product()
+    def test_repeated_support_pair_is_rejected(self, small_data):
+        theta = random_theta(build_pair_index(small_data.m), 44, scale=0.1)
+        with pytest.raises(DimensionError, match=r"support repeats pair \(0, 2\)"):
+            diagnostics(theta, small_data, FeatureMap.product(), [(0, 2), (1, 3), (0, 2)], pair_policy=ALL)
+
+    @pytest.mark.parametrize("layout", ["grid", "dense"])
+    @pytest.mark.parametrize("kind", ["product", "squared_product", "delta", "delta_uncoded", "table"])
+    def test_feature_bounds_equal_a_scan_of_every_sample(self, kind, layout, monkeypatch):
+        # interleaved groups: cross pairs such as (1, 3) start in group 2
+        partition = Partition((0, 3, 4, 6), (1, 2, 5))
+        rng = np.random.default_rng(45)
+        x = rng.standard_normal((12, 7))
+        if kind in ("product", "squared_product"):
+            # the largest feature is x[11, 0] x[10, 2], met only by the permuted sample (11, 10)
+            x[11, 0], x[10, 2] = 10.0, -10.0
+            data, f = Dataset(x, partition), FeatureMap(kind)
+        elif kind == "delta_uncoded":
+            x[3, 1] = x[5, 0]  # the only match, across rows 5 and 3
+            data, f = Dataset(x, partition), FeatureMap.kronecker_delta()
+        elif kind == "delta":
+            data = Dataset(rng.integers(0, 3, size=(12, 7)).astype(np.float64), partition, 3)
+            f = FeatureMap.kronecker_delta(3)
         else:
-            data = make_coded_dataset(12, 2, 2, categories=3, seed=46)
-            f = FeatureMap.from_table(np.random.default_rng(46).standard_normal((3, 3, 2)))
-        idx = build_pair_index(4, block_dim=f.block_dim)
-        theta = random_theta(idx, 45, scale=0.1)
-        monkeypatch.setattr(model_mod, "BOUND_PANEL_FLOATS", 7 * idx.dim)
-        # 132 pairs in panels of 7: the last panel is partial
-        assert (12 * 11) % 7 != 0
-        rep = diagnostics(theta, data, f, [(0, 2)], pair_policy=ALL)
-        j, k = select_ordered_pairs(12, ALL)
-        full = observed_feature_bounds(f, np.vstack([data.samples, permuted_matrix(data, j, k)]), idx)
+            # code 0 only in column 0 (row 4) and code 2 only in column 1 (row 7): the
+            # largest entry, table[0, 2], is met only by the permuted sample (4, 7);
+            # (1, 3) and other flipped pairs read table[x_1, x_3], never table[2, 0]
+            codes = np.ones((12, 7))
+            codes[4, 0], codes[7, 1] = 0.0, 2.0
+            table = rng.standard_normal((3, 3, 2))
+            table[0, 2] = [40.0, -3.0]
+            data, f = Dataset(codes, partition, 3), FeatureMap.from_table(table)
+        idx = build_pair_index(7, block_dim=f.block_dim)
+        policy = {"grid": ALL, "dense": PairPolicy(cap=20, seed=2)}[layout]
+        assert policy.layout(12) == layout
+        full = every_sample_bounds(data, f, idx)
+        if layout == "grid":  # an every-pair fit builds no permuted sample
+
+            def builds(*args, **kwargs):
+                raise AssertionError("built permuted samples")
+
+            monkeypatch.setattr(model_mod, "permuted_matrix", builds)
+        rep = diagnostics(random_theta(idx, 45, scale=0.1), data, f, [(0, 2)], pair_policy=policy)
         assert (rep.feature_bounds.observed_inf, rep.feature_bounds.observed_l2) == full
-        if kind == "product":
-            assert full[0] == 100.0
+        if kind != "delta":  # the extreme is on a permuted sample only
+            assert full != observed_feature_bounds(f, data.samples, idx)
+
+
+def every_sample_bounds(data, f, index):
+    """``observed_feature_bounds`` of the data rows and every permuted sample, built."""
+    j, k = select_ordered_pairs(data.n, ALL)
+    return observed_feature_bounds(f, np.vstack([data.samples, permuted_matrix(data, j, k)]), index)
 
 
 def dense_twin(terms):
     """Same terms with the pair set held as dense permuted feature rows."""
-    twin = ModelTerms(terms.data, terms.feature, index=terms.index, pair_policy=terms.policy)
+    twin = ModelTerms(terms.data, terms.feature, pair_policy=terms.policy)
     pairs = select_ordered_pairs(terms.data.n, terms.policy)
     twin.backing = DensePairRows(terms.data, terms.feature, terms.index, *pairs)
     return twin
@@ -461,15 +492,21 @@ def grid_problems(draw):
             f = FeatureMap.from_table(rng.standard_normal((categories, categories, draw(st.integers(1, 2)))))
         else:
             f = FeatureMap.kronecker_delta(categories if kind == "delta" else None)
-    index = build_pair_index(m, include_diagonal=draw(st.booleans()), block_dim=f.block_dim)
+    index = build_pair_index(m, block_dim=f.block_dim)
     return data, f, ParamBlocks(0.4 * rng.standard_normal(index.dim), index)
 
 
 class TestScoreGrid:
     @given(grid_problems())
+    def test_closed_form_bounds_are_bit_equal_to_the_scan(self, problem):
+        data, f, theta = problem
+        got = model_mod._pair_feature_bounds(data, f, theta.index)
+        assert got == every_sample_bounds(data, f, theta.index)
+
+    @given(grid_problems())
     def test_matches_dense_rows_and_oracle(self, problem):
         data, f, theta = problem
-        terms = ModelTerms(data, f, index=theta.index, pair_policy=ALL)
+        terms = ModelTerms(data, f, pair_policy=ALL)
         assert layout_of(terms) == "grid"
         dense = dense_twin(terms)
         value, grad = terms.value_grad(theta.flat)
@@ -552,17 +589,17 @@ class TestScoreGrid:
         for fused_max in (0, 10_000):
             with monkeypatch.context() as patch:
                 patch.setattr(model_mod, "FUSED_MAX_PRODUCTS", fused_max)
-                terms = ModelTerms(data, f, index=theta.index, pair_policy=ALL)
+                terms = ModelTerms(data, f, pair_policy=ALL)
                 assert terms.backing._gram_on_alpha is on_alpha
                 assert terms.backing.fused is bool(fused_max)
                 got = terms.hessian(theta.flat, cols)
                 patch.setattr(PairScoreGrid, "_plan_gram", flipped)
-                other = ModelTerms(data, f, index=theta.index, pair_policy=ALL)
+                other = ModelTerms(data, f, pair_policy=ALL)
                 assert other.backing._gram_on_alpha is not on_alpha
                 assert other.backing.fused is bool(fused_max)
                 np.testing.assert_allclose(other.hessian(theta.flat, cols), got, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("diagonal", [False, True])
+    @pytest.mark.parametrize("diagonal", [False])
     @pytest.mark.parametrize("layout", ["grid", "dense"])
     @pytest.mark.parametrize("kind", ["product", "squared_product", "delta", "delta_uncoded", "table"])
     def test_data_terms_are_bit_equal_to_the_feature_matrix(self, kind, layout, diagonal):
@@ -575,9 +612,10 @@ class TestScoreGrid:
             data = Dataset(rng.integers(0, 3, size=(13, 7)).astype(np.float64), partition, 3)
             f = {"delta": FeatureMap.kronecker_delta(3), "delta_uncoded": FeatureMap.kronecker_delta(),
                  "table": FeatureMap.from_table(rng.standard_normal((3, 3, 2)))}[kind]
-        idx = build_pair_index(7, include_diagonal=diagonal, block_dim=f.block_dim)
+        idx = build_pair_index(7, block_dim=f.block_dim)
+        assert (idx.u_idx == idx.v_idx).any() == diagonal
         policy = {"grid": ALL, "dense": PairPolicy(cap=20, seed=2)}[layout]
-        terms = ModelTerms(data, f, index=idx, pair_policy=policy)
+        terms = ModelTerms(data, f, pair_policy=policy)
         assert layout_of(terms) == layout
         f_data = pair_feature_matrix(f, data.samples, idx)
         assert terms.mean_f.tobytes() == f_data.mean(axis=0).tobytes()
@@ -598,7 +636,7 @@ class TestScoreGrid:
         table = FeatureMap.from_table(np.random.default_rng(2).standard_normal((3, 3, 2)))
         idx = build_pair_index(5, block_dim=2)
         theta = random_theta(idx, 9)
-        terms = ModelTerms(data, table, index=idx, pair_policy=ALL)
+        terms = ModelTerms(data, table, pair_policy=ALL)
         dense = dense_twin(terms)
         cols = np.arange(idx.dim)
         np.testing.assert_allclose(
@@ -673,7 +711,7 @@ class TestGramPlan:
             f = FeatureMap.kronecker_delta(3) if kind == "delta" else FeatureMap.from_table(
                 rng.standard_normal((3, 3, 2)))
         idx = build_pair_index(7, block_dim=f.block_dim)
-        terms = ModelTerms(data, f, index=idx, pair_policy=ALL)
+        terms = ModelTerms(data, f, pair_policy=ALL)
         assert layout_of(terms) == layout
         grid, flat = terms.backing, random_theta(idx, 3, scale=0.1).flat
         # the full grid's weights: a fused point keeps only their moments
@@ -718,9 +756,9 @@ def fused_and_general(data, f, monkeypatch):
     idx = build_pair_index(data.m, block_dim=f.block_dim)
     with monkeypatch.context() as patch:
         patch.setattr(model_mod, "FUSED_MAX_PRODUCTS", 10**6)
-        fused = ModelTerms(data, f, index=idx, pair_policy=ALL)
+        fused = ModelTerms(data, f, pair_policy=ALL)
         patch.setattr(model_mod, "FUSED_MAX_PRODUCTS", 0)
-        general = ModelTerms(data, f, index=idx, pair_policy=ALL)
+        general = ModelTerms(data, f, pair_policy=ALL)
     assert fused.backing.fused and not general.backing.fused
     return fused, general
 
@@ -768,7 +806,7 @@ class TestFusedMoments:
         data, f = fused_problem(kind, split)
         idx = build_pair_index(data.m, block_dim=f.block_dim)
         if kind in ("product", "squared_product"):  # 10 or 28 products: fused unforced
-            assert ModelTerms(data, f, index=idx, pair_policy=ALL).backing.fused
+            assert ModelTerms(data, f, pair_policy=ALL).backing.fused
         fused, general = fused_and_general(data, f, monkeypatch)
         assert layout_of(fused) == layout_of(general) == layout
         support = np.sort(np.random.default_rng(5).permutation(idx.dim)[:9])
@@ -894,12 +932,12 @@ class TestHessianPrimitive:
         data, f, theta = problem
         n, dim = data.n, theta.index.dim
         rng = np.random.default_rng(seed)
-        grid = ModelTerms(data, f, index=theta.index, pair_policy=ALL)
+        grid = ModelTerms(data, f, pair_policy=ALL)
         assert layout_of(grid) == "grid"
         backings = [grid, dense_twin(grid)]
         sampled = sampled_policy(n, rng)
         if sampled is not None:  # a few pairs are never sparse enough for dense rows
-            backings.append(ModelTerms(data, f, index=theta.index, pair_policy=sampled))
+            backings.append(ModelTerms(data, f, pair_policy=sampled))
             assert layout_of(backings[-1]) == "dense"
         every = np.arange(dim)
         rows = rng.permutation(dim)[: rng.integers(1, dim + 1)]

@@ -362,6 +362,20 @@ class TestModelSerialization:
         with pytest.raises(ParseError, match=key):
             fit_from_json(str(path))
 
+    def test_fit_with_diagonal_pairs_is_rejected(self, tmp_path):
+        data, f, result = self.fit_small()
+        path = tmp_path / "fit.json"
+        fit_to_json(result, data.partition, f, str(path))
+        payload = json.loads(path.read_text())
+        assert "include_diagonal" not in payload
+        for value, ok in ((False, True), (True, False), (1, False)):
+            path.write_text(json.dumps({**payload, "include_diagonal": value}))
+            if ok:
+                assert fit_from_json(str(path))[0].index == result.theta_hat.index
+            else:
+                with pytest.raises(ParseError, match="'include_diagonal' must be false"):
+                    fit_from_json(str(path))
+
     def test_path_payload(self, tmp_path):
         from pmnet import GeometricSchedule, lambda_path
 
