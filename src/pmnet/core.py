@@ -365,9 +365,9 @@ def variable_embedding(f: FeatureMap, values1: np.ndarray, values2: np.ndarray):
     return onehot1, onehot2, forms
 
 
-def observed_feature_bounds(f: FeatureMap, x_rows: np.ndarray, index: PairIndex) -> tuple[float, float]:
-    """Measured (sup-norm, 2-norm) feature bounds over the given rows."""
-    mat = pair_feature_matrix(f, x_rows, index)
+def observed_feature_bounds(mat: np.ndarray, index: PairIndex) -> tuple[float, float]:
+    """Measured (sup-norm, 2-norm) feature bounds over the rows of a pair
+    feature matrix (``pair_feature_matrix``)."""
     blocks = np.abs(mat).reshape(mat.shape[0], index.n_pairs, index.block_dim)
     bound_inf = float(blocks.max())
     bound_l2 = float(np.sqrt((blocks**2).sum(axis=2)).max())

@@ -211,6 +211,11 @@ class DensePairRows:
             out += left.T @ right
         return out
 
+    def score_range(self, v: np.ndarray) -> tuple[float, float]:
+        """The least and the largest pair score at v."""
+        scores = self.f_perm @ v
+        return float(scores.min()), float(scores.max())
+
     def bad_pair_features(self, scores: np.ndarray) -> np.ndarray | None:
         """Feature row of the first non-finite pair score, or None."""
         bad = ~np.isfinite(scores)
@@ -240,8 +245,9 @@ class PairScoreGrid:
     has at most ``FUSED_MAX_PRODUCTS`` symmetric column products, the grid
     is ``fused``: ``weigh`` scores it a panel of the narrower table's rows
     at a time and multiplies each panel's weights by all of those products,
-    and ``moment_sum`` (F^T w) and ``moment_gram`` (any Gram block) read
-    the resulting moments U instead of w.
+    and ``moment_sum`` (F^T w) and ``moment_gram`` (any Gram block, one
+    contraction of U with the other table's columns) read the resulting
+    moments U instead of w; no evaluation holds an n x n array.
 
     ``data_mean`` is the data rows' mean feature row: the column means of
     s1's and s2's features, and for the cross pairs psi(x_a, x_b) of every
@@ -308,7 +314,7 @@ class PairScoreGrid:
         # the narrower table's symmetric column products, when few enough
         # that one product of w with all of them beats a pass per Hessian
         inner = self._alpha if self._gram_on_alpha else self._beta
-        self.fused = inner.shape[1] * (inner.shape[1] + 1) // 2 <= FUSED_MAX_PRODUCTS
+        self.fused = _fuses(inner.shape[1])
         if self.fused:
             i1, i2 = np.triu_indices(inner.shape[1])
             self._products = inner[:, i1] * inner[:, i2]
@@ -354,12 +360,12 @@ class PairScoreGrid:
         np.fill_diagonal(grid, -np.inf)
         return grid, bound
 
-    def _panels(self):
-        """(lo, panel): the scores of the narrower table's rows from lo on,
-        as many as fit ``WEIGH_PANEL_FLOATS``, against every row of the
-        other, the diagonal at -inf; rows of the grid, or of its transpose
-        when beta is the narrower table."""
-        rows, cols = (self._a, self._b) if self._gram_on_alpha else (self._b, self._a)
+    def _panels(self, grid_rows: bool = False):
+        """(lo, panel): the scores of the narrower table's rows from lo on
+        (of alpha's, the grid's own, with ``grid_rows``), as many as fit
+        ``WEIGH_PANEL_FLOATS``, against every row of the other, the diagonal
+        at -inf; rows of the grid, or of its transpose when they are beta's."""
+        rows, cols = (self._a, self._b) if grid_rows or self._gram_on_alpha else (self._b, self._a)
         step = max(1, WEIGH_PANEL_FLOATS // self.n)
         for lo in range(0, self.n, step):
             panel = rows[lo : lo + step] @ cols.T
@@ -371,23 +377,23 @@ class PairScoreGrid:
         """(top, total, U): the shift, the sum and the moments of the weights
         w = exp(scores - top) at v.
 
-        top is the score bound up to ``_shift_limit``, else the maximum:
-        over the panels, or over the whole grid once ``guard`` has checked
-        it when the bound is not below ``FINITE_SCORE_BOUND``.  It is folded
-        into A's within-group column, which meets B's ones.  Each panel is
-        exponentiated in place and adds panel^T times its rows of the
-        products to U in panel order, so U's bits do not depend on the
-        number of BLAS threads.
+        top is the score bound up to ``_shift_limit``, else the maximum over
+        panels of the grid's rows, each first handed to ``guard`` as its
+        ``bad_pair_features`` when the bound is not below
+        ``FINITE_SCORE_BOUND``.  It is folded into A's within-group column,
+        which meets B's ones.  Each panel is exponentiated in place and adds
+        panel^T times its rows of the products to U in panel order, so U's
+        bits do not depend on the number of BLAS threads.
         """
         bound = self._factors(v)
         if bound <= self._shift_limit:
             top = bound
-        elif bound < FINITE_SCORE_BOUND:
-            top = max(float(panel.max()) for _, panel in self._panels())
         else:
-            grid, _ = self.scores(v)
-            guard(grid)
-            top = float(grid.max())
+            top = -np.inf
+            for lo, panel in self._panels(grid_rows=True):
+                if not bound < FINITE_SCORE_BOUND:  # also when the bound is NaN
+                    guard(self.bad_pair_features(panel, lo))
+                top = max(top, float(panel.max()))
         self._a[:, -2] -= top
         u = np.zeros((self.n, self._products.shape[1]))
         for lo, panel in self._panels():
@@ -528,59 +534,75 @@ class PairScoreGrid:
         return out
 
     def moment_gram(self, u: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """F[:, rows]^T diag(w) F[:, cols] from the moments U of w.
+        """F[:, rows]^T diag(w) F[:, cols] from the moments U of w, in one
+        contraction over U.
 
         With the weights on the narrower table, a term pair (r, c) sums
         coef_r coef_c outer_r outer_c U[:, (inner_r, inner_c)] over the other
-        table's rows.  So for each narrow column i, the column terms give
-        one n x cols matrix, sum over c of U[:, (i, inner_c)] coef_c
-        outer_c, and the row terms whose inner column is i meet it in one
-        product.  The terms are looked up per panel (``_gram_terms``), so
-        no table over all of dim is built: a ``table`` feature's columns can
-        have dozens of terms.  Rows, then columns, come in panels that keep
+        table's rows o.  U gathered at each row's terms against every narrow
+        column i, times the terms' outer factors and weights, gives
+        left[o, (r, i)]; one product of it with every column term's outer
+        factors and weight gives each (r, i) against each column term, which
+        reads its own i = inner_c.  The product sums over ``weigh``'s panels
+        of rows in a fixed order, so its bits do not depend on the number of
+        BLAS threads.  Terms come from ``_gram_terms`` per panel of rows and
+        of columns (a ``table`` column can have dozens), and the panels keep
         each temporary within ``GRAM_PANEL_FLOATS`` floats, or one row's and
-        column's worth if that is more; when ``cols is rows`` and both fit
-        one panel, the columns reuse the rows' terms.
+        column's worth if that is more; a square block that fits one panel
+        reuses the rows' terms for its columns.
         """
         outer = self._beta if self._gram_on_alpha else self._alpha
-        n, width = self.n, self._gram_width
-        out = np.zeros((rows.size, cols.size))
-        panel = max(1, GRAM_PANEL_FLOATS // (n * width))
-        row_panel = max(1, GRAM_PANEL_FLOATS // max(n * width, min(panel, cols.size)))
+        n, width, narrow = self.n, self._gram_width, self._slot.shape[0]
+        step = max(1, WEIGH_PANEL_FLOATS // n)
+        # per column: its terms' outer factors; per row: those, its moments
+        # at every narrow column, and its share of the product
+        col_panel = max(1, GRAM_PANEL_FLOATS // (n * width))
+        row_panel = max(1, GRAM_PANEL_FLOATS // max(n * max(width, narrow), narrow * width * min(col_panel, cols.size)))
+        square = cols is rows and rows.size <= min(row_panel, col_panel)
+        out = np.empty((rows.size, cols.size))
         for r_lo in range(0, rows.size, row_panel):
-            r_in, r_side = self._term_sides(rows[r_lo : r_lo + row_panel], outer)
-            for lo in range(0, cols.size, panel):
-                square = cols is rows and rows.size <= min(panel, row_panel)
-                c_in, c_side = (r_in, r_side) if square else self._term_sides(cols[lo : lo + panel], outer)
-                block = out[r_lo : r_lo + row_panel, lo : lo + panel]
-                for i in np.flatnonzero(np.bincount(r_in.ravel(), minlength=self._slot.shape[0])):
-                    right = u[:, self._slot[i, c_in[:, 0]]] * c_side[:, 0]
-                    for t in range(1, width):
-                        right += u[:, self._slot[i, c_in[:, t]]] * c_side[:, t]
-                    for t in range(width):
-                        sel = np.flatnonzero(r_in[:, t] == i)
-                        if sel.size:
-                            block[sel] += r_side[:, t, sel].T @ right
-                del c_side  # free each panel before the next is gathered
-            del r_side
+            r_in, r_out, r_coef = self._gram_terms(rows[r_lo : r_lo + row_panel])
+            side = outer[:, r_out]
+            side *= r_coef
+            # left[o, r, i]: sum over r's terms of U[o, (inner, i)] coef outer[o]
+            left = u[:, self._slot[r_in[:, 0]]]
+            left *= side[:, :, :1]
+            for t in range(1, width):
+                left += u[:, self._slot[r_in[:, t]]] * side[:, :, t : t + 1]
+            left, c_in = left.reshape(n, -1), r_in
+            for lo in range(0, cols.size, col_panel):
+                if not square:  # the columns' terms and side replace the rows'
+                    c_in, c_out, c_coef = self._gram_terms(cols[lo : lo + col_panel])
+                    side = outer[:, c_out]
+                    side *= c_coef
+                terms = side.reshape(n, -1)
+                prod = left[:step].T @ terms[:step]
+                for o in range(step, n, step):
+                    prod += left[o : o + step].T @ terms[o : o + step]
+                # entry (r, term s of column c) is read at narrow column c_in[c, s]
+                picked = prod.reshape(len(r_in), narrow, -1)[:, c_in.ravel(), np.arange(terms.shape[1])]
+                out[r_lo : r_lo + row_panel, lo : lo + col_panel] = picked.reshape(len(r_in), -1, width).sum(axis=2)
+                del prod  # free each panel's product before the next
+            del side, left
         return out
 
-    def _term_sides(self, cols: np.ndarray, outer: np.ndarray):
-        """Each column's terms' inner indices (cols x width) and their outer
-        columns times their weights, (n, width, cols)."""
-        inner_idx, outer_idx, coef = self._gram_terms(cols)
-        side = outer[:, outer_idx.T]
-        side *= coef.T
-        return inner_idx, side
+    def score_range(self, v: np.ndarray) -> tuple[float, float]:
+        """The least and the largest pair score at v, a panel at a time."""
+        self._factors(v)
+        ends = [(float(p.min(initial=np.inf, where=p > -np.inf)), float(p.max()))
+                for _, p in self._panels(grid_rows=True)]
+        return min(low for low, _ in ends), max(high for _, high in ends)
 
-    def bad_pair_features(self, scores: np.ndarray) -> np.ndarray | None:
-        """Rebuilt feature row of the first non-finite pair score, or None."""
+    def bad_pair_features(self, scores: np.ndarray, lo: int = 0) -> np.ndarray | None:
+        """Rebuilt feature row of the first non-finite pair score, or None;
+        ``scores`` are the grid's rows from ``lo`` on, its diagonal excluded."""
         bad = ~np.isfinite(scores)
-        np.fill_diagonal(bad, False)
+        i = np.arange(bad.shape[0])
+        bad[i, lo + i] = False
         if not bad.any():
             return None
         j, k = divmod(int(np.argmax(bad)), self.n)
-        x_pair = permuted_matrix(self._data, np.array([j]), np.array([k]))
+        x_pair = permuted_matrix(self._data, np.array([lo + j]), np.array([k]))
         return pair_feature_matrix(self._feature, x_pair, self._index)[0]
 
 
@@ -614,7 +636,12 @@ def _check_memory(what: str, need: int):
                         f"{have / 2**30:.1f} GiB of physical memory")
 
 
-def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, layout: str) -> int:
+def _fuses(width: int) -> bool:
+    """Whether a grid whose narrower factor table has ``width`` columns is fused."""
+    return width * (width + 1) // 2 <= FUSED_MAX_PRODUCTS
+
+
+def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, layout: str, f: FeatureMap) -> int:
     """Estimated peak bytes of the arrays ``ModelTerms`` builds for a dataset.
 
     Counts the pair backing's (``PairPolicy.layout``) largest moment.  The
@@ -623,11 +650,11 @@ def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, layout: str) -
     n x ``FUSED_MAX_PRODUCTS`` at most; on
     top of them come either the build's temporaries (those features'
     gathered operands, then the n x m1 x m2 cross-mean temporary next to a
-    delta feature's boolean matches) or an evaluation: the n x n scores
-    (which a fused grid holds only for ``diagnostics``' ratio bounds and
-    when ``weigh`` guards a score bound of ``FINITE_SCORE_BOUND`` or more),
-    the moments (as wide as the product table) and the Hessian's panels
-    (four of ``GRAM_PANEL_FLOATS`` at once).  Dense rows hold the data rows'
+    delta feature's boolean matches) or an evaluation: the moments (as wide
+    as the product table), the Hessian's panels (four of
+    ``GRAM_PANEL_FLOATS`` at once) and the n x n weights, or on a grid that
+    is fused whatever the data's values, a second product table's worth
+    while it is weighed.  Dense rows hold the data rows'
     features, then the permuted samples, the two gathered feature operands
     and the feature rows at once.
     """
@@ -638,7 +665,12 @@ def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, layout: str) -
     within = dim - cross
     build = max(2 * n * within, n * cross + n * cross // 8)
     products = n * FUSED_MAX_PRODUCTS
-    evaluation = n * n + products + 4 * GRAM_PANEL_FLOATS
+    # the narrower factor table with every code embedded; an uncoded delta
+    # embeds the values both groups hold, at most n m of them
+    codes = f.categories or (n * m if f.kind == KRONECKER_DELTA else 1)
+    sizes = (len(data.partition.group1), len(data.partition.group2))
+    fused = _fuses(min(codes * k + k * (k - 1) // 2 * index.block_dim + 1 for k in sizes))
+    evaluation = (2 * products if fused else n * n + products) + 4 * GRAM_PANEL_FLOATS
     return 8 * (8 * dim + n * within + products + max(build, evaluation))
 
 
@@ -694,7 +726,7 @@ class ModelTerms:
         self.policy = pair_policy or PairPolicy()
         pair_count = self.policy.pair_count(data.n)
         layout = self.policy.layout(data.n)
-        self.peak_bytes = _peak_bytes(data, self.index, pair_count, layout)
+        self.peak_bytes = _peak_bytes(data, self.index, pair_count, layout, feature)
         _check_memory(f"{pair_count} permuted pairs over {self.index.dim} features need", self.peak_bytes)
         if layout == "grid":
             self.backing = PairScoreGrid(data, feature, self.index)
@@ -721,8 +753,8 @@ class ModelTerms:
             )
         return flat
 
-    def _guard_finite(self, scores: np.ndarray, flat: np.ndarray):
-        row = self.backing.bad_pair_features(scores)
+    def _guard_finite(self, row: np.ndarray | None, flat: np.ndarray):
+        """Name the block that dominates a non-finite pair's feature row."""
         if row is None:
             return
         with np.errstate(over="ignore", invalid="ignore"):
@@ -743,7 +775,7 @@ class ModelTerms:
         with np.errstate(over="ignore", invalid="ignore"):
             scores, bound = self.backing.scores(flat)
         if not bound < FINITE_SCORE_BOUND:  # also when the bound is NaN
-            self._guard_finite(scores, flat)
+            self._guard_finite(self.backing.bad_pair_features(scores), flat)
         return scores
 
     def _evaluated(self, flat: np.ndarray) -> _Evaluated:
@@ -756,7 +788,7 @@ class ModelTerms:
             if self.backing.fused:
                 # overflow is caught by the guard; the numpy warning is noise
                 with np.errstate(over="ignore", invalid="ignore"):
-                    top, total, moments = self.backing.weigh(flat, lambda scores: self._guard_finite(scores, flat))
+                    top, total, moments = self.backing.weigh(flat, lambda row: self._guard_finite(row, flat))
                 self._last = _Evaluated(key, top, total, moments=moments)
             else:
                 weights = self.perm_scores(flat)
@@ -961,9 +993,10 @@ class DiagnosticsReport:
     support_size: int
 
 
-def _pair_feature_bounds(data: Dataset, f: FeatureMap, index: PairIndex) -> tuple[float, float]:
-    """``observed_feature_bounds`` over the data rows and every permuted
-    sample x^[j,k], j != k, in one pass over the data.
+def _pair_feature_bounds(data: Dataset, f: FeatureMap, index: PairIndex, f_data: np.ndarray) -> tuple[float, float]:
+    """``observed_feature_bounds`` over the data rows, whose feature matrix
+    is ``f_data``, and every permuted sample x^[j,k], j != k, in one pass
+    over the data.
 
     A permuted sample's within-group pairs are those of a data row.  A cross
     pair (u, v) takes x_u and x_v from two rows, so over all (j, k), the
@@ -974,7 +1007,7 @@ def _pair_feature_bounds(data: Dataset, f: FeatureMap, index: PairIndex) -> tupl
     share a value; a table peaks over the code pairs (a, b) some cross
     pair's columns hold, read as table[a, b] for u's code a.
     """
-    obs_inf, obs_l2 = observed_feature_bounds(f, data.samples, index)
+    obs_inf, obs_l2 = observed_feature_bounds(f_data, index)
     part = data.partition
     values = feature_values(f, data.samples)
     values1, values2 = values[:, list(part.group1)], values[:, list(part.group2)]
@@ -1002,10 +1035,12 @@ def diagnostics(
     The Hessian columns H[:, S] of the support come from one
     ``ModelTerms.hessian`` call (closed form on the grid's factors, one
     weighted product on dense rows); H_SS and the complement's rows are
-    slices of them.  Feature bounds cover the data rows and every permuted
-    sample, whatever the pair set, from one pass over the data
-    (``_pair_feature_bounds``); the ratio bounds score the data rows'
-    features, built here, and the pair set's scores.  An H[:, S] that with ``terms.peak_bytes`` exceeds
+    slices of them.  The data rows' feature matrix is built once, for the
+    feature bounds and the ratio bounds.  Feature bounds cover the data rows
+    and every permuted sample, whatever the pair set, from one pass over the
+    data (``_pair_feature_bounds``); the ratio bounds take the data rows'
+    scores and the backing's ``score_range``, which a grid reads a panel
+    at a time.  An H[:, S] that with ``terms.peak_bytes`` exceeds
     physical memory raises ``SizeError`` before the Hessian is built.
     """
     index = theta_star.index
@@ -1043,17 +1078,17 @@ def diagnostics(
         worst = np.abs(y).reshape(s_cols.size, len(comp_pairs), index.block_dim).sum(axis=(0, 2)).max()
         margin = 1.0 - float(worst)
 
-    obs_inf, obs_l2 = _pair_feature_bounds(data, f, index)
+    f_data = pair_feature_matrix(f, data.samples, index)
+    obs_inf, obs_l2 = _pair_feature_bounds(data, f, index, f_data)
     bounds = FeatureBoundReport(obs_inf, obs_l2, f.bound_inf, f.bound_l2)
 
     log_norm = terms.log_normalizer(theta_star.flat)
-    scores_data = pair_feature_matrix(f, data.samples, index) @ theta_star.flat
-    scores_perm = terms.perm_scores(theta_star.flat)
-    # every pair score passed the finite guard; -inf marks the grid's diagonal
-    scores_perm = scores_perm[np.isfinite(scores_perm)]
-    log_ratios = np.concatenate([scores_data, scores_perm]) - log_norm
+    scores_data = f_data @ theta_star.flat
+    # every pair score passed the finite guard when the normalizer was taken
+    low, high = terms.backing.score_range(theta_star.flat)
     with np.errstate(over="ignore"):  # a bound past float64 is inf
-        ratios = RatioBounds(float(np.exp(log_ratios.min())), float(np.exp(log_ratios.max())))
+        ratios = RatioBounds(float(np.exp(min(float(scores_data.min()), low) - log_norm)),
+                             float(np.exp(max(float(scores_data.max()), high) - log_norm)))
 
     return DiagnosticsReport(
         lambda_min=lambda_min,

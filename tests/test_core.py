@@ -268,7 +268,7 @@ class TestFeatures:
         d = make_dataset(10, 2, 2, seed=4)
         idx = build_pair_index(4)
         f = FeatureMap.product()
-        inf, l2 = observed_feature_bounds(f, d.samples, idx)
+        inf, l2 = observed_feature_bounds(pair_feature_matrix(f, d.samples, idx), idx)
         mat = np.abs(pair_feature_matrix(f, d.samples, idx))
         assert inf == pytest.approx(mat.max())
         assert l2 == pytest.approx(mat.max())  # scalar blocks: same value

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -387,6 +390,21 @@ class TestDiagnostics:
         rep = diagnostics(theta, data, f, [(0, 2)], pair_policy=ALL)
         assert rep.feature_bounds.within_declared
 
+    def test_builds_the_data_feature_matrix_once(self, small_data, monkeypatch):
+        # an every-pair grid builds no feature matrix; diagnostics builds the
+        # data rows' one and reads both its feature and its ratio bounds from it
+        calls = []
+
+        def counted(f, x_rows, index):
+            calls.append(x_rows.shape)
+            return pair_feature_matrix(f, x_rows, index)
+
+        monkeypatch.setattr(model_mod, "pair_feature_matrix", counted)
+        monkeypatch.setattr(core_mod, "pair_feature_matrix", counted)
+        theta = random_theta(build_pair_index(small_data.m), 46, scale=0.1)
+        diagnostics(theta, small_data, FeatureMap.product(), [(0, 2), (1, 3)], pair_policy=ALL)
+        assert calls == [small_data.samples.shape]
+
     def test_repeated_support_pair_is_rejected(self, small_data):
         theta = random_theta(build_pair_index(small_data.m), 44, scale=0.1)
         with pytest.raises(DimensionError, match=r"support repeats pair \(0, 2\)"):
@@ -431,13 +449,14 @@ class TestDiagnostics:
         rep = diagnostics(random_theta(idx, 45, scale=0.1), data, f, [(0, 2)], pair_policy=policy)
         assert (rep.feature_bounds.observed_inf, rep.feature_bounds.observed_l2) == full
         if kind != "delta":  # the extreme is on a permuted sample only
-            assert full != observed_feature_bounds(f, data.samples, idx)
+            assert full != observed_feature_bounds(pair_feature_matrix(f, data.samples, idx), idx)
 
 
 def every_sample_bounds(data, f, index):
     """``observed_feature_bounds`` of the data rows and every permuted sample, built."""
     j, k = select_ordered_pairs(data.n, ALL)
-    return observed_feature_bounds(f, np.vstack([data.samples, permuted_matrix(data, j, k)]), index)
+    rows = np.vstack([data.samples, permuted_matrix(data, j, k)])
+    return observed_feature_bounds(pair_feature_matrix(f, rows, index), index)
 
 
 def dense_twin(terms):
@@ -500,7 +519,8 @@ class TestScoreGrid:
     @given(grid_problems())
     def test_closed_form_bounds_are_bit_equal_to_the_scan(self, problem):
         data, f, theta = problem
-        got = model_mod._pair_feature_bounds(data, f, theta.index)
+        f_data = pair_feature_matrix(f, data.samples, theta.index)
+        got = model_mod._pair_feature_bounds(data, f, theta.index, f_data)
         assert got == every_sample_bounds(data, f, theta.index)
 
     @given(grid_problems())
@@ -793,6 +813,27 @@ def assert_matches_general(fused, general, flat, support):
         np.testing.assert_allclose(fused.hessian(flat, support, rows=rows), want, rtol=0, atol=tol * scale)
 
 
+# sha256 of a fused grid's value, gradient, full Hessian and H[:, S] at
+# n = 200 and n = 2000, with either table the narrower
+THREAD_HASHES = """
+import hashlib
+import numpy as np
+from pmnet import Dataset, FeatureMap, PairPolicy, Partition
+from pmnet.model import ModelTerms
+for n in (200, 2000):
+    for m1, m2 in ((6, 2), (2, 6)):
+        x = np.random.default_rng(n + m1).standard_normal((n, m1 + m2))
+        data = Dataset(x, Partition(tuple(range(m1)), tuple(range(m1, m1 + m2))))
+        terms = ModelTerms(data, FeatureMap.product(), pair_policy=PairPolicy("all_ordered"))
+        assert terms.backing.fused
+        flat = 0.1 * np.random.default_rng(n).standard_normal(terms.index.dim)
+        value, grad = terms.value_grad(flat)
+        every, support = np.arange(terms.index.dim), np.arange(0, terms.index.dim, 3)
+        for got in (np.float64(value), grad, terms.hessian(flat, every, rows=every), terms.hessian(flat, support)):
+            print(hashlib.sha256(got.tobytes()).hexdigest())
+"""
+
+
 class TestFusedMoments:
     """A grid whose narrower factor table has few column products is
     weighed in panels straight into one set of weight-grid moments, from
@@ -901,12 +942,70 @@ class TestFusedMoments:
         got = terms.hessian(y, cols, rows=cols)
         assert got.tobytes() == ModelTerms(data, f, pair_policy=ALL).hessian(y, cols, rows=cols).tobytes()
 
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # every BLAS product of a fused evaluation sums over one panel of rows,
+        # so two processes at 1 and 2 OpenBLAS threads hash alike
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(model_mod.__file__)))
+        hashes = []
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            run = subprocess.run([sys.executable, "-c", THREAD_HASHES], env=env, capture_output=True,
+                                 text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            hashes.append(run.stdout.split())
+        assert len(hashes[0]) == 16 and hashes[0] == hashes[1]
+
     def test_wide_table_takes_the_general_path(self):
         # the CLI's default 40|10 split: the narrower table has 56 columns
         data = make_dataset(8, 40, 10, seed=2)
         terms = ModelTerms(data, FeatureMap.product(), pair_policy=ALL)
         assert terms.backing._beta.shape[1] == 56
         assert not terms.backing.fused
+
+
+def per_column_gram(grid, w, rows, cols):
+    """F[:, rows]^T diag(w) F[:, cols] and the same sum of |products|, one
+    entry at a time: each column's n x n feature grid is built from the
+    whole-dim term table as sum over terms of coef alpha[:, a] beta[:, b]^T."""
+    t_a, t_b, t_coef = whole_dim_gram_terms(grid)
+    feats = {c: sum(coef * np.outer(grid._alpha[:, a], grid._beta[:, b])
+                    for a, b, coef in zip(t_a[c], t_b[c], t_coef[c]))
+             for c in set(rows.tolist()) | set(cols.tolist())}
+    want = np.array([[np.sum(w * feats[r] * feats[c]) for c in cols] for r in rows])
+    size = np.array([[np.sum(w * np.abs(feats[r] * feats[c])) for c in cols] for r in rows])
+    return want, size
+
+
+class TestMomentGram:
+    """``PairScoreGrid.moment_gram``, one contraction over the moments U,
+    against the Gram block summed entry by entry over the full weight grid."""
+
+    @pytest.mark.parametrize("panel_floats", [model_mod.GRAM_PANEL_FLOATS, 120],
+                             ids=["one-panel", "many-panels"])
+    @pytest.mark.parametrize("split", [(2, 6), (6, 2)])
+    @pytest.mark.parametrize("kind", ["product", "squared_product", "delta", "table"])
+    def test_matches_a_per_column_reference(self, kind, split, panel_floats, monkeypatch):
+        # 15 rows weighed and summed 4 at a time; at 120 floats the Hessian's
+        # rows and columns come one to a few per panel as well
+        monkeypatch.setattr(model_mod, "WEIGH_PANEL_FLOATS", 4 * 15)
+        data, f = fused_problem(kind, split)
+        fused, _ = fused_and_general(data, f, monkeypatch)
+        grid, dim = fused.backing, fused.index.dim
+        assert grid._gram_on_alpha is (split == (2, 6))
+        monkeypatch.setattr(model_mod, "GRAM_PANEL_FLOATS", panel_floats)
+        rng = np.random.default_rng(9)
+        flat = random_theta(fused.index, 9, scale=0.2).flat
+        fused.value_grad(flat)
+        last = fused._last
+        # the full grid's weights at the fused point's shift, zero on the diagonal
+        w = np.exp(grid.scores(flat)[0] - last.top)
+        tol = fused_tolerance(fused, flat)
+        rows = rng.permutation(dim)[:9]
+        # the solver's H_SS (cols is rows), another block, and diagnostics' H[:, S]
+        for r, c in ((rows, rows), (rows, rng.permutation(dim)[:5]), (np.arange(dim), rows[:3])):
+            got = grid.moment_gram(last.moments, r, c)
+            want, size = per_column_gram(grid, w, r, c)
+            assert np.all(np.abs(got - want) <= tol * size)
 
 
 def loop_hessian(theta, data, f, pairs):
@@ -1111,9 +1210,9 @@ class TestFiniteGuard:
         scans = []
         scan = terms.backing.bad_pair_features
 
-        def spied(scores):
+        def spied(scores, *rows_from):
             scans.append(scores.shape)
-            return scan(scores)
+            return scan(scores, *rows_from)
 
         monkeypatch.setattr(terms.backing, "bad_pair_features", spied)
         return scans
@@ -1241,14 +1340,37 @@ class TestPreflightSize:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        estimate = model_mod._peak_bytes(data, index, policy.pair_count(data.n), policy.layout(data.n))
+        estimate = model_mod._peak_bytes(data, index, policy.pair_count(data.n), policy.layout(data.n), f)
         assert estimate == terms.peak_bytes
         assert fitting_peak <= estimate
         # diagnostics counts the dim x 8 result on top of the estimate
         assert peak <= estimate + 8 * index.dim * 8
 
     def test_exact_pairs_at_large_n_exceed_this_machine(self):
-        # 300,000 rows have 9e10 ordered pairs; their n x n score grid alone needs 720 GB
-        data = Dataset(np.random.default_rng(0).standard_normal((300_000, 2)), Partition((0,), (1,)))
+        # 300,000 rows have 9e10 ordered pairs; their n x n score grid alone needs
+        # 720 GB, and a 4|4 grid is not fused, so it holds the scores
+        data = Dataset(np.random.default_rng(0).standard_normal((300_000, 8)), Partition((0, 1, 2, 3), (4, 5, 6, 7)))
         with pytest.raises(SizeError, match="physical memory"):
             ModelTerms(data, FeatureMap.product(), pair_policy=ALL)
+
+    def test_fused_grid_needs_no_n_by_n_array(self, monkeypatch):
+        # 2000 rows: the n x n grid is 32 MB.  A fused 2|6 grid weighs it in
+        # panels, and diagnostics reads its ratio bounds panel by panel, so a
+        # machine of half that builds, fits and diagnoses it
+        grid_bytes = 8 * 2000 * 2000
+        monkeypatch.setattr(model_mod, "physical_memory_bytes", lambda: grid_bytes // 2)
+        data, f = make_dataset(2000, 2, 6, seed=13), FeatureMap.product()
+        tracemalloc.start()
+        try:
+            terms = ModelTerms(data, f, pair_policy=ALL)
+            assert terms.backing.fused and terms.peak_bytes < grid_bytes // 2
+            _, grad = terms.value_grad(np.zeros(terms.index.dim))
+            result = fit(data, f, 0.5 * np.abs(grad).max(), pair_policy=ALL, terms=terms)
+            support = result.theta_hat.nonzero_pairs()
+            assert result.converged and support
+            report = diagnostics(result.theta_hat, data, f, support, pair_policy=ALL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid_bytes // 4
+        assert 0.0 < report.ratio_bounds.min <= report.ratio_bounds.max < np.inf
