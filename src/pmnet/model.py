@@ -175,12 +175,13 @@ class NormalizerEstimate:
 
 class DensePairRows:
     """Materialized feature rows of a sparsely sampled permuted-pair set,
-    and ``data_mean``, the mean feature row of the data rows."""
+    the data rows' feature matrix ``f_data`` and its mean row ``data_mean``."""
 
     fused = False
 
     def __init__(self, data: Dataset, feature: FeatureMap, index: PairIndex, pair_j, pair_k):
-        self.data_mean = pair_feature_matrix(feature, data.samples, index).mean(axis=0)
+        self.f_data = pair_feature_matrix(feature, data.samples, index)
+        self.data_mean = self.f_data.mean(axis=0)
         x_perm = permuted_matrix(data, pair_j, pair_k)
         self.f_perm = pair_feature_matrix(feature, x_perm, index)
         self.count = self.f_perm.shape[0]
@@ -236,18 +237,22 @@ class PairScoreGrid:
     the forms transposed.  The diagonal j == k is no permuted pair:
     ``scores`` fills it with -inf, and weights must be zero there.
 
-    The grid is one product A B^T of two n x (T m2 + 2) factors,
-    A = [phi1_t M_t for each term | s1 | 1] and B = [phi2_t for each term |
-    1 | s2], held in buffers reused across calls.  The gradient side is one
-    product too: w [phi2_t ... | 1] gives every cross term and the row sums.
+    The grid is one product R C of an n x K and a K x n factor, K =
+    T min(m1, m2) + 2, held in buffers reused across calls.  R is the side
+    of the narrower group (group 2 on a tie), [phi_c for each term | 1 |
+    within-group score], and C the other's, [M_t multiplied onto the wider
+    group's phi_c' for each term | within-group score | 1]; R C is the grid
+    when group 1 is the narrower, else its transpose.  The gradient side is
+    one product too: w times R's [phi_c ... | 1] gives every cross term and
+    the row sums.
 
-    When the narrower of the row-j table alpha and the row-k table beta
-    has at most ``FUSED_MAX_PRODUCTS`` symmetric column products, the grid
-    is ``fused``: ``weigh`` scores it a panel of the narrower table's rows
-    at a time and multiplies each panel's weights by all of those products,
-    and ``moment_sum`` (F^T w) and ``moment_gram`` (any Gram block, one
-    contraction of U with the other table's columns) read the resulting
-    moments U instead of w; no evaluation holds an n x n array.
+    When the narrower table has at most ``FUSED_MAX_PRODUCTS`` symmetric
+    column products, the grid is ``fused``: ``weigh`` scores it a panel of
+    R's rows at a time into one reused buffer and multiplies each panel's
+    weights by all of those products, and ``moment_sum`` (F^T w) and
+    ``moment_gram`` (any Gram block, one contraction of U with the other
+    table's columns) read the resulting moments U instead of w; no
+    evaluation holds an n x n array.
 
     ``data_mean`` is the data rows' mean feature row: the column means of
     s1's and s2's features, and for the cross pairs psi(x_a, x_b) of every
@@ -301,9 +306,7 @@ class PairScoreGrid:
         self._beta = np.hstack([phi2.transpose(1, 0, 2).reshape(self.n, -1), ones, f2])
         # gram contracts the weights along the side with the narrower table
         self._gram_on_alpha = self._alpha.shape[1] < self._beta.shape[1]
-        self._f1 = self._alpha[:, n_emb * m1 : -1]
-        self._f2 = self._beta[:, n_emb * m2 + 1 :]
-        self._phi1 = [self._alpha[:, c * m1 : (c + 1) * m1] for c in range(n_emb)]
+        self._n_emb = n_emb
         used = (forms != 0.0).any(axis=0)
         c1, c2 = np.nonzero(used | used.T)
         self._terms = list(zip(c1.tolist(), c2.tolist()))
@@ -317,7 +320,8 @@ class PairScoreGrid:
         self.fused = _fuses(inner.shape[1])
         if self.fused:
             i1, i2 = np.triu_indices(inner.shape[1])
-            self._products = inner[:, i1] * inner[:, i2]
+            # one row per product, so a panel's rows are a slice of its columns
+            self._products = (inner[:, i1] * inner[:, i2]).T.copy()
             # column of U for each pair of narrow columns, either way round
             self._slot = np.empty((inner.shape[1],) * 2, dtype=np.intp)
             self._slot[i1, i2] = self._slot[i2, i1] = np.arange(i1.size)
@@ -328,91 +332,97 @@ class PairScoreGrid:
             # at least exp(-2 limit), and any that can move the sum is normal
             finfo = np.finfo(np.float64)
             self._shift_limit = (np.log(finfo.eps) - np.log(finfo.tiny) - np.log(self.count)) / 2
-
-        width = len(self._terms) * m2
-        self._a = np.empty((self.n, width + 2))
-        self._a[:, width + 1] = 1.0
-        self._b = np.empty((self.n, width + 2))
-        for t, c in enumerate(c2.tolist()):
-            self._b[:, t * m2 : (t + 1) * m2] = self._beta[:, c * m2 : (c + 1) * m2]
-        self._b[:, width] = 1.0
+        # the score factors R, n x K, and C, K x n; ``_factors`` fills s_in and s_out
+        (m_in, m_out), outer = ((m1, m2), self._beta) if self._gram_on_alpha else ((m2, m1), self._alpha)
+        within = [(self._alpha[:, n_emb * m1 : -1], self._cols1), (self._beta[:, n_emb * m2 + 1 :], self._cols2)]
+        self._within = within if self._gram_on_alpha else within[::-1]
+        self._m_in, width = m_in, len(self._terms) * m_in + 2
+        self._rows, self._cols, self._phi_out = np.ones((self.n, width)), np.ones((width, self.n)), []
+        for t, (c1, c2) in enumerate(self._terms):
+            c_in, c_out = (c1, c2) if self._gram_on_alpha else (c2, c1)
+            self._rows[:, t * m_in : (t + 1) * m_in] = inner[:, c_in * m_in : (c_in + 1) * m_in]
+            self._phi_out.append(outer[:, c_out * m_out : (c_out + 1) * m_out])
+        # one panel buffer, and the flat position of each panel row's diagonal
+        step = min(self.n, max(1, WEIGH_PANEL_FLOATS // self.n))
+        self._panel = np.empty((step, self.n))
+        self._diagonals = [(lo, np.arange(min(step, self.n - lo)) * (self.n + 1) + lo) for lo in range(0, self.n, step)]
 
     def _factors(self, v: np.ndarray) -> float:
-        """Fill the factors A and B for v; return the bound on the magnitude
-        of the pair scores, max_j ||A_j||_1 max|B|."""
+        """Fill C's term rows M_t phi2^T (M_t^T phi1^T when group 2 is the
+        narrower), C's within-group row and R's within-group column for v;
+        return the bound max|R| max_o ||C[:, o]||_1 on the pair scores."""
         m1, m2 = self._block_shape
-        a, b = self._a, self._b
-        blocks = v[self._cols_x].reshape(self._coef.shape[:2])
         mats = np.zeros((len(self._terms), m1 * m2))
-        mats[:, self._pq] = np.einsum("id,idt->ti", blocks, self._coef)
-        for t, (c1, _) in enumerate(self._terms):
-            a[:, t * m2 : (t + 1) * m2] = self._phi1[c1] @ mats[t].reshape(m1, m2)
-        a[:, -2] = self._f1 @ v[self._cols1]
-        b[:, -1] = self._f2 @ v[self._cols2]
-        # a non-finite entry of A or B makes the bound inf or NaN
-        return float(np.abs(a).sum(axis=1).max()) * float(np.abs(b).max())
+        mats[:, self._pq] = np.einsum("id,idt->ti", v[self._cols_x].reshape(self._coef.shape[:2]), self._coef)
+        mats = mats.reshape(-1, m1, m2).transpose((0, 1, 2) if self._gram_on_alpha else (0, 2, 1))
+        for t, phi in enumerate(self._phi_out):
+            np.matmul(mats[t], phi.T, out=self._cols[t * self._m_in : (t + 1) * self._m_in])
+        (f_in, cols_in), (f_out, cols_out) = self._within
+        self._rows[:, -1] = f_in @ v[cols_in]
+        self._cols[-2] = f_out @ v[cols_out]
+        # a non-finite entry of R or C makes the bound inf or NaN
+        return float(np.abs(self._rows).max()) * float(np.abs(self._cols).sum(axis=0).max())
 
     def scores(self, v: np.ndarray) -> tuple[np.ndarray, float]:
         """F v as an n x n grid, the diagonal holding -inf, and the bound
         on the magnitude of the pair scores from ``_factors``."""
         bound = self._factors(v)
-        grid = self._a @ self._b.T
+        grid = self._rows @ self._cols if self._gram_on_alpha else self._cols.T @ self._rows.T
         np.fill_diagonal(grid, -np.inf)
         return grid, bound
 
-    def _panels(self, grid_rows: bool = False):
-        """(lo, panel): the scores of the narrower table's rows from lo on
-        (of alpha's, the grid's own, with ``grid_rows``), as many as fit
-        ``WEIGH_PANEL_FLOATS``, against every row of the other, the diagonal
-        at -inf; rows of the grid, or of its transpose when they are beta's."""
-        rows, cols = (self._a, self._b) if grid_rows or self._gram_on_alpha else (self._b, self._a)
-        step = max(1, WEIGH_PANEL_FLOATS // self.n)
-        for lo in range(0, self.n, step):
-            panel = rows[lo : lo + step] @ cols.T
-            i = np.arange(panel.shape[0])
-            panel[i, lo + i] = -np.inf
+    def _panels(self):
+        """(lo, panel): the scores of R's rows from lo on, as many as fit
+        ``WEIGH_PANEL_FLOATS``, against every row of the other side, the diagonal
+        at -inf, in the grid's one panel buffer: rows of R C (see the class)."""
+        for lo, diagonal in self._diagonals:
+            panel = np.matmul(self._rows[lo : lo + diagonal.size], self._cols, out=self._panel[: diagonal.size])
+            panel.ravel()[diagonal] = -np.inf
             yield lo, panel
 
     def weigh(self, v: np.ndarray, guard) -> tuple[float, float, np.ndarray]:
         """(top, total, U): the shift, the sum and the moments of the weights
         w = exp(scores - top) at v.
 
-        top is the score bound up to ``_shift_limit``, else the maximum over
-        panels of the grid's rows, each first handed to ``guard`` as its
-        ``bad_pair_features`` when the bound is not below
-        ``FINITE_SCORE_BOUND``.  It is folded into A's within-group column,
-        which meets B's ones.  Each panel is exponentiated in place and adds
-        panel^T times its rows of the products to U in panel order, so U's
-        bits do not depend on the number of BLAS threads.
+        top is the score bound up to ``_shift_limit``, else the panels'
+        maximum, each panel first handed to ``guard`` as its
+        ``bad_pair_features`` when the bound is not below ``FINITE_SCORE_BOUND``.
+        It is folded into C's within-group row, which meets R's ones.  Each
+        panel is exponentiated in place and adds the product rows' columns at
+        its rows times it to U^T in panel order, so U's bits do not depend on
+        the number of BLAS threads; U is handed out as U^T's transposed view.
         """
         bound = self._factors(v)
         if bound <= self._shift_limit:
             top = bound
         else:
             top = -np.inf
-            for lo, panel in self._panels(grid_rows=True):
+            for lo, panel in self._panels():
                 if not bound < FINITE_SCORE_BOUND:  # also when the bound is NaN
-                    guard(self.bad_pair_features(panel, lo))
+                    guard(self.bad_pair_features(panel, lo, not self._gram_on_alpha))
                 top = max(top, float(panel.max()))
-        self._a[:, -2] -= top
-        u = np.zeros((self.n, self._products.shape[1]))
+        self._cols[-2] -= top
+        u = np.zeros((self._products.shape[0], self.n))
         for lo, panel in self._panels():
             np.exp(panel, out=panel)
-            u += panel.T @ self._products[lo : lo + panel.shape[0]]
-        return top, float(u[:, self._total_column].sum()), u
+            u += self._products[:, lo : lo + panel.shape[0]] @ panel
+        return top, float(u[self._total_column].sum()), u.T
 
     def weighted_sum(self, w: np.ndarray) -> np.ndarray:
         """F^T w for an n x n weight grid with a zero diagonal."""
-        m2 = self._block_shape[1]
-        width = self._b.shape[1] - 2
-        # [w phi2_t for each term | row sums of w]
-        prod = w @ self._b[:, : width + 1]
+        m_in, width = self._m_in, self._rows.shape[1] - 2
+        # the weights with the narrower table's rows as columns, times
+        # [phi_c for each term | 1]: every cross term and the row sums
+        w = w.T if self._gram_on_alpha else w
+        prod = w @ self._rows[:, : width + 1]
+        (f_in, cols_in), (f_out, cols_out) = self._within
         out = np.empty(self._index.dim)
-        out[self._cols1] = self._f1.T @ prod[:, width]
-        out[self._cols2] = self._f2.T @ w.sum(axis=0)
+        out[cols_out] = f_out.T @ prod[:, width]
+        out[cols_in] = f_in.T @ w.sum(axis=0)
         cross = np.empty((len(self._terms), self._pq.size))
-        for t, (c1, _) in enumerate(self._terms):
-            cross[t] = (self._phi1[c1].T @ prod[:, t * m2 : (t + 1) * m2]).ravel()[self._pq]
+        for t, phi in enumerate(self._phi_out):
+            block = phi.T @ prod[:, t * m_in : (t + 1) * m_in]
+            cross[t] = (block.T if self._gram_on_alpha else block).ravel()[self._pq]
         out[self._cols_x] = np.einsum("ti,idt->id", cross, self._coef).ravel()
         return out
 
@@ -427,7 +437,7 @@ class PairScoreGrid:
         in groups 1 and 2, or a within-group column's place among its
         group's columns (as p in group 1, as q in group 2).
         """
-        (m1, m2), n_emb, bd = self._block_shape, len(self._phi1), self._index.block_dim
+        (m1, m2), n_emb, bd = self._block_shape, self._n_emb, self._index.block_dim
         dim, base = self._index.dim, max(1, m2, self._cols2.size)
         self._col_class, self._col_pos = np.empty(dim, dtype=np.intp), np.empty(dim, dtype=np.intp)
         self._col_class[self._cols1], self._col_pos[self._cols1] = 0, np.arange(self._cols1.size) * base
@@ -519,7 +529,7 @@ class PairScoreGrid:
         a narrow-table column with its column of ones, summed against the
         other table, give every entry of alpha^T w beta; each feature column
         reads its terms' entries."""
-        (m1, m2), n_emb = self._block_shape, len(self._phi1)
+        (m1, m2), n_emb = self._block_shape, self._n_emb
         if self._gram_on_alpha:
             sums = (self._beta.T @ u[:, self._slot[:, -1]]).T
         else:
@@ -553,7 +563,7 @@ class PairScoreGrid:
         """
         outer = self._beta if self._gram_on_alpha else self._alpha
         n, width, narrow = self.n, self._gram_width, self._slot.shape[0]
-        step = max(1, WEIGH_PANEL_FLOATS // n)
+        step = self._panel.shape[0]
         # per column: its terms' outer factors; per row: those, its moments
         # at every narrow column, and its share of the product
         col_panel = max(1, GRAM_PANEL_FLOATS // (n * width))
@@ -589,20 +599,20 @@ class PairScoreGrid:
     def score_range(self, v: np.ndarray) -> tuple[float, float]:
         """The least and the largest pair score at v, a panel at a time."""
         self._factors(v)
-        ends = [(float(p.min(initial=np.inf, where=p > -np.inf)), float(p.max()))
-                for _, p in self._panels(grid_rows=True)]
+        ends = [(float(p.min(initial=np.inf, where=p > -np.inf)), float(p.max())) for _, p in self._panels()]
         return min(low for low, _ in ends), max(high for _, high in ends)
 
-    def bad_pair_features(self, scores: np.ndarray, lo: int = 0) -> np.ndarray | None:
-        """Rebuilt feature row of the first non-finite pair score, or None;
-        ``scores`` are the grid's rows from ``lo`` on, its diagonal excluded."""
+    def bad_pair_features(self, scores: np.ndarray, lo: int = 0, transposed: bool = False) -> np.ndarray | None:
+        """Rebuilt feature row of the first non-finite pair score, or None; ``scores``
+        are rows from ``lo`` on of the grid (of its transpose if ``transposed``), diagonal excluded."""
         bad = ~np.isfinite(scores)
         i = np.arange(bad.shape[0])
         bad[i, lo + i] = False
         if not bad.any():
             return None
-        j, k = divmod(int(np.argmax(bad)), self.n)
-        x_pair = permuted_matrix(self._data, np.array([lo + j]), np.array([k]))
+        row, col = divmod(int(np.argmax(bad)), self.n)
+        j, k = (col, lo + row) if transposed else (lo + row, col)
+        x_pair = permuted_matrix(self._data, np.array([j]), np.array([k]))
         return pair_feature_matrix(self._feature, x_pair, self._index)[0]
 
 
@@ -646,32 +656,36 @@ def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, layout: str, f
 
     Counts the pair backing's (``PairPolicy.layout``) largest moment.  The
     grid holds the within-group features of every data row, a few integers
-    of bookkeeping per feature column and the fused path's product table,
-    n x ``FUSED_MAX_PRODUCTS`` at most; on
+    of bookkeeping per feature column, the fused path's product table
+    (n x ``FUSED_MAX_PRODUCTS`` at most), the score factors R (n x K) and
+    C (K x n), K = T min(m1, m2) + 2 for T terms, and one panel buffer of
+    ``WEIGH_PANEL_FLOATS`` floats (a row, if that is more); on
     top of them come either the build's temporaries (those features'
     gathered operands, then the n x m1 x m2 cross-mean temporary next to a
     delta feature's boolean matches) or an evaluation: the moments (as wide
     as the product table), the Hessian's panels (four of
-    ``GRAM_PANEL_FLOATS`` at once) and the n x n weights, or on a grid that
-    is fused whatever the data's values, a second product table's worth
-    while it is weighed.  Dense rows hold the data rows'
-    features, then the permuted samples, the two gathered feature operands
-    and the feature rows at once.
+    ``GRAM_PANEL_FLOATS`` at once) and the n x n weights, or on a fused
+    grid a second product table's worth while it is weighed.  Dense rows
+    hold the same bookkeeping and the data rows' features, kept for
+    ``diagnostics``, then the permuted samples, the two gathered feature
+    operands and the feature rows at once.
     """
     n, m, dim = data.n, index.m, index.dim
     if layout == "dense":
-        return 8 * (n * dim + 2 * pair_count + pair_count * (3 * m + 2 * index.n_pairs + dim))
+        return 8 * (8 * dim + n * dim + 2 * pair_count + pair_count * (3 * m + 2 * index.n_pairs + dim))
     cross = int(index.cross_mask(data.partition).sum()) * index.block_dim
     within = dim - cross
     build = max(2 * n * within, n * cross + n * cross // 8)
     products = n * FUSED_MAX_PRODUCTS
-    # the narrower factor table with every code embedded; an uncoded delta
-    # embeds the values both groups hold, at most n m of them
-    codes = f.categories or (n * m if f.kind == KRONECKER_DELTA else 1)
-    sizes = (len(data.partition.group1), len(data.partition.group2))
+    g1, g2 = list(data.partition.group1), list(data.partition.group2)
+    # the codes embedded; an uncoded delta embeds the values both groups hold
+    shared = np.intersect1d(data.samples[:, g1], data.samples[:, g2]).size if f.kind == KRONECKER_DELTA else 1
+    codes, sizes = f.categories or shared, (len(g1), len(g2))
     fused = _fuses(min(codes * k + k * (k - 1) // 2 * index.block_dim + 1 for k in sizes))
+    # every (c, c') of a table is a term; a delta's terms are its codes
+    factors = 2 * n * ((codes**2 if f.kind == TABLE else codes) * min(sizes) + 2) + max(WEIGH_PANEL_FLOATS, n)
     evaluation = (2 * products if fused else n * n + products) + 4 * GRAM_PANEL_FLOATS
-    return 8 * (8 * dim + n * within + products + max(build, evaluation))
+    return 8 * (8 * dim + n * within + products + factors + max(build, evaluation))
 
 
 @dataclass(eq=False)
@@ -1078,14 +1092,15 @@ def diagnostics(
         worst = np.abs(y).reshape(s_cols.size, len(comp_pairs), index.block_dim).sum(axis=(0, 2)).max()
         margin = 1.0 - float(worst)
 
-    f_data = pair_feature_matrix(f, data.samples, index)
+    backing = terms.backing  # dense rows keep the data rows' features
+    f_data = backing.f_data if isinstance(backing, DensePairRows) else pair_feature_matrix(f, data.samples, index)
     obs_inf, obs_l2 = _pair_feature_bounds(data, f, index, f_data)
     bounds = FeatureBoundReport(obs_inf, obs_l2, f.bound_inf, f.bound_l2)
 
     log_norm = terms.log_normalizer(theta_star.flat)
     scores_data = f_data @ theta_star.flat
     # every pair score passed the finite guard when the normalizer was taken
-    low, high = terms.backing.score_range(theta_star.flat)
+    low, high = backing.score_range(theta_star.flat)
     with np.errstate(over="ignore"):  # a bound past float64 is inf
         ratios = RatioBounds(float(np.exp(min(float(scores_data.min()), low) - log_norm)),
                              float(np.exp(max(float(scores_data.max()), high) - log_norm)))

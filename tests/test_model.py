@@ -405,6 +405,23 @@ class TestDiagnostics:
         diagnostics(theta, small_data, FeatureMap.product(), [(0, 2), (1, 3)], pair_policy=ALL)
         assert calls == [small_data.samples.shape]
 
+    def test_sampled_fit_builds_the_data_feature_matrix_once(self, monkeypatch):
+        # dense rows keep the data rows' feature matrix, which diagnostics
+        # reads; the only other one built is the sample's
+        calls = []
+
+        def counted(f, x_rows, index):
+            calls.append(x_rows.shape)
+            return pair_feature_matrix(f, x_rows, index)
+
+        monkeypatch.setattr(model_mod, "pair_feature_matrix", counted)
+        monkeypatch.setattr(core_mod, "pair_feature_matrix", counted)
+        data, policy = memo_data(24), PairPolicy(cap=60, seed=1)
+        assert policy.layout(data.n) == "dense"
+        theta = random_theta(build_pair_index(data.m), 47, scale=0.1)
+        diagnostics(theta, data, FeatureMap.product(), [(0, 3), (1, 4)], pair_policy=policy)
+        assert calls == [(24, 5), (60, 5)]
+
     def test_repeated_support_pair_is_rejected(self, small_data):
         theta = random_theta(build_pair_index(small_data.m), 44, scale=0.1)
         with pytest.raises(DimensionError, match=r"support repeats pair \(0, 2\)"):
@@ -670,7 +687,7 @@ class TestScoreGrid:
 def whole_dim_gram_terms(grid):
     """Every feature column's (alpha index, beta index, coef) terms in one
     dim x width table, built over all of dim from the grid's pair layout."""
-    (m1, m2), n_emb = grid._block_shape, len(grid._phi1)
+    (m1, m2), n_emb = grid._block_shape, grid._n_emb
     one_a, one_b = grid._alpha.shape[1] - 1, n_emb * m2
     used = grid._coef != 0.0
     width = max(1, int(used.sum(axis=2).max(initial=0)))
@@ -961,6 +978,88 @@ class TestFusedMoments:
         terms = ModelTerms(data, FeatureMap.product(), pair_policy=ALL)
         assert terms.backing._beta.shape[1] == 56
         assert not terms.backing.fused
+
+
+def literal_value_grad(data, f, index, flat):
+    """Value and gradient from the literal feature rows of every permuted
+    pair, built 20,000 pairs at a time with a running log-sum-exp shift."""
+    mean_f = pair_feature_matrix(f, data.samples, index).mean(axis=0)
+    j, k = select_ordered_pairs(data.n, ALL)
+    top, total, weighted = -np.inf, 0.0, np.zeros(index.dim)
+    for lo in range(0, j.size, 20_000):
+        feats = pair_feature_matrix(f, permuted_matrix(data, j[lo : lo + 20_000], k[lo : lo + 20_000]), index)
+        scores = feats @ flat
+        new_top = max(top, float(scores.max()))
+        w, rescale = np.exp(scores - new_top), np.exp(top - new_top)
+        top, total, weighted = new_top, total * rescale + w.sum(), weighted * rescale + feats.T @ w
+    return -mean_f @ flat + top + np.log(total) - np.log(j.size), weighted / total - mean_f, weighted / total
+
+
+def factor_problem(kind, split, n):
+    """n rows over groups of ``split`` sizes, or the interleaved
+    (0, 3, 4, 6) | (1, 2, 5), with their feature: product and sq on normal
+    values, delta on three codes with and without a declared category
+    count, and a block_dim-2 table on three codes."""
+    rng = np.random.default_rng(83 + n)
+    if split == "interleaved":
+        partition = Partition((0, 3, 4, 6), (1, 2, 5))
+    else:
+        partition = Partition(tuple(range(split[0])), tuple(range(split[0], sum(split))))
+    if kind in ("product", "squared_product"):
+        return Dataset(rng.standard_normal((n, partition.m)), partition), FeatureMap(kind)
+    codes = rng.integers(0, 3, size=(n, partition.m)).astype(np.float64)
+    if kind == "delta_uncoded":
+        return Dataset(codes, partition), FeatureMap.kronecker_delta()
+    f = FeatureMap.kronecker_delta(3) if kind == "delta" else FeatureMap.from_table(rng.standard_normal((3, 3, 2)))
+    return Dataset(codes, partition, 3), f
+
+
+class TestScoreFactors:
+    """The grid scores every pair as R C: R, n x K, holds the narrower
+    group's embeddings and C, K x n, each term's cross block multiplied
+    onto the wider group's, so K = T min(m1, m2) + 2 for T terms."""
+
+    @pytest.mark.parametrize("n", [2, 257, 401], ids=["n2", "n257-short-panel", "n401-short-panel"])
+    @pytest.mark.parametrize("split", [(2, 6), (6, 2), (1, 3), (3, 1), (1, 1), (4, 4), "interleaved"])
+    @pytest.mark.parametrize("kind", ["product", "squared_product", "delta", "delta_uncoded", "table"])
+    def test_narrow_factors_match_the_literal_feature_rows(self, kind, split, n, monkeypatch):
+        data, f = factor_problem(kind, split, n)
+        idx = build_pair_index(data.m, block_dim=f.block_dim)
+        flat = random_theta(idx, n, scale=0.2).flat
+        want_value, want_grad, weighted = literal_value_grad(data, f, idx, flat)
+        scale = max(np.abs(weighted).max(), np.abs(want_grad + weighted).max())
+        (m1, m2) = len(data.partition.group1), len(data.partition.group2)
+        # forced onto the fused path and off it; every narrow table here has
+        # at most 325 products, and the estimate counts FUSED_MAX_PRODUCTS
+        for most in (1000, 0):
+            monkeypatch.setattr(model_mod, "FUSED_MAX_PRODUCTS", most)
+            terms = ModelTerms(data, f, pair_policy=ALL)
+            grid = terms.backing
+            assert grid.fused is (most > 0)
+            width = len(grid._terms) * min(m1, m2) + 2
+            assert grid._rows.shape == (n, width) and grid._cols.shape == (width, n)
+            assert grid._rows.flags.c_contiguous and grid._cols.flags.c_contiguous
+            value, grad = terms.value_grad(flat)
+            assert value == pytest.approx(want_value, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12 * scale)
+
+    def test_weighs_reuse_one_panel_buffer(self):
+        data = make_dataset(400, 2, 6, seed=14)
+        terms = ModelTerms(data, FeatureMap.squared_product(), pair_policy=ALL)
+        grid = terms.backing
+        assert grid.fused and grid._panel.shape == (64, 400)
+        x, y = (random_theta(terms.index, seed, scale=0.1).flat for seed in (1, 2))
+        grid.weigh(x, None)
+        tracemalloc.start()
+        try:
+            grid.weigh(y, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the panels are written into the buffer the first weigh filled, so
+        # the second allocates less than one panel (each used to take a new
+        # one while the last was still held: two at once)
+        assert peak < grid._panel.nbytes
 
 
 def per_column_gram(grid, w, rows, cols):
