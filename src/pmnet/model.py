@@ -17,12 +17,14 @@ Two backings evaluate the permuted pairs.  ``PairScoreGrid`` scores every
 ordered pair as an n x n grid built from per-row within-group scores and
 per-variable embeddings, in which every feature kind is bilinear; no
 permuted sample is ever materialized.  A sampled set keeps its feature rows
-in ``DensePairRows``.  Both expose the pair scores F v, the weighted feature
-sum F^T w and the weighted Gram block F[:, rows]^T diag(w) F[:, cols]; every
-evaluation here, the Hessian included, is written on those three.  A grid
-whose narrower factor table has few column products (``FUSED_MAX_PRODUCTS``)
-is weighed in panels of rows straight into the weights' moments U, from which
-its value, gradient and Hessian are read; no n x n array is kept.
+in ``DensePairRows``.  Both expose one scoring, ``weigh``, which gives the
+shift top, the sum of the pair weights w = exp(F v - top) and what the
+backing keeps of w; the weighted feature sum F^T w (``weighted_sum``) and
+the weighted Gram block F[:, rows]^T diag(w) F[:, cols] (``gram``) read
+that.  Every evaluation here, the Hessian included, is written on those
+three.  A grid whose narrower factor table has few column products
+(``FUSED_MAX_PRODUCTS``) keeps only the weights' moments U; no n x n array
+is kept.
 """
 
 import os
@@ -177,8 +179,6 @@ class DensePairRows:
     """Materialized feature rows of a sparsely sampled permuted-pair set,
     the data rows' feature matrix ``f_data`` and its mean row ``data_mean``."""
 
-    fused = False
-
     def __init__(self, data: Dataset, feature: FeatureMap, index: PairIndex, pair_j, pair_k):
         self.f_data = pair_feature_matrix(feature, data.samples, index)
         self.data_mean = self.f_data.mean(axis=0)
@@ -193,8 +193,21 @@ class DensePairRows:
         |F_i v| <= sum over d of max|F[:, d]| |v_d|."""
         return self.f_perm @ v, float(self._col_max @ np.abs(v))
 
+    def weigh(self, v: np.ndarray, guard) -> tuple[float, float, np.ndarray]:
+        """(top, total, w): the largest pair score, the sum of the weights
+        w = exp(F v - top) and the weights, one per pair.  The scores are
+        first handed to ``guard`` as their ``bad_pair_features`` when the
+        bound is not below ``FINITE_SCORE_BOUND``; w overwrites them."""
+        scores, bound = self.scores(v)
+        if not bound < FINITE_SCORE_BOUND:  # also when the bound is NaN
+            guard(self.bad_pair_features(scores))
+        top = float(scores.max())
+        scores -= top
+        np.exp(scores, out=scores)
+        return top, float(scores.sum()), scores
+
     def weighted_sum(self, w: np.ndarray) -> np.ndarray:
-        """F^T w for pair weights shaped like ``scores``."""
+        """F^T w for the weights ``weigh`` gives."""
         return self.f_perm.T @ w
 
     def gram(self, w: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -242,17 +255,19 @@ class PairScoreGrid:
     of the narrower group (group 2 on a tie), [phi_c for each term | 1 |
     within-group score], and C the other's, [M_t multiplied onto the wider
     group's phi_c' for each term | within-group score | 1]; R C is the grid
-    when group 1 is the narrower, else its transpose.  The gradient side is
-    one product too: w times R's [phi_c ... | 1] gives every cross term and
-    the row sums.
+    when group 1 is the narrower, else its transpose.
 
-    When the narrower table has at most ``FUSED_MAX_PRODUCTS`` symmetric
-    column products, the grid is ``fused``: ``weigh`` scores it a panel of
-    R's rows at a time into one reused buffer and multiplies each panel's
-    weights by all of those products, and ``moment_sum`` (F^T w) and
-    ``moment_gram`` (any Gram block, one contraction of U with the other
-    table's columns) read the resulting moments U instead of w; no
-    evaluation holds an n x n array.
+    ``weigh`` scores the grid a panel of R's rows at a time and
+    exponentiates each panel.  When the narrower table has at most
+    ``FUSED_MAX_PRODUCTS`` symmetric column products the grid is ``fused``:
+    the panels pass through one reused buffer, and each one's weights are
+    multiplied by all of those products into the moments U, so no
+    evaluation holds an n x n array.  Otherwise the panels are kept as the
+    weights W, in R's orientation.  ``weighted_sum`` (F^T w) needs w
+    against R's [phi_c for each term | 1], which gives every cross term and
+    the row sums: U's columns that pair those with the table's 1, or W^T R
+    summed over the panels.  ``gram`` gives any Gram block, on U as
+    ``moment_gram``, one contraction of U with the other table's columns.
 
     ``data_mean`` is the data rows' mean feature row: the column means of
     s1's and s2's features, and for the cross pairs psi(x_a, x_b) of every
@@ -304,7 +319,7 @@ class PairScoreGrid:
         # row-k factors [phi2_c for each c | 1 | within-group-2 features]
         self._alpha = np.hstack([phi1.transpose(1, 0, 2).reshape(self.n, -1), f1, ones])
         self._beta = np.hstack([phi2.transpose(1, 0, 2).reshape(self.n, -1), ones, f2])
-        # gram contracts the weights along the side with the narrower table
+        # the weights meet the narrower ("inner") table; the outer one is summed
         self._gram_on_alpha = self._alpha.shape[1] < self._beta.shape[1]
         self._n_emb = n_emb
         used = (forms != 0.0).any(axis=0)
@@ -314,9 +329,22 @@ class PairScoreGrid:
         self._coef = np.where(flipped[:, None, None], forms[:, c2, c1], forms[:, c1, c2])
         self._block_shape = (m1, m2)
         self._plan_gram(forms, c1, c2, flipped)
+        inner, outer = (self._alpha, self._beta) if self._gram_on_alpha else (self._beta, self._alpha)
+        self._inner, self._outer = inner, outer
+        # the score factors R, n x K, and C, K x n; ``_factors`` fills s_in and s_out
+        (m_in, m_out) = (m1, m2) if self._gram_on_alpha else (m2, m1)
+        within = [(self._alpha[:, n_emb * m1 : -1], self._cols1), (self._beta[:, n_emb * m2 + 1 :], self._cols2)]
+        self._within = within if self._gram_on_alpha else within[::-1]
+        self._m_in, width = m_in, len(self._terms) * m_in + 2
+        self._rows, self._cols, self._phi_out = np.ones((self.n, width)), np.ones((width, self.n)), []
+        r_inner = []  # the inner table's column behind each of R's phi columns
+        for t, (c1, c2) in enumerate(self._terms):
+            c_in, c_out = (c1, c2) if self._gram_on_alpha else (c2, c1)
+            r_inner.extend(range(c_in * m_in, (c_in + 1) * m_in))
+            self._rows[:, t * m_in : (t + 1) * m_in] = inner[:, c_in * m_in : (c_in + 1) * m_in]
+            self._phi_out.append(outer[:, c_out * m_out : (c_out + 1) * m_out])
         # the narrower table's symmetric column products, when few enough
         # that one product of w with all of them beats a pass per Hessian
-        inner = self._alpha if self._gram_on_alpha else self._beta
         self.fused = _fuses(inner.shape[1])
         if self.fused:
             i1, i2 = np.triu_indices(inner.shape[1])
@@ -325,23 +353,17 @@ class PairScoreGrid:
             # column of U for each pair of narrow columns, either way round
             self._slot = np.empty((inner.shape[1],) * 2, dtype=np.intp)
             self._slot[i1, i2] = self._slot[i2, i1] = np.arange(i1.size)
-            # U's column of the narrow table's 1 times itself: the weights' sums
-            ones = inner.shape[1] - 1 if self._gram_on_alpha else n_emb * m2
-            self._total_column = int(self._slot[ones, ones])
-            # shift by the score bound up to here: the largest weight is then
-            # at least exp(-2 limit), and any that can move the sum is normal
-            finfo = np.finfo(np.float64)
-            self._shift_limit = (np.log(finfo.eps) - np.log(finfo.tiny) - np.log(self.count)) / 2
-        # the score factors R, n x K, and C, K x n; ``_factors`` fills s_in and s_out
-        (m_in, m_out), outer = ((m1, m2), self._beta) if self._gram_on_alpha else ((m2, m1), self._alpha)
-        within = [(self._alpha[:, n_emb * m1 : -1], self._cols1), (self._beta[:, n_emb * m2 + 1 :], self._cols2)]
-        self._within = within if self._gram_on_alpha else within[::-1]
-        self._m_in, width = m_in, len(self._terms) * m_in + 2
-        self._rows, self._cols, self._phi_out = np.ones((self.n, width)), np.ones((width, self.n)), []
-        for t, (c1, c2) in enumerate(self._terms):
-            c_in, c_out = (c1, c2) if self._gram_on_alpha else (c2, c1)
-            self._rows[:, t * m_in : (t + 1) * m_in] = inner[:, c_in * m_in : (c_in + 1) * m_in]
-            self._phi_out.append(outer[:, c_out * m_out : (c_out + 1) * m_out])
+            # U's columns of R's [phi_c for each term | 1], and of the narrow
+            # side's within-group features, times the table's 1: their sums
+            # against w; the last of the first is the weights' sums
+            one = inner.shape[1] - 1 if self._gram_on_alpha else n_emb * m2
+            self._first_slots = self._slot[r_inner + [one], one]
+            lo = n_emb * m_in + (not self._gram_on_alpha)
+            self._within_slots = self._slot[lo : lo + self._within[0][0].shape[1], one]
+        # shift by the score bound up to here: the largest weight is then
+        # at least exp(-2 limit), and any that can move the sum is normal
+        finfo = np.finfo(np.float64)
+        self._shift_limit = (np.log(finfo.eps) - np.log(finfo.tiny) - np.log(self.count)) / 2
         # one panel buffer, and the flat position of each panel row's diagonal
         step = min(self.n, max(1, WEIGH_PANEL_FLOATS // self.n))
         self._panel = np.empty((step, self.n))
@@ -381,16 +403,20 @@ class PairScoreGrid:
             yield lo, panel
 
     def weigh(self, v: np.ndarray, guard) -> tuple[float, float, np.ndarray]:
-        """(top, total, U): the shift, the sum and the moments of the weights
-        w = exp(scores - top) at v.
+        """(top, total, weights): the shift, and the sum and the kept form of
+        the weights w = exp(scores - top) at v: the moments U on a fused
+        grid, else W, the weight grid in R's orientation (see the class).
 
         top is the score bound up to ``_shift_limit``, else the panels'
         maximum, each panel first handed to ``guard`` as its
         ``bad_pair_features`` when the bound is not below ``FINITE_SCORE_BOUND``.
         It is folded into C's within-group row, which meets R's ones.  Each
-        panel is exponentiated in place and adds the product rows' columns at
-        its rows times it to U^T in panel order, so U's bits do not depend on
-        the number of BLAS threads; U is handed out as U^T's transposed view.
+        panel is exponentiated into its rows of W, a new array on every call
+        and never the panel buffer that ``score_range`` reuses.  On a fused
+        grid it is exponentiated in place instead, and the product rows'
+        columns at its rows times it are added to U^T in panel order, so U's
+        bits do not depend on the number of BLAS threads; U is handed out as
+        U^T's transposed view.
         """
         bound = self._factors(v)
         if bound <= self._shift_limit:
@@ -402,23 +428,40 @@ class PairScoreGrid:
                     guard(self.bad_pair_features(panel, lo, not self._gram_on_alpha))
                 top = max(top, float(panel.max()))
         self._cols[-2] -= top
+        if not self.fused:
+            w = np.empty((self.n, self.n))
+            for lo, panel in self._panels():
+                np.exp(panel, out=w[lo : lo + panel.shape[0]])
+            return top, float(w.sum()), w
         u = np.zeros((self._products.shape[0], self.n))
         for lo, panel in self._panels():
             np.exp(panel, out=panel)
             u += self._products[:, lo : lo + panel.shape[0]] @ panel
-        return top, float(u[self._total_column].sum()), u.T
+        return top, float(u[self._first_slots[-1]].sum()), u.T
 
-    def weighted_sum(self, w: np.ndarray) -> np.ndarray:
-        """F^T w for an n x n weight grid with a zero diagonal."""
+    def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
+        """F^T w from the weights as ``weigh`` gives them.
+
+        w against R's [phi_c for each term | 1], per row of the other side,
+        gives every cross term and the row sums over the narrower side, and
+        the narrower side's within-group features are summed against w's
+        row sums.  Both are U's columns that pair those with the table's 1
+        on a fused grid; on W, the first is W^T R summed over ``weigh``'s
+        panels of rows in order, so neither depends on the number of BLAS
+        threads."""
         m_in, width = self._m_in, self._rows.shape[1] - 2
-        # the weights with the narrower table's rows as columns, times
-        # [phi_c for each term | 1]: every cross term and the row sums
-        w = w.T if self._gram_on_alpha else w
-        prod = w @ self._rows[:, : width + 1]
         (f_in, cols_in), (f_out, cols_out) = self._within
+        if self.fused:
+            prod = weights[:, self._first_slots]
+            inner_sums = weights[:, self._within_slots].sum(axis=0)
+        else:
+            prod = np.zeros((self.n, width + 1))
+            for lo, diagonal in self._diagonals:
+                prod += weights[lo : lo + diagonal.size].T @ self._rows[lo : lo + diagonal.size, : width + 1]
+            inner_sums = f_in.T @ weights.sum(axis=1)
         out = np.empty(self._index.dim)
         out[cols_out] = f_out.T @ prod[:, width]
-        out[cols_in] = f_in.T @ w.sum(axis=0)
+        out[cols_in] = inner_sums
         cross = np.empty((len(self._terms), self._pq.size))
         for t, phi in enumerate(self._phi_out):
             block = phi.T @ prod[:, t * m_in : (t + 1) * m_in]
@@ -476,26 +519,25 @@ class PairScoreGrid:
         a, b = class_a[kind] + p[:, None] * on, class_b[kind] + q[:, None] * on
         return (a, b, class_coef[kind]) if self._gram_on_alpha else (b, a, class_coef[kind])
 
-    def gram(self, w: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """F[:, rows]^T diag(w) F[:, cols] for an n x n weight grid with a zero
-        diagonal, from the factor columns that ``_gram_terms`` gives for the
-        requested rows and columns only.
+    def gram(self, weights: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """F[:, rows]^T diag(w) F[:, cols] from the weights as ``weigh`` gives
+        them: ``moment_gram`` on a fused grid's moments U, else from W and the
+        factor columns that ``_gram_terms`` gives for the requested rows and
+        columns only.
 
-        For terms r and c of two columns, sum_jk w_jk alpha_r[j] alpha_c[j]
-        beta_r[k] beta_c[k] is one product of w with the row-wise products
-        beta_r * beta_c (a Khatri-Rao product over the distinct group-2
-        factors), then a sum over j against alpha_r * alpha_c; or, when the
-        alpha table is the narrower, the same with the sides swapped and w^T
-        for w.  Rows, then columns, are done in panels sized so that each
-        temporary holds about ``GRAM_PANEL_FLOATS`` floats, or one row's and
-        column's worth if that is more.  When ``cols is rows`` and both fit
-        one panel, the columns reuse the rows' terms.
+        For terms r and c of two columns, sum_jk w_jk inner_r inner_c
+        outer_r outer_c, the inner table's factors taken at W's rows and the
+        outer one's at its columns, is one product of W^T with the row-wise
+        products inner_r * inner_c (a Khatri-Rao product over the distinct
+        narrow factors), then a sum over the other side's rows against
+        outer_r * outer_c.  Rows, then columns, are done in panels sized so
+        that each temporary holds about ``GRAM_PANEL_FLOATS`` floats, or one
+        row's and column's worth if that is more.  When ``cols is rows`` and
+        both fit one panel, the columns reuse the rows' terms.
         """
-        # the weights meet the inner table's products; the outer one is summed
-        if self._gram_on_alpha:
-            w, inner, outer = w.T, self._alpha, self._beta
-        else:
-            inner, outer = self._beta, self._alpha
+        if self.fused:
+            return self.moment_gram(weights, rows, cols)
+        inner, outer = self._inner, self._outer
         n, width = self.n, self._gram_width
         out = np.empty((rows.size, cols.size))
         row_panel = max(1, GRAM_PANEL_FLOATS // (n * width * width))
@@ -512,7 +554,7 @@ class PairScoreGrid:
                 else:
                     c_in, c_out, c_coef = self._gram_terms(cols[lo : lo + panel])
                     col_q, col_pos = np.unique(c_in, return_inverse=True)
-                wv = w @ (inner_r[:, :, None] * inner[:, None, col_q]).reshape(n, -1)
+                wv = weights.T @ (inner_r[:, :, None] * inner[:, None, col_q]).reshape(n, -1)
                 k = wv.reshape(n, row_q.size, col_q.size)[:, row_pos.reshape(-1, 1), col_pos.reshape(1, -1)]
                 del wv
                 k *= row_out[:, :, None]
@@ -520,27 +562,6 @@ class PairScoreGrid:
                 k = k.sum(axis=0) * row_coef[:, None] * c_coef.reshape(1, -1)
                 k = k.reshape(-1, width, len(c_coef), width)
                 out[r_lo : r_lo + row_panel, lo : lo + panel] = k.sum(axis=(1, 3))
-        return out
-
-    def moment_sum(self, u: np.ndarray) -> np.ndarray:
-        """F^T w from the moments U of w (``weigh``).  Column (i, i') of U
-        holds, for each row of the other table, the weighted sum over the
-        narrower side's rows of its columns i and i'.  The columns that pair
-        a narrow-table column with its column of ones, summed against the
-        other table, give every entry of alpha^T w beta; each feature column
-        reads its terms' entries."""
-        (m1, m2), n_emb = self._block_shape, self._n_emb
-        if self._gram_on_alpha:
-            sums = (self._beta.T @ u[:, self._slot[:, -1]]).T
-        else:
-            sums = self._alpha.T @ u[:, self._slot[:, n_emb * m2]]
-        out = np.empty(self._index.dim)
-        out[self._cols1] = sums[n_emb * m1 : -1, n_emb * m2]
-        out[self._cols2] = sums[-1, n_emb * m2 + 1 :]
-        cross = np.empty((len(self._terms), self._pq.size))
-        for t, (c1, c2) in enumerate(self._terms):
-            cross[t] = sums[c1 * m1 : (c1 + 1) * m1, c2 * m2 : (c2 + 1) * m2].ravel()[self._pq]
-        out[self._cols_x] = np.einsum("ti,idt->id", cross, self._coef).ravel()
         return out
 
     def moment_gram(self, u: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -561,7 +582,7 @@ class PairScoreGrid:
         column's worth if that is more; a square block that fits one panel
         reuses the rows' terms for its columns.
         """
-        outer = self._beta if self._gram_on_alpha else self._alpha
+        outer = self._outer
         n, width, narrow = self.n, self._gram_width, self._slot.shape[0]
         step = self._panel.shape[0]
         # per column: its terms' outer factors; per row: those, its moments
@@ -616,17 +637,6 @@ class PairScoreGrid:
         return pair_feature_matrix(self._feature, x_pair, self._index)[0]
 
 
-def _shifted_exp(scores: np.ndarray) -> tuple[float, float]:
-    """Overwrite pair scores with exp(scores - max); return (max, their sum).
-
-    A log-sum-exp without the log; in place, since the arrays are large.
-    """
-    top = float(scores.max())
-    scores -= top
-    np.exp(scores, out=scores)
-    return top, float(scores.sum())
-
-
 # A pair-score bound below this leaves every score finite, so the scan for
 # non-finite scores is skipped; float64 overflows near 1.8e308.
 FINITE_SCORE_BOUND = 1e300
@@ -656,16 +666,17 @@ def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, layout: str, f
 
     Counts the pair backing's (``PairPolicy.layout``) largest moment.  The
     grid holds the within-group features of every data row, a few integers
-    of bookkeeping per feature column, the fused path's product table
-    (n x ``FUSED_MAX_PRODUCTS`` at most), the score factors R (n x K) and
-    C (K x n), K = T min(m1, m2) + 2 for T terms, and one panel buffer of
-    ``WEIGH_PANEL_FLOATS`` floats (a row, if that is more); on
-    top of them come either the build's temporaries (those features'
-    gathered operands, then the n x m1 x m2 cross-mean temporary next to a
-    delta feature's boolean matches) or an evaluation: the moments (as wide
-    as the product table), the Hessian's panels (four of
-    ``GRAM_PANEL_FLOATS`` at once) and the n x n weights, or on a fused
-    grid a second product table's worth while it is weighed.  Dense rows
+    of bookkeeping per feature column, a fused grid's product table
+    (n w(w + 1)/2 for a narrower table of w columns; a general grid has
+    none), the score factors R (n x K) and C (K x n), K = T min(m1, m2) + 2
+    for T terms, and one panel buffer of ``WEIGH_PANEL_FLOATS`` floats (a
+    row, if that is more); on top of them come either the build's
+    temporaries (those features' gathered operands, then the n x m1 x m2
+    cross-mean temporary next to a delta feature's boolean matches) or an
+    evaluation: the Hessian's panels (four of ``GRAM_PANEL_FLOATS`` at
+    once) and, on a fused grid, the moments and a panel's product into
+    them, each the size of the product table, or on a general grid the
+    n x n weights and the gradient's n x K sum with a panel's share of it.  Dense rows
     hold the same bookkeeping and the data rows' features, kept for
     ``diagnostics``, then the permuted samples, the two gathered feature
     operands and the feature rows at once.
@@ -676,15 +687,16 @@ def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, layout: str, f
     cross = int(index.cross_mask(data.partition).sum()) * index.block_dim
     within = dim - cross
     build = max(2 * n * within, n * cross + n * cross // 8)
-    products = n * FUSED_MAX_PRODUCTS
     g1, g2 = list(data.partition.group1), list(data.partition.group2)
     # the codes embedded; an uncoded delta embeds the values both groups hold
     shared = np.intersect1d(data.samples[:, g1], data.samples[:, g2]).size if f.kind == KRONECKER_DELTA else 1
     codes, sizes = f.categories or shared, (len(g1), len(g2))
-    fused = _fuses(min(codes * k + k * (k - 1) // 2 * index.block_dim + 1 for k in sizes))
+    narrow = min(codes * k + k * (k - 1) // 2 * index.block_dim + 1 for k in sizes)
+    products = n * narrow * (narrow + 1) // 2 if _fuses(narrow) else 0
     # every (c, c') of a table is a term; a delta's terms are its codes
-    factors = 2 * n * ((codes**2 if f.kind == TABLE else codes) * min(sizes) + 2) + max(WEIGH_PANEL_FLOATS, n)
-    evaluation = (2 * products if fused else n * n + products) + 4 * GRAM_PANEL_FLOATS
+    width = (codes**2 if f.kind == TABLE else codes) * min(sizes) + 2
+    factors = 2 * n * width + max(WEIGH_PANEL_FLOATS, n)
+    evaluation = (2 * products if products else n * n + 2 * n * width) + 4 * GRAM_PANEL_FLOATS
     return 8 * (8 * dim + n * within + products + factors + max(build, evaluation))
 
 
@@ -692,18 +704,16 @@ def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, layout: str, f
 class _Evaluated:
     """The log-sum-exp parts of one parameter point, keyed on its bytes.
 
-    ``total`` is the sum of the weights exp(scores - top).  A fused grid
-    keeps only their moments U (``PairScoreGrid.weigh``), from which its
-    gradient and Hessian are read; any other backing keeps the ``weights``
-    themselves, never divided, shaped like its scores.  ``grad`` is filled
-    in when the gradient is first taken.
+    ``total`` is the sum of the weights exp(scores - top), and ``weights``
+    what the backing's ``weigh`` keeps of them, never divided: a fused
+    grid's moments U, a general grid's weight grid W, or a sample's weights.
+    ``grad`` is filled in when the gradient is first taken.
     """
 
     key: bytes
     top: float
     total: float
-    weights: np.ndarray | None = None
-    moments: np.ndarray | None = None
+    weights: np.ndarray
     grad: np.ndarray | None = None
 
 
@@ -720,8 +730,10 @@ class ModelTerms:
     estimated peak (see ``_peak_bytes``; kept as ``peak_bytes``) exceeds
     physical memory raises ``SizeError`` before anything is allocated.
 
-    The last evaluated point is remembered with its pair weights (on a
-    fused grid, their moments; see ``_Evaluated``), so a
+    Every backing is scored by its ``weigh``, and its gradient and Hessian
+    are read by ``weighted_sum`` and ``gram`` from what that returned.  The
+    last evaluated point is remembered with those weights (on a fused grid,
+    their moments; see ``_Evaluated``), so a
     ``value_grad`` or ``hessian`` at the point whose ``value`` was just
     taken (the solver's accepted iterate), or a repeat at one whose gradient
     is known, skips the pair scoring; results are bit-identical to a fresh
@@ -781,33 +793,17 @@ class ModelTerms:
             f"non-finite score on a permuted pair; dominant block is pair {pair}"
         )
 
-    def perm_scores(self, flat: np.ndarray) -> np.ndarray:
-        """Scores over the pair set, shaped as the backing lays them out;
-        the grid's excluded diagonal holds -inf."""
-        flat = self._check_flat(flat)
-        # overflow is caught by the guard below; the numpy warning is noise
-        with np.errstate(over="ignore", invalid="ignore"):
-            scores, bound = self.backing.scores(flat)
-        if not bound < FINITE_SCORE_BOUND:  # also when the bound is NaN
-            self._guard_finite(self.backing.bad_pair_features(scores), flat)
-        return scores
-
     def _evaluated(self, flat: np.ndarray) -> _Evaluated:
-        """The remembered point if ``flat`` is it, else a freshly scored one."""
+        """The remembered point if ``flat`` is it, else a freshly weighed one."""
         key = flat.tobytes()
         if self._last is None or self._last.key != key:
-            # free the old pair scores before allocating new ones
+            # free the old pair weights before allocating new ones
             self._last = None
             self.scorings += 1
-            if self.backing.fused:
-                # overflow is caught by the guard; the numpy warning is noise
-                with np.errstate(over="ignore", invalid="ignore"):
-                    top, total, moments = self.backing.weigh(flat, lambda row: self._guard_finite(row, flat))
-                self._last = _Evaluated(key, top, total, moments=moments)
-            else:
-                weights = self.perm_scores(flat)
-                top, total = _shifted_exp(weights)
-                self._last = _Evaluated(key, top, total, weights=weights)
+            # overflow is caught by the guard; the numpy warning is noise
+            with np.errstate(over="ignore", invalid="ignore"):
+                top, total, weights = self.backing.weigh(flat, lambda row: self._guard_finite(row, flat))
+            self._last = _Evaluated(key, top, total, weights)
         return self._last
 
     def log_normalizer(self, flat: np.ndarray) -> float:
@@ -830,27 +826,15 @@ class ModelTerms:
 
     def _gradient(self, last: _Evaluated) -> np.ndarray:
         if last.grad is None:
-            if self.backing.fused:
-                weighted = self.backing.moment_sum(last.moments)
-            else:
-                weighted = self.backing.weighted_sum(last.weights)
-            last.grad = weighted / last.total - self.mean_f
+            last.grad = self.backing.weighted_sum(last.weights) / last.total - self.mean_f
         return last.grad
-
-    def _gram(self, last: _Evaluated, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """F[:, rows]^T diag(w) F[:, cols] at the remembered point: from
-        its moments when the backing is fused, else from w."""
-        if self.backing.fused:
-            return self.backing.moment_gram(last.moments, rows, cols)
-        return self.backing.gram(last.weights, rows, cols)
 
     def hessian(self, flat: np.ndarray, cols: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """H[rows, cols] of the normalized objective, every row by default.
 
         H = F^T diag(w) F - g g^T with w the softmax pair weights and
-        g = F^T w; the backing's ``gram`` (``moment_gram`` on the point's
-        moments, on a fused grid) gives the first term, and the
-        weights come from the remembered point, so a Hessian at the point
+        g = F^T w; the backing's ``gram`` gives the first term from the
+        weights its ``weigh`` kept at the remembered point, so a Hessian at the point
         just evaluated scores nothing.  g g^T is subtracted in chunks of rows
         of about ``GRAM_PANEL_FLOATS`` floats, so no temporary is the size of
         the result."""
@@ -858,7 +842,7 @@ class ModelTerms:
         last = self._evaluated(flat)
         grad = self._gradient(last)
         rows = np.arange(self.index.dim) if rows is None else rows
-        out = self._gram(last, rows, cols)
+        out = self.backing.gram(last.weights, rows, cols)
         out /= last.total
         g_rows, g_cols = grad[rows] + self.mean_f[rows], grad[cols] + self.mean_f[cols]
         chunk = max(1, GRAM_PANEL_FLOATS // max(1, cols.size))

@@ -300,7 +300,7 @@ class TestHessian:
         monkeypatch.setattr(model_mod, "GRAM_PANEL_FLOATS", 7)  # g g^T two rows at a time
         g = terms.value_grad(flat)[1] + terms.mean_f
         last = terms._last
-        gram = terms._gram(last, np.arange(terms.index.dim), cols)
+        gram = terms.backing.gram(last.weights, np.arange(terms.index.dim), cols)
         want = gram / last.total - np.outer(g, g[cols])
         assert terms.hessian(flat, cols).tobytes() == want.tobytes()
 
@@ -593,7 +593,7 @@ class TestScoreGrid:
         terms = ModelTerms(make_dataset(400, 2, 2, seed=400), FeatureMap.product())
         assert layout_of(terms) == "grid"
         assert terms.n_pairs_used == 400 * 399
-        assert terms.perm_scores(random_theta(terms.index, 1).flat).shape == (400, 400)
+        assert terms.backing.scores(random_theta(terms.index, 1).flat)[0].shape == (400, 400)
 
     @pytest.mark.parametrize("n", [5, 11, 16, 26])
     def test_layout_boundary(self, n):
@@ -748,12 +748,14 @@ class TestGramPlan:
             f = FeatureMap.kronecker_delta(3) if kind == "delta" else FeatureMap.from_table(
                 rng.standard_normal((3, 3, 2)))
         idx = build_pair_index(7, block_dim=f.block_dim)
+        monkeypatch.setattr(model_mod, "FUSED_MAX_PRODUCTS", 0)  # a fused grid's gram reads U
         terms = ModelTerms(data, f, pair_policy=ALL)
-        assert layout_of(terms) == layout
+        assert layout_of(terms) == layout and not terms.backing.fused
         grid, flat = terms.backing, random_theta(idx, 3, scale=0.1).flat
-        # the full grid's weights: a fused point keeps only their moments
-        w = terms.perm_scores(flat)
-        model_mod._shifted_exp(w)
+        # the full grid's weights, and the same as W, in R's orientation
+        scores = grid.scores(flat)[0]
+        w = np.exp(scores - scores.max())
+        weights = w if grid._gram_on_alpha else w.T
         every = np.arange(idx.dim)
         t_a, t_b, t_coef = whole_dim_gram_terms(grid)
         a, b, coef = grid._gram_terms(every)
@@ -767,7 +769,7 @@ class TestGramPlan:
         for r, c in ((rows, rng.permutation(idx.dim)[:6]), (rows, rows), (rows, rows.copy()), (every, rows[:3])):
             want = np.vstack([whole_dim_gram(grid, w, r[lo : lo + row_panel], c)
                               for lo in range(0, r.size, row_panel)])
-            assert grid.gram(w, r, c).tobytes() == want.tobytes()
+            assert grid.gram(weights, r, c).tobytes() == want.tobytes()
 
 
 def fused_problem(kind, split):
@@ -849,6 +851,33 @@ for n in (200, 2000):
         for got in (np.float64(value), grad, terms.hessian(flat, every, rows=every), terms.hessian(flat, support)):
             print(hashlib.sha256(got.tobytes()).hexdigest())
 """
+
+# sha256 of a general 40|10 grid's value and gradient at n = 400
+GENERAL_THREAD_HASHES = """
+import hashlib
+import numpy as np
+from pmnet import Dataset, FeatureMap, PairPolicy, Partition
+from pmnet.model import ModelTerms
+x = np.random.default_rng(400).standard_normal((400, 50))
+data = Dataset(x, Partition(tuple(range(40)), tuple(range(40, 50))))
+terms = ModelTerms(data, FeatureMap.product(), pair_policy=PairPolicy("all_ordered"))
+assert not terms.backing.fused
+value, grad = terms.value_grad(0.05 * np.random.default_rng(1).standard_normal(terms.index.dim))
+for got in (np.float64(value), grad):
+    print(hashlib.sha256(got.tobytes()).hexdigest())
+"""
+
+
+def hashes_at_one_and_two_threads(script):
+    """The lines ``script`` prints in two processes, at 1 and 2 OpenBLAS threads."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(model_mod.__file__)))
+    hashes = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        hashes.append(run.stdout.split())
+    return hashes
 
 
 class TestFusedMoments:
@@ -962,15 +991,13 @@ class TestFusedMoments:
     def test_bits_do_not_depend_on_the_blas_thread_count(self):
         # every BLAS product of a fused evaluation sums over one panel of rows,
         # so two processes at 1 and 2 OpenBLAS threads hash alike
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(model_mod.__file__)))
-        hashes = []
-        for threads in ("1", "2"):
-            env["OPENBLAS_NUM_THREADS"] = threads
-            run = subprocess.run([sys.executable, "-c", THREAD_HASHES], env=env, capture_output=True,
-                                 text=True, timeout=120)
-            assert run.returncode == 0, run.stderr
-            hashes.append(run.stdout.split())
+        hashes = hashes_at_one_and_two_threads(THREAD_HASHES)
         assert len(hashes[0]) == 16 and hashes[0] == hashes[1]
+
+    def test_general_grid_gradient_does_not_depend_on_the_blas_thread_count(self):
+        # a general grid's W^T R is summed over the weighing's panels of rows
+        hashes = hashes_at_one_and_two_threads(GENERAL_THREAD_HASHES)
+        assert len(hashes[0]) == 2 and hashes[0] == hashes[1]
 
     def test_wide_table_takes_the_general_path(self):
         # the CLI's default 40|10 split: the narrower table has 56 columns
@@ -1102,7 +1129,7 @@ class TestMomentGram:
         rows = rng.permutation(dim)[:9]
         # the solver's H_SS (cols is rows), another block, and diagnostics' H[:, S]
         for r, c in ((rows, rows), (rows, rng.permutation(dim)[:5]), (np.arange(dim), rows[:3])):
-            got = grid.moment_gram(last.moments, r, c)
+            got = grid.moment_gram(last.weights, r, c)
             want, size = per_column_gram(grid, w, r, c)
             assert np.all(np.abs(got - want) <= tol * size)
 
@@ -1211,6 +1238,24 @@ class TestLastPointMemo:
                 assert got[1].tobytes() == want[1].tobytes()
             else:
                 assert got == want
+
+    @pytest.mark.parametrize("fused_max", [10**6, 0], ids=["fused", "general"])
+    def test_score_range_leaves_the_remembered_weights(self, fused_max, monkeypatch):
+        # diagnostics takes score_range, which rescores the grid into its
+        # panel buffer, after the point is remembered; 15 rows are one panel
+        monkeypatch.setattr(model_mod, "FUSED_MAX_PRODUCTS", fused_max)
+        data, f = fused_problem("squared_product", (2, 6))
+        terms = ModelTerms(data, f, pair_policy=ALL)
+        assert terms.backing.fused is bool(fused_max) and terms.backing._panel.shape == (15, 15)
+        flat, cols = random_theta(terms.index, 4, scale=0.2).flat, np.arange(terms.index.dim)
+        terms.value(flat)
+        terms.backing.score_range(flat)
+        (value, grad), hess = terms.value_grad(flat), terms.hessian(flat, cols, rows=cols)
+        assert terms.scorings == 1
+        fresh = ModelTerms(data, f, pair_policy=ALL)
+        want_value, want_grad = fresh.value_grad(flat)
+        assert value == want_value and grad.tobytes() == want_grad.tobytes()
+        assert hess.tobytes() == fresh.hessian(flat, cols, rows=cols).tobytes()
 
     @pytest.mark.parametrize("layout, rows, policy", MEMO_POLICIES)
     def test_returned_gradient_is_a_copy(self, layout, rows, policy):
@@ -1355,7 +1400,7 @@ class TestFiniteGuard:
         data, f = memo_data(rows), FeatureMap.product()
         terms = ModelTerms(data, f, pair_policy=policy)
         assert layout_of(terms) == layout
-        scores = terms.perm_scores(random_theta(terms.index, 8).flat)
+        scores = terms.backing.scores(random_theta(terms.index, 8).flat)[0]
         assert terms.backing.bad_pair_features(scores) is None
         j, k = select_ordered_pairs(rows, policy)
         i = 7
@@ -1444,6 +1489,19 @@ class TestPreflightSize:
         assert fitting_peak <= estimate
         # diagnostics counts the dim x 8 result on top of the estimate
         assert peak <= estimate + 8 * index.dim * 8
+
+    def test_estimate_counts_the_grids_own_product_table(self, monkeypatch):
+        # a 2|6 grid's narrower table has 4 columns, so 10 products whatever
+        # the cap; a 40|10 grid's has 56, general up to a cap of 56 * 57 / 2 - 1,
+        # and holds no product table
+        f = FeatureMap.product()
+        fused, general = make_dataset(401, 2, 6, seed=21), make_dataset(60, 40, 10, seed=21)
+        peaks = [ModelTerms(data, f, pair_policy=ALL).peak_bytes for data in (fused, general)]
+        monkeypatch.setattr(model_mod, "FUSED_MAX_PRODUCTS", 56 * 57 // 2 - 1)
+        assert ModelTerms(general, f, pair_policy=ALL).peak_bytes == peaks[1]
+        monkeypatch.setattr(model_mod, "FUSED_MAX_PRODUCTS", 10**6)
+        terms = ModelTerms(fused, f, pair_policy=ALL)
+        assert terms.backing.fused and terms.peak_bytes == peaks[0] < 1 << 30
 
     def test_exact_pairs_at_large_n_exceed_this_machine(self):
         # 300,000 rows have 9e10 ordered pairs; their n x n score grid alone needs
