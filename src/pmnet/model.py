@@ -40,6 +40,7 @@ from .core import (
     Dataset,
     FeatureMap,
     PairIndex,
+    Partition,
     build_pair_index,
     feature_values,
     observed_feature_bounds,
@@ -250,12 +251,14 @@ class PairScoreGrid:
     the forms transposed.  The diagonal j == k is no permuted pair:
     ``scores`` fills it with -inf, and weights must be zero there.
 
-    The grid is one product R C of an n x K and a K x n factor, K =
-    T min(m1, m2) + 2, held in buffers reused across calls.  R is the side
-    of the narrower group (group 2 on a tie), [phi_c for each term | 1 |
-    within-group score], and C the other's, [M_t multiplied onto the wider
-    group's phi_c' for each term | within-group score | 1]; R C is the grid
-    when group 1 is the narrower, else its transpose.
+    The narrower group's rows index the grid: unless group 1 is the
+    narrower, the groups are swapped once at construction (x^[j,k] becomes
+    x^[k,j], the same pair set) and ``transposed`` is set, read only by
+    ``scores`` and ``bad_pair_features``, which speak the caller's labels.
+    The grid is one product R C of an n x K and a K x n factor, K = T m1 + 2,
+    held in buffers reused across calls: R is [phi1_c for each term | 1 |
+    within-group-1 score], C is [M_t phi2_c' for each term | within-group-2
+    score | 1].
 
     ``weigh`` scores the grid a panel of R's rows at a time and
     exponentiates each panel.  When the narrower table has at most
@@ -263,7 +266,7 @@ class PairScoreGrid:
     the panels pass through one reused buffer, and each one's weights are
     multiplied by all of those products into the moments U, so no
     evaluation holds an n x n array.  Otherwise the panels are kept as the
-    weights W, in R's orientation.  ``weighted_sum`` (F^T w) needs w
+    weights W, with group 1's rows as its rows.  ``weighted_sum`` (F^T w) needs w
     against R's [phi_c for each term | 1], which gives every cross term and
     the row sums: U's columns that pair those with the table's 1, or W^T R
     summed over the panels.  ``gram`` gives any Gram block, on U as
@@ -277,6 +280,9 @@ class PairScoreGrid:
 
     def __init__(self, data: Dataset, feature: FeatureMap, index: PairIndex):
         part = data.partition
+        # from here on group 1 is the narrower; on a tie, the caller's group 2
+        self.transposed = len(part.group1) >= len(part.group2)
+        part = Partition(part.group2, part.group1) if self.transposed else part
         self.n = data.n
         self.count = data.n * (data.n - 1)
         self._data, self._feature, self._index = data, feature, index
@@ -305,22 +311,24 @@ class PairScoreGrid:
         self.data_mean[self._cols2] = f2.mean(axis=0)
         values1, values2 = values[:, list(part.group1)], values[:, list(part.group2)]
         # summed over the rows one at a time, as a feature matrix's column
-        # mean is, so the cross means are bit-equal to pair_feature_matrix's
-        sums = pair_values(feature, values1[:, :, None], values2[:, None, :]).mean(axis=0)
-        cross_mean = sums.reshape(m1 * m2, -1)[self._pq]
-        if flipped.any():  # psi(x_b, x_a) for the pairs whose first variable is in group 2
-            sums = pair_values(feature, values2[:, None, :], values1[:, :, None]).mean(axis=0)
-            cross_mean[flipped] = sums.reshape(m1 * m2, -1)[self._pq[flipped]]
+        # mean is, so the cross means are bit-equal to pair_feature_matrix's;
+        # psi(x_b, x_a) for the pairs whose first variable is in group 2
+        cross_mean = np.empty((self._pq.size, index.block_dim))
+        for sel, first, second in ((~flipped, values1[:, :, None], values2[:, None, :]),
+                                   (flipped, values2[:, None, :], values1[:, :, None])):
+            if sel.any():
+                sums = pair_values(feature, first, second).mean(axis=0)
+                cross_mean[sel] = sums.reshape(m1 * m2, -1)[self._pq[sel]]
         self.data_mean[self._cols_x] = cross_mean.ravel()
 
         phi1, phi2, forms = variable_embedding(feature, values1, values2)
         n_emb, ones = phi1.shape[0], np.ones((self.n, 1))
-        # row-j factors [phi1_c for each c | within-group-1 features | 1] and
-        # row-k factors [phi2_c for each c | 1 | within-group-2 features]
-        self._alpha = np.hstack([phi1.transpose(1, 0, 2).reshape(self.n, -1), f1, ones])
-        self._beta = np.hstack([phi2.transpose(1, 0, 2).reshape(self.n, -1), ones, f2])
-        # the weights meet the narrower ("inner") table; the outer one is summed
-        self._gram_on_alpha = self._alpha.shape[1] < self._beta.shape[1]
+        # the narrower ("inner") table, of row j, meets the weights and the
+        # outer one, of row k, is summed: [phi1_c for each c | within-group-1
+        # features | 1] and [phi2_c for each c | 1 | within-group-2 features]
+        self._inner = inner = np.hstack([phi1.transpose(1, 0, 2).reshape(self.n, -1), f1, ones])
+        self._outer = outer = np.hstack([phi2.transpose(1, 0, 2).reshape(self.n, -1), ones, f2])
+        self._f1, self._f2 = inner[:, n_emb * m1 : -1], outer[:, n_emb * m2 + 1 :]
         self._n_emb = n_emb
         used = (forms != 0.0).any(axis=0)
         c1, c2 = np.nonzero(used | used.T)
@@ -329,20 +337,14 @@ class PairScoreGrid:
         self._coef = np.where(flipped[:, None, None], forms[:, c2, c1], forms[:, c1, c2])
         self._block_shape = (m1, m2)
         self._plan_gram(forms, c1, c2, flipped)
-        inner, outer = (self._alpha, self._beta) if self._gram_on_alpha else (self._beta, self._alpha)
-        self._inner, self._outer = inner, outer
-        # the score factors R, n x K, and C, K x n; ``_factors`` fills s_in and s_out
-        (m_in, m_out) = (m1, m2) if self._gram_on_alpha else (m2, m1)
-        within = [(self._alpha[:, n_emb * m1 : -1], self._cols1), (self._beta[:, n_emb * m2 + 1 :], self._cols2)]
-        self._within = within if self._gram_on_alpha else within[::-1]
-        self._m_in, width = m_in, len(self._terms) * m_in + 2
-        self._rows, self._cols, self._phi_out = np.ones((self.n, width)), np.ones((width, self.n)), []
-        r_inner = []  # the inner table's column behind each of R's phi columns
-        for t, (c1, c2) in enumerate(self._terms):
-            c_in, c_out = (c1, c2) if self._gram_on_alpha else (c2, c1)
-            r_inner.extend(range(c_in * m_in, (c_in + 1) * m_in))
-            self._rows[:, t * m_in : (t + 1) * m_in] = inner[:, c_in * m_in : (c_in + 1) * m_in]
-            self._phi_out.append(outer[:, c_out * m_out : (c_out + 1) * m_out])
+        # the score factors R, n x K, and C, K x n; ``_factors`` fills s1 and
+        # s2.  r_inner: the inner table's column behind each of R's phi columns
+        r_inner = (c1[:, None] * m1 + np.arange(m1)).ravel()
+        self._rows, self._cols = np.ones((self.n, r_inner.size + 2)), np.ones((r_inner.size + 2, self.n))
+        self._rows[:, :-2] = inner[:, r_inner]
+        self._phi_out = [outer[:, c * m2 : (c + 1) * m2] for c in c2.tolist()]
+        # max|R| over the columns v leaves alone: all but the last
+        self._fixed_max = float(np.abs(self._rows[:, :-1]).max())
         # the narrower table's symmetric column products, when few enough
         # that one product of w with all of them beats a pass per Hessian
         self.fused = _fuses(inner.shape[1])
@@ -353,13 +355,12 @@ class PairScoreGrid:
             # column of U for each pair of narrow columns, either way round
             self._slot = np.empty((inner.shape[1],) * 2, dtype=np.intp)
             self._slot[i1, i2] = self._slot[i2, i1] = np.arange(i1.size)
-            # U's columns of R's [phi_c for each term | 1], and of the narrow
-            # side's within-group features, times the table's 1: their sums
-            # against w; the last of the first is the weights' sums
-            one = inner.shape[1] - 1 if self._gram_on_alpha else n_emb * m2
-            self._first_slots = self._slot[r_inner + [one], one]
-            lo = n_emb * m_in + (not self._gram_on_alpha)
-            self._within_slots = self._slot[lo : lo + self._within[0][0].shape[1], one]
+            # U's columns of R's [phi_c for each term | 1], and of the
+            # within-group-1 features, times the table's 1 (its last column):
+            # their sums against w; the last of the first is the weights' sums
+            one = inner.shape[1] - 1
+            self._first_slots = self._slot[np.append(r_inner, one), one]
+            self._within_slots = self._slot[n_emb * m1 : one, one]
         # shift by the score bound up to here: the largest weight is then
         # at least exp(-2 limit), and any that can move the sum is normal
         finfo = np.finfo(np.float64)
@@ -370,33 +371,33 @@ class PairScoreGrid:
         self._diagonals = [(lo, np.arange(min(step, self.n - lo)) * (self.n + 1) + lo) for lo in range(0, self.n, step)]
 
     def _factors(self, v: np.ndarray) -> float:
-        """Fill C's term rows M_t phi2^T (M_t^T phi1^T when group 2 is the
-        narrower), C's within-group row and R's within-group column for v;
-        return the bound max|R| max_o ||C[:, o]||_1 on the pair scores."""
+        """Fill C's term rows M_t phi2^T, C's within-group row and R's
+        within-group column for v; return the bound max|R| max_o ||C[:, o]||_1
+        on the pair scores."""
         m1, m2 = self._block_shape
         mats = np.zeros((len(self._terms), m1 * m2))
         mats[:, self._pq] = np.einsum("id,idt->ti", v[self._cols_x].reshape(self._coef.shape[:2]), self._coef)
-        mats = mats.reshape(-1, m1, m2).transpose((0, 1, 2) if self._gram_on_alpha else (0, 2, 1))
         for t, phi in enumerate(self._phi_out):
-            np.matmul(mats[t], phi.T, out=self._cols[t * self._m_in : (t + 1) * self._m_in])
-        (f_in, cols_in), (f_out, cols_out) = self._within
-        self._rows[:, -1] = f_in @ v[cols_in]
-        self._cols[-2] = f_out @ v[cols_out]
-        # a non-finite entry of R or C makes the bound inf or NaN
-        return float(np.abs(self._rows).max()) * float(np.abs(self._cols).sum(axis=0).max())
+            np.matmul(mats[t].reshape(m1, m2), phi.T, out=self._cols[t * m1 : (t + 1) * m1])
+        self._rows[:, -1] = self._f1 @ v[self._cols1]
+        self._cols[-2] = self._f2 @ v[self._cols2]
+        # a non-finite entry of R or C makes the bound inf or NaN (initial= keeps a NaN)
+        r_max = float(np.abs(self._rows[:, -1]).max(initial=self._fixed_max))
+        return r_max * float(np.abs(self._cols).sum(axis=0).max())
 
     def scores(self, v: np.ndarray) -> tuple[np.ndarray, float]:
-        """F v as an n x n grid, the diagonal holding -inf, and the bound
-        on the magnitude of the pair scores from ``_factors``."""
+        """F v as an n x n grid in the caller's labels, row j and column k
+        scoring x^[j,k], the diagonal holding -inf, and the bound on the
+        magnitude of the pair scores from ``_factors``."""
         bound = self._factors(v)
-        grid = self._rows @ self._cols if self._gram_on_alpha else self._cols.T @ self._rows.T
+        grid = (self._rows @ self._cols).T if self.transposed else self._rows @ self._cols
         np.fill_diagonal(grid, -np.inf)
         return grid, bound
 
     def _panels(self):
         """(lo, panel): the scores of R's rows from lo on, as many as fit
         ``WEIGH_PANEL_FLOATS``, against every row of the other side, the diagonal
-        at -inf, in the grid's one panel buffer: rows of R C (see the class)."""
+        at -inf, in the grid's one panel buffer: rows of R C."""
         for lo, diagonal in self._diagonals:
             panel = np.matmul(self._rows[lo : lo + diagonal.size], self._cols, out=self._panel[: diagonal.size])
             panel.ravel()[diagonal] = -np.inf
@@ -405,7 +406,7 @@ class PairScoreGrid:
     def weigh(self, v: np.ndarray, guard) -> tuple[float, float, np.ndarray]:
         """(top, total, weights): the shift, and the sum and the kept form of
         the weights w = exp(scores - top) at v: the moments U on a fused
-        grid, else W, the weight grid in R's orientation (see the class).
+        grid, else W, the weight grid with group 1's rows as its rows.
 
         top is the score bound up to ``_shift_limit``, else the panels'
         maximum, each panel first handed to ``guard`` as its
@@ -425,7 +426,7 @@ class PairScoreGrid:
             top = -np.inf
             for lo, panel in self._panels():
                 if not bound < FINITE_SCORE_BOUND:  # also when the bound is NaN
-                    guard(self.bad_pair_features(panel, lo, not self._gram_on_alpha))
+                    guard(self.bad_pair_features(panel, lo))
                 top = max(top, float(panel.max()))
         self._cols[-2] -= top
         if not self.fused:
@@ -442,15 +443,13 @@ class PairScoreGrid:
     def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
         """F^T w from the weights as ``weigh`` gives them.
 
-        w against R's [phi_c for each term | 1], per row of the other side,
-        gives every cross term and the row sums over the narrower side, and
-        the narrower side's within-group features are summed against w's
-        row sums.  Both are U's columns that pair those with the table's 1
-        on a fused grid; on W, the first is W^T R summed over ``weigh``'s
-        panels of rows in order, so neither depends on the number of BLAS
-        threads."""
-        m_in, width = self._m_in, self._rows.shape[1] - 2
-        (f_in, cols_in), (f_out, cols_out) = self._within
+        w against R's [phi1_c for each term | 1], per row of group 2, gives
+        every cross term and the sums over group 1's rows, and group 1's
+        within-group features are summed against w's row sums.  Both are
+        U's columns that pair those with the table's 1 on a fused grid; on
+        W, the first is W^T R summed over ``weigh``'s panels of rows in
+        order, so neither depends on the number of BLAS threads."""
+        m1, width = self._block_shape[0], self._rows.shape[1] - 2
         if self.fused:
             prod = weights[:, self._first_slots]
             inner_sums = weights[:, self._within_slots].sum(axis=0)
@@ -458,14 +457,13 @@ class PairScoreGrid:
             prod = np.zeros((self.n, width + 1))
             for lo, diagonal in self._diagonals:
                 prod += weights[lo : lo + diagonal.size].T @ self._rows[lo : lo + diagonal.size, : width + 1]
-            inner_sums = f_in.T @ weights.sum(axis=1)
+            inner_sums = self._f1.T @ weights.sum(axis=1)
         out = np.empty(self._index.dim)
-        out[cols_out] = f_out.T @ prod[:, width]
-        out[cols_in] = inner_sums
+        out[self._cols2] = self._f2.T @ prod[:, width]
+        out[self._cols1] = inner_sums
         cross = np.empty((len(self._terms), self._pq.size))
         for t, phi in enumerate(self._phi_out):
-            block = phi.T @ prod[:, t * m_in : (t + 1) * m_in]
-            cross[t] = (block.T if self._gram_on_alpha else block).ravel()[self._pq]
+            cross[t] = (phi.T @ prod[:, t * m1 : (t + 1) * m1]).T.ravel()[self._pq]
         out[self._cols_x] = np.einsum("ti,idt->id", cross, self._coef).ravel()
         return out
 
@@ -493,7 +491,7 @@ class PairScoreGrid:
         # take the position's offsets
         self._gram_width = width = max(1, int((self._coef != 0.0).sum(axis=2).max(initial=0)))
         shape = (2 + 2 * bd, width)
-        a, b = np.full(shape, self._alpha.shape[1] - 1), np.full(shape, n_emb * m2)
+        a, b = np.full(shape, self._inner.shape[1] - 1), np.full(shape, n_emb * m2)
         coef, on = np.zeros(shape), np.zeros(shape, dtype=np.intp)
         a[0, 0], b[1, 0], coef[:2, 0], on[:2, 0] = n_emb * m1, n_emb * m2 + 1, 1.0, 1
         for k, weights in enumerate(np.concatenate([forms[:, c1, c2], forms[:, c2, c1]])):
@@ -504,9 +502,9 @@ class PairScoreGrid:
 
     def _gram_terms(self, cols: np.ndarray):
         """Feature columns ``cols`` as sums over their terms of
-        coef[e, t] alpha[:, a[e, t]] (row j) times beta[:, b[e, t]] (row k),
+        coef[e, t] inner[:, a[e, t]] (row j) times outer[:, b[e, t]] (row k),
         from each column's class and position (``_plan_gram``); returned as
-        the inner table's indices, the outer one's and the weights.
+        (a, b, coef).
 
         A within-group column is one term against a column of ones; a cross
         column has one term per nonzero entry of its bilinear form.  Columns
@@ -517,7 +515,7 @@ class PairScoreGrid:
         p, q = np.divmod(self._col_pos[cols], base)
         on = class_on[kind]
         a, b = class_a[kind] + p[:, None] * on, class_b[kind] + q[:, None] * on
-        return (a, b, class_coef[kind]) if self._gram_on_alpha else (b, a, class_coef[kind])
+        return a, b, class_coef[kind]
 
     def gram(self, weights: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """F[:, rows]^T diag(w) F[:, cols] from the weights as ``weigh`` gives
@@ -623,16 +621,17 @@ class PairScoreGrid:
         ends = [(float(p.min(initial=np.inf, where=p > -np.inf)), float(p.max())) for _, p in self._panels()]
         return min(low for low, _ in ends), max(high for _, high in ends)
 
-    def bad_pair_features(self, scores: np.ndarray, lo: int = 0, transposed: bool = False) -> np.ndarray | None:
+    def bad_pair_features(self, scores: np.ndarray, lo: int = 0) -> np.ndarray | None:
         """Rebuilt feature row of the first non-finite pair score, or None; ``scores``
-        are rows from ``lo`` on of the grid (of its transpose if ``transposed``), diagonal excluded."""
+        are rows from ``lo`` on of R C, diagonal excluded, whose row and
+        column are (k, j) of x^[j,k] when the groups were swapped."""
         bad = ~np.isfinite(scores)
         i = np.arange(bad.shape[0])
         bad[i, lo + i] = False
         if not bad.any():
             return None
         row, col = divmod(int(np.argmax(bad)), self.n)
-        j, k = (col, lo + row) if transposed else (lo + row, col)
+        j, k = (col, lo + row) if self.transposed else (lo + row, col)
         x_pair = permuted_matrix(self._data, np.array([j]), np.array([k]))
         return pair_feature_matrix(self._feature, x_pair, self._index)[0]
 

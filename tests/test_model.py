@@ -610,31 +610,48 @@ class TestScoreGrid:
         assert (layout_of(sampled), sampled.n_pairs_used) == ("dense", cap - 1)
         assert ALL.layout(n) == "grid"
 
-    @pytest.mark.parametrize("split, on_alpha", [((2, 6), True), ((6, 2), False), ((4, 4), False)])
-    def test_gram_contracts_the_narrower_side(self, split, on_alpha, monkeypatch):
+    @pytest.mark.parametrize("split, group1_rows", [((2, 6), True), ((6, 2), False), ((4, 4), False)])
+    def test_gram_contracts_the_narrower_side(self, split, group1_rows, monkeypatch):
+        # the narrower group, group 2 on a tie, indexes the grid's rows: its
+        # table, the one the weights meet, is never the wider
         data = make_dataset(15, *split, seed=sum(split))
-        f = FeatureMap.squared_product()
-        theta = random_theta(build_pair_index(8), 3, scale=0.05)
-        cols = np.arange(theta.index.dim)
-        plan = PairScoreGrid._plan_gram
-
-        def flipped(grid, *args):
-            grid._gram_on_alpha = not grid._gram_on_alpha
-            plan(grid, *args)
-
-        # each path, on the narrower side and then rebuilt on the wider one
         for fused_max in (0, 10_000):
-            with monkeypatch.context() as patch:
-                patch.setattr(model_mod, "FUSED_MAX_PRODUCTS", fused_max)
-                terms = ModelTerms(data, f, pair_policy=ALL)
-                assert terms.backing._gram_on_alpha is on_alpha
-                assert terms.backing.fused is bool(fused_max)
-                got = terms.hessian(theta.flat, cols)
-                patch.setattr(PairScoreGrid, "_plan_gram", flipped)
-                other = ModelTerms(data, f, pair_policy=ALL)
-                assert other.backing._gram_on_alpha is not on_alpha
-                assert other.backing.fused is bool(fused_max)
-                np.testing.assert_allclose(other.hessian(theta.flat, cols), got, rtol=1e-12, atol=1e-12)
+            monkeypatch.setattr(model_mod, "FUSED_MAX_PRODUCTS", fused_max)
+            grid = ModelTerms(data, FeatureMap.squared_product(), pair_policy=ALL).backing
+            assert grid.transposed is not group1_rows
+            assert grid.fused is bool(fused_max)
+            assert grid._block_shape == (min(split), max(split))
+            assert grid._inner.shape[1] <= grid._outer.shape[1]
+
+    @pytest.mark.parametrize("split", [(2, 6), (5, 11)], ids=["fused-2-6", "general-5-11"])
+    @pytest.mark.parametrize("kind", ["product", "squared_product", "delta", "table"])
+    def test_label_swap_is_the_same_computation(self, kind, split):
+        # x^[j,k] under one labelling is x^[k,j] under the other, so both
+        # score the same pair set; interleaved groups, so that pairs start
+        # in either group
+        m1, m = split[0], sum(split)
+        g1 = tuple(range(1, m, m // m1))[:m1]
+        g2 = tuple(sorted(set(range(m)) - set(g1)))
+        rng = np.random.default_rng(m)
+        if kind in ("product", "squared_product"):
+            x, categories, f = rng.standard_normal((40, m)), None, FeatureMap(kind)
+        else:
+            # two codes keep the 2|6 narrow table fused
+            x, categories = rng.integers(0, 2, size=(40, m)).astype(np.float64), 2
+            f = FeatureMap.kronecker_delta(2) if kind == "delta" else FeatureMap.from_table(
+                rng.standard_normal((2, 2, 2)))
+        idx = build_pair_index(m, block_dim=f.block_dim)
+        flat = random_theta(idx, m, scale=0.2).flat
+        support = np.sort(rng.permutation(idx.dim)[:9])
+        results = []
+        for part in (Partition(g1, g2), Partition(g2, g1)):
+            terms = ModelTerms(Dataset(x, part, categories), f, pair_policy=ALL)
+            assert terms.backing.fused is (split == (2, 6))
+            value, grad = terms.value_grad(flat)
+            results.append([np.float64(value).tobytes(), grad.tobytes(),
+                            terms.hessian(flat, support, rows=support).tobytes(),
+                            terms.hessian(flat, support).tobytes()])
+        assert results[0] == results[1]
 
     @pytest.mark.parametrize("diagonal", [False])
     @pytest.mark.parametrize("layout", ["grid", "dense"])
@@ -658,15 +675,25 @@ class TestScoreGrid:
         assert terms.mean_f.tobytes() == f_data.mean(axis=0).tobytes()
         if layout == "dense":
             return
-        # the factors as built from the data-row feature matrix
+        # the factors as built from the data-row feature matrix: group 2 is
+        # the narrower, so its table is the row side and group 1's the column side
         grid = terms.backing
+        assert grid.transposed
+        rows_side, cols_side = [1, 2, 5], [0, 3, 4, 6]
+
+        def within(group):
+            pairs = np.flatnonzero(np.isin(idx.u_idx, group) & np.isin(idx.v_idx, group))
+            return (pairs[:, None] * idx.block_dim + np.arange(idx.block_dim)).ravel()
+
+        assert grid._cols1.tolist() == within(rows_side).tolist()
+        assert grid._cols2.tolist() == within(cols_side).tolist()
         values = core_mod.feature_values(f, data.samples)
-        phi1, phi2, _ = core_mod.variable_embedding(f, values[:, [0, 3, 4, 6]], values[:, [1, 2, 5]])
+        phi_r, phi_c, _ = core_mod.variable_embedding(f, values[:, rows_side], values[:, cols_side])
         ones = np.ones((13, 1))
-        alpha = np.hstack([phi1.transpose(1, 0, 2).reshape(13, -1), f_data[:, grid._cols1], ones])
-        beta = np.hstack([phi2.transpose(1, 0, 2).reshape(13, -1), ones, f_data[:, grid._cols2]])
-        assert grid._alpha.tobytes() == alpha.tobytes()
-        assert grid._beta.tobytes() == beta.tobytes()
+        inner = np.hstack([phi_r.transpose(1, 0, 2).reshape(13, -1), f_data[:, within(rows_side)], ones])
+        outer = np.hstack([phi_c.transpose(1, 0, 2).reshape(13, -1), ones, f_data[:, within(cols_side)]])
+        assert grid._inner.tobytes() == inner.tobytes()
+        assert grid._outer.tobytes() == outer.tobytes()
 
     def test_hessian_matches_dense_rows(self):
         data = make_coded_dataset(9, 2, 3, categories=3, seed=8)
@@ -685,10 +712,11 @@ class TestScoreGrid:
 
 
 def whole_dim_gram_terms(grid):
-    """Every feature column's (alpha index, beta index, coef) terms in one
-    dim x width table, built over all of dim from the grid's pair layout."""
+    """Every feature column's (row-side index, column-side index, coef)
+    terms in one dim x width table, built over all of dim from the grid's
+    pair layout; group 1 here is the grid's row side."""
     (m1, m2), n_emb = grid._block_shape, grid._n_emb
-    one_a, one_b = grid._alpha.shape[1] - 1, n_emb * m2
+    one_a, one_b = grid._inner.shape[1] - 1, n_emb * m2
     used = grid._coef != 0.0
     width = max(1, int(used.sum(axis=2).max(initial=0)))
     dim = grid._index.dim
@@ -706,14 +734,12 @@ def whole_dim_gram_terms(grid):
 
 
 def whole_dim_gram(grid, w, rows, cols):
-    """``gram`` from the whole-dim table: all ``rows`` at once, the columns in
+    """``gram`` from the whole-dim table and the weights W in R's
+    orientation (rows on the row side): all ``rows`` at once, the columns in
     panels of GRAM_PANEL_FLOATS // (n rows width^2)."""
-    t_a, t_b, t_coef = whole_dim_gram_terms(grid)
-    if grid._gram_on_alpha:
-        w, inner, t_in, outer, t_out = w.T, grid._alpha, t_a, grid._beta, t_b
-    else:
-        inner, t_in, outer, t_out = grid._beta, t_b, grid._alpha, t_a
-    n, width = grid.n, t_a.shape[1]
+    t_in, t_out, t_coef = whole_dim_gram_terms(grid)
+    inner, outer = grid._inner, grid._outer
+    n, width = grid.n, t_in.shape[1]
     row_out, row_coef = outer[:, t_out[rows].ravel()], t_coef[rows].ravel()
     row_q, row_pos = np.unique(t_in[rows], return_inverse=True)
     out = np.empty((rows.size, cols.size))
@@ -721,7 +747,7 @@ def whole_dim_gram(grid, w, rows, cols):
     for lo in range(0, cols.size, panel):
         part = cols[lo : lo + panel]
         col_q, col_pos = np.unique(t_in[part], return_inverse=True)
-        wv = (w @ (inner[:, row_q, None] * inner[:, None, col_q]).reshape(n, -1)).reshape(n, row_q.size, -1)
+        wv = (w.T @ (inner[:, row_q, None] * inner[:, None, col_q]).reshape(n, -1)).reshape(n, row_q.size, -1)
         k = wv[:, row_pos.reshape(-1, 1), col_pos.reshape(1, -1)] * row_out[:, :, None]
         k *= outer[:, None, t_out[part].ravel()]
         k = k.sum(axis=0) * row_coef[:, None] * t_coef[part].reshape(1, -1)
@@ -752,22 +778,21 @@ class TestGramPlan:
         terms = ModelTerms(data, f, pair_policy=ALL)
         assert layout_of(terms) == layout and not terms.backing.fused
         grid, flat = terms.backing, random_theta(idx, 3, scale=0.1).flat
-        # the full grid's weights, and the same as W, in R's orientation
-        scores = grid.scores(flat)[0]
-        w = np.exp(scores - scores.max())
-        weights = w if grid._gram_on_alpha else w.T
+        # the full grid's weights as W, in R's orientation: group 2, the
+        # narrower, indexes its rows
+        assert grid.transposed
+        scores = grid.scores(flat)[0].T
+        weights = np.exp(scores - scores.max())
         every = np.arange(idx.dim)
         t_a, t_b, t_coef = whole_dim_gram_terms(grid)
         a, b, coef = grid._gram_terms(every)
-        if not grid._gram_on_alpha:
-            a, b = b, a
         assert (a.tobytes(), b.tobytes(), coef.tobytes()) == (t_a.tobytes(), t_b.tobytes(), t_coef.tobytes())
 
         monkeypatch.setattr(model_mod, "GRAM_PANEL_FLOATS", panel_floats)
         row_panel = max(1, panel_floats // (grid.n * t_a.shape[1] ** 2))
         rows = rng.permutation(idx.dim)[:9]
         for r, c in ((rows, rng.permutation(idx.dim)[:6]), (rows, rows), (rows, rows.copy()), (every, rows[:3])):
-            want = np.vstack([whole_dim_gram(grid, w, r[lo : lo + row_panel], c)
+            want = np.vstack([whole_dim_gram(grid, weights, r[lo : lo + row_panel], c)
                               for lo in range(0, r.size, row_panel)])
             assert grid.gram(weights, r, c).tobytes() == want.tobytes()
 
@@ -901,15 +926,15 @@ class TestFusedMoments:
             assert_matches_general(fused, general, random_theta(idx, seed, scale=0.2).flat, support)
 
     @pytest.mark.parametrize("panel_rows", [4, 64], ids=["15-rows-in-4s", "one-short-panel"])
-    @pytest.mark.parametrize("split, on_alpha", [((2, 6), True), ((6, 2), False)],
-                             ids=["alpha-narrower", "beta-narrower"])
-    def test_panels_match_the_full_grid(self, split, on_alpha, panel_rows, monkeypatch):
+    @pytest.mark.parametrize("split, transposed", [((2, 6), False), ((6, 2), True)],
+                             ids=["group1-rows", "group2-rows"])
+    def test_panels_match_the_full_grid(self, split, transposed, panel_rows, monkeypatch):
         # 15 rows: not a multiple of 4, and fewer than one panel of 64; a
         # panel of the 15 x 15 grid holds panel_rows x 15 floats
         monkeypatch.setattr(model_mod, "WEIGH_PANEL_FLOATS", panel_rows * 15)
         data, f = fused_problem("squared_product", split)
         fused, general = fused_and_general(data, f, monkeypatch)
-        assert fused.backing._gram_on_alpha is on_alpha
+        assert fused.backing.transposed is transposed
         support = np.sort(np.random.default_rng(6).permutation(fused.index.dim)[:9])
         for seed in (1, 2):
             assert_matches_general(fused, general, random_theta(fused.index, seed, scale=0.2).flat, support)
@@ -952,7 +977,7 @@ class TestFusedMoments:
         x[13, list(pair)] = 0.0
         x[13, narrow] = 1e150
         terms = ModelTerms(Dataset(x, data.partition), f, pair_policy=ALL)
-        assert terms.backing.fused and terms.backing._gram_on_alpha is (split == (2, 6))
+        assert terms.backing.fused and terms.backing.transposed is (split == (6, 2))
         flat = 0.01 * np.ones(terms.index.dim)
         flat[terms.index.slice_of(pair)] = 1e200
         for method in ("value", "value_grad"):
@@ -1000,10 +1025,10 @@ class TestFusedMoments:
         assert len(hashes[0]) == 2 and hashes[0] == hashes[1]
 
     def test_wide_table_takes_the_general_path(self):
-        # the CLI's default 40|10 split: the narrower table has 56 columns
+        # the CLI's default 40|10 split: group 2's table, the row side, has 56 columns
         data = make_dataset(8, 40, 10, seed=2)
         terms = ModelTerms(data, FeatureMap.product(), pair_policy=ALL)
-        assert terms.backing._beta.shape[1] == 56
+        assert terms.backing.transposed and terms.backing._inner.shape[1] == 56
         assert not terms.backing.fused
 
 
@@ -1091,10 +1116,11 @@ class TestScoreFactors:
 
 def per_column_gram(grid, w, rows, cols):
     """F[:, rows]^T diag(w) F[:, cols] and the same sum of |products|, one
-    entry at a time: each column's n x n feature grid is built from the
-    whole-dim term table as sum over terms of coef alpha[:, a] beta[:, b]^T."""
+    entry at a time, from the weights w in R's orientation: each column's
+    n x n feature grid is built from the whole-dim term table as sum over
+    terms of coef inner[:, a] outer[:, b]^T (row side by column side)."""
     t_a, t_b, t_coef = whole_dim_gram_terms(grid)
-    feats = {c: sum(coef * np.outer(grid._alpha[:, a], grid._beta[:, b])
+    feats = {c: sum(coef * np.outer(grid._inner[:, a], grid._outer[:, b])
                     for a, b, coef in zip(t_a[c], t_b[c], t_coef[c]))
              for c in set(rows.tolist()) | set(cols.tolist())}
     want = np.array([[np.sum(w * feats[r] * feats[c]) for c in cols] for r in rows])
@@ -1117,14 +1143,16 @@ class TestMomentGram:
         data, f = fused_problem(kind, split)
         fused, _ = fused_and_general(data, f, monkeypatch)
         grid, dim = fused.backing, fused.index.dim
-        assert grid._gram_on_alpha is (split == (2, 6))
+        assert grid.transposed is (split == (6, 2))
         monkeypatch.setattr(model_mod, "GRAM_PANEL_FLOATS", panel_floats)
         rng = np.random.default_rng(9)
         flat = random_theta(fused.index, 9, scale=0.2).flat
         fused.value_grad(flat)
         last = fused._last
-        # the full grid's weights at the fused point's shift, zero on the diagonal
-        w = np.exp(grid.scores(flat)[0] - last.top)
+        # the full grid's weights at the fused point's shift, zero on the
+        # diagonal, in R's orientation
+        scores = grid.scores(flat)[0]
+        w = np.exp((scores.T if grid.transposed else scores) - last.top)
         tol = fused_tolerance(fused, flat)
         rows = rng.permutation(dim)[:9]
         # the solver's H_SS (cols is rows), another block, and diagnostics' H[:, S]
@@ -1379,6 +1407,27 @@ class TestFiniteGuard:
                 getattr(ModelTerms(data, FeatureMap.product(), pair_policy=policy), method)(flat)
 
     @pytest.mark.parametrize("layout, rows, policy", MEMO_POLICIES)
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("pair", [(3, 4), (0, 1)], ids=["narrower-group", "wider-group"])
+    def test_overflowing_within_group_score_names_its_block(self, layout, rows, policy, value, pair):
+        # the within-group scores are the factors' only columns that move
+        # with theta: R's last on the narrower group's side, a row of C on
+        # the wider's
+        data = memo_data(rows)
+        terms = ModelTerms(data, FeatureMap.product(), pair_policy=policy)
+        assert layout_of(terms) == layout
+        flat = 0.01 * np.ones(terms.index.dim)
+        flat[terms.index.slice_of(pair)] = value
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = terms.backing.scores(flat)[1]
+        assert not bound < model_mod.FINITE_SCORE_BOUND
+        if np.isnan(value):
+            assert np.isnan(bound)
+        for method in ("value", "value_grad"):
+            with pytest.raises(NumericError, match=rf"dominant block is pair \({pair[0]}, {pair[1]}\)"):
+                getattr(ModelTerms(data, FeatureMap.product(), pair_policy=policy), method)(flat)
+
+    @pytest.mark.parametrize("layout, rows, policy", MEMO_POLICIES)
     def test_large_bound_with_finite_scores_evaluates(self, layout, rows, policy, monkeypatch):
         data = memo_data(rows)
         f = FeatureMap.product()
@@ -1405,6 +1454,9 @@ class TestFiniteGuard:
         j, k = select_ordered_pairs(rows, policy)
         i = 7
         scores[(j[i], k[i]) if layout == "grid" else i] = np.nan
+        if layout == "grid":  # the grid's scan reads rows of R C: group 2, the narrower, indexes them
+            assert terms.backing.transposed
+            scores = scores.T
         want = pair_feature_matrix(f, permuted_matrix(data, j[i : i + 1], k[i : i + 1]), terms.index)[0]
         np.testing.assert_array_equal(terms.backing.bad_pair_features(scores), want)
 
