@@ -13,12 +13,13 @@ The fitted objective is
 whose gradient is the permuted-pair softmax-weighted feature mean minus the
 per-sample feature mean.  All pair sums run in the log domain.
 
-Two backings evaluate the permuted pairs.  ``PairScoreGrid`` scores every
-ordered pair as an n x n grid built from per-row within-group scores and
-per-variable embeddings, in which every feature kind is bilinear; no
-permuted sample is ever materialized.  A sampled set keeps its feature rows
-in ``DensePairRows``.  Both expose one scoring, ``weigh``, which gives the
-shift top, the sum of the pair weights w = exp(F v - top) and what the
+Two backings evaluate the permuted pairs, both on the factor tables of
+``PairFactors``, built from per-row within-group scores and per-variable
+embeddings, in which every feature kind is bilinear; no permuted sample is
+ever materialized.  ``PairScoreGrid`` scores every ordered pair as an n x n
+grid, their product, and ``PairSample`` a sample of them pair by pair, as
+row-wise dots.  Both expose one scoring, ``weigh``, which gives the shift
+top, the sum of the pair weights w = exp(F v - top) and what the
 backing keeps of w; the weighted feature sum F^T w (``weighted_sum``) and
 the weighted Gram block F[:, rows]^T diag(w) F[:, cols] (``gram``) read
 that.  Every evaluation here, the Hessian included, is written on those
@@ -66,12 +67,12 @@ FUSED_MAX_PRODUCTS = 28
 WEIGH_PANEL_FLOATS = 25_600
 # The "auto" policy keeps every ordered pair, on the grid, while the n(n-1)
 # ordered pairs number at most this many times its cap; past that it samples
-# cap pairs into dense feature rows.  Measured crossover of scoring a sample
-# on the grid (the whole n x n product) against its dense rows, whole lambda
-# paths at n = 400 (2|6 partition with sq and product features, 10|10 with
-# product on a short and a long path): at density 1/5 the grid was 12-73%
-# faster in all four; at 1/6 it was 12% slower in one, and at 1/8 10-74%
-# slower in three.  Where the grid is computed anyway, every pair is kept.
+# cap pairs.  It stays so that the same pairs are drawn.  It was measured
+# against a sample's dense feature rows, since deleted, on whole lambda paths
+# at n = 400 (2|6 with sq and product features, 10|10 with product on a short
+# and a long path): at density 1/5 the grid was 12-73% faster in all four, at
+# 1/6 12% slower in one, at 1/8 10-74% slower in three.  Measuring it against
+# a sample on the factors waits for a benchmark workload that samples.
 GRID_MAX_SPARSITY = 5
 
 
@@ -82,9 +83,9 @@ class PairPolicy:
     "all_ordered" uses every ordered pair j != k.  "auto" (default) does the
     same while the n(n-1) ordered pairs number at most ``GRID_MAX_SPARSITY``
     times ``cap`` (with the default cap, up to n = 447), and otherwise draws
-    ``cap`` distinct ordered pairs with ``seed``.  Every-pair sets are
-    evaluated as an n x n score grid without materializing permuted samples;
-    a sample keeps one dense feature row per pair.
+    ``cap`` distinct ordered pairs with ``seed``.  Neither materializes
+    permuted samples: every-pair sets are evaluated as an n x n score grid,
+    and a sample pair by pair on the same factors.
     """
 
     kind: str = "auto"
@@ -105,8 +106,9 @@ class PairPolicy:
         return self.cap if self.kind == "auto" and total > GRID_MAX_SPARSITY * self.cap else total
 
     def layout(self, n: int) -> str:
-        """"grid" (every ordered pair) or "dense" (a sample): how
-        ``ModelTerms`` holds the pair set for n rows."""
+        """"grid" (every ordered pair, a ``PairScoreGrid``) or "dense" (a
+        sample, a ``PairSample``): how ``ModelTerms`` holds the pair set for
+        n rows."""
         return "grid" if self.pair_count(n) == n * (n - 1) else "dense"
 
 
@@ -176,101 +178,25 @@ class NormalizerEstimate:
         return float(np.exp(self.log_value))
 
 
-class DensePairRows:
-    """Materialized feature rows of a sparsely sampled permuted-pair set,
-    the data rows' feature matrix ``f_data`` and its mean row ``data_mean``."""
-
-    def __init__(self, data: Dataset, feature: FeatureMap, index: PairIndex, pair_j, pair_k):
-        self.f_data = pair_feature_matrix(feature, data.samples, index)
-        self.data_mean = self.f_data.mean(axis=0)
-        x_perm = permuted_matrix(data, pair_j, pair_k)
-        self.f_perm = pair_feature_matrix(feature, x_perm, index)
-        self.count = self.f_perm.shape[0]
-        # max |F| per column, from two reductions rather than an |F| temporary
-        self._col_max = np.maximum(self.f_perm.max(axis=0), -self.f_perm.min(axis=0))
-
-    def scores(self, v: np.ndarray) -> tuple[np.ndarray, float]:
-        """F v, one entry per pair, and a bound on its magnitude:
-        |F_i v| <= sum over d of max|F[:, d]| |v_d|."""
-        return self.f_perm @ v, float(self._col_max @ np.abs(v))
-
-    def weigh(self, v: np.ndarray, guard) -> tuple[float, float, np.ndarray]:
-        """(top, total, w): the largest pair score, the sum of the weights
-        w = exp(F v - top) and the weights, one per pair.  The scores are
-        first handed to ``guard`` as their ``bad_pair_features`` when the
-        bound is not below ``FINITE_SCORE_BOUND``; w overwrites them."""
-        scores, bound = self.scores(v)
-        if not bound < FINITE_SCORE_BOUND:  # also when the bound is NaN
-            guard(self.bad_pair_features(scores))
-        top = float(scores.max())
-        scores -= top
-        np.exp(scores, out=scores)
-        return top, float(scores.sum()), scores
-
-    def weighted_sum(self, w: np.ndarray) -> np.ndarray:
-        """F^T w for the weights ``weigh`` gives."""
-        return self.f_perm.T @ w
-
-    def gram(self, w: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """F[:, rows]^T diag(w) F[:, cols], a panel of pairs at a time, as
-        products of sqrt(w) F; a square block (rows equal to cols) is one
-        symmetric product per panel."""
-        out = np.zeros((rows.size, cols.size))
-        root = np.sqrt(w)
-        square = np.array_equal(rows, cols)
-        panel = max(1, GRAM_PANEL_FLOATS // max(rows.size, cols.size))
-        for lo in range(0, self.count, panel):
-            right = self.f_perm[lo : lo + panel, cols]
-            right *= root[lo : lo + panel, None]
-            left = right if square else self.f_perm[lo : lo + panel, rows] * root[lo : lo + panel, None]
-            out += left.T @ right
-        return out
-
-    def score_range(self, v: np.ndarray) -> tuple[float, float]:
-        """The least and the largest pair score at v."""
-        scores = self.f_perm @ v
-        return float(scores.min()), float(scores.max())
-
-    def bad_pair_features(self, scores: np.ndarray) -> np.ndarray | None:
-        """Feature row of the first non-finite pair score, or None."""
-        bad = ~np.isfinite(scores)
-        if not bad.any():
-            return None
-        return self.f_perm[int(np.argmax(bad))]
-
-
-class PairScoreGrid:
-    """Every ordered pair j != k scored as an n x n grid.
+class PairFactors:
+    """The factor tables of the permuted-pair scores and the data rows' mean
+    feature row, shared by ``PairScoreGrid`` (every ordered pair) and
+    ``PairSample`` (a sample of them).
 
     score(x^[j,k]) = s1[j] + s2[k] + sum_t phi1_t[j] M_t phi2_t[k]: s1 and s2
     are the within-group scores of rows j and k, from the within-group pairs'
     features of each data row, and the cross pairs enter through the
     per-variable embeddings of ``core.variable_embedding``.  Each term t is
     one nonzero (c, c') entry of the feature's bilinear forms, and M_t holds
-    the cross-pair blocks contracted with it.  A cross pair whose first variable is in group 2 sees
-    the forms transposed.  The diagonal j == k is no permuted pair:
-    ``scores`` fills it with -inf, and weights must be zero there.
+    the cross-pair blocks contracted with it.  A cross pair whose first
+    variable is in group 2 sees the forms transposed.
 
-    The narrower group's rows index the grid: unless group 1 is the
-    narrower, the groups are swapped once at construction (x^[j,k] becomes
-    x^[k,j], the same pair set) and ``transposed`` is set, read only by
-    ``scores`` and ``bad_pair_features``, which speak the caller's labels.
-    The grid is one product R C of an n x K and a K x n factor, K = T m1 + 2,
-    held in buffers reused across calls: R is [phi1_c for each term | 1 |
-    within-group-1 score], C is [M_t phi2_c' for each term | within-group-2
-    score | 1].
-
-    ``weigh`` scores the grid a panel of R's rows at a time and
-    exponentiates each panel.  When the narrower table has at most
-    ``FUSED_MAX_PRODUCTS`` symmetric column products the grid is ``fused``:
-    the panels pass through one reused buffer, and each one's weights are
-    multiplied by all of those products into the moments U, so no
-    evaluation holds an n x n array.  Otherwise the panels are kept as the
-    weights W, with group 1's rows as its rows.  ``weighted_sum`` (F^T w) needs w
-    against R's [phi_c for each term | 1], which gives every cross term and
-    the row sums: U's columns that pair those with the table's 1, or W^T R
-    summed over the panels.  ``gram`` gives any Gram block, on U as
-    ``moment_gram``, one contraction of U with the other table's columns.
+    The narrower group's rows index R: unless group 1 is the narrower, the
+    groups are swapped once at construction (x^[j,k] becomes x^[k,j], the
+    same pair set) and ``transposed`` is set.  A pair's score is R[j] C[:, k]
+    for R, n x K, and C, K x n, K = T m1 + 2, buffers that ``_factors``
+    refills for each v: R is [phi1_c for each term | 1 | within-group-1
+    score], C is [M_t phi2_c' for each term | within-group-2 score | 1].
 
     ``data_mean`` is the data rows' mean feature row: the column means of
     s1's and s2's features, and for the cross pairs psi(x_a, x_b) of every
@@ -278,13 +204,12 @@ class PairScoreGrid:
     (n, m1, m2) array, so no data row's full feature row is ever built.
     """
 
-    def __init__(self, data: Dataset, feature: FeatureMap, index: PairIndex):
+    def __init__(self, data: Dataset, feature: FeatureMap, index: PairIndex, count: int):
         part = data.partition
         # from here on group 1 is the narrower; on a tie, the caller's group 2
         self.transposed = len(part.group1) >= len(part.group2)
         part = Partition(part.group2, part.group1) if self.transposed else part
-        self.n = data.n
-        self.count = data.n * (data.n - 1)
+        self.n, self.count = data.n, count
         self._data, self._feature, self._index = data, feature, index
         mask2 = part.group2_mask
         cross = index.cross_mask(part)
@@ -339,36 +264,16 @@ class PairScoreGrid:
         self._plan_gram(forms, c1, c2, flipped)
         # the score factors R, n x K, and C, K x n; ``_factors`` fills s1 and
         # s2.  r_inner: the inner table's column behind each of R's phi columns
-        r_inner = (c1[:, None] * m1 + np.arange(m1)).ravel()
+        self._r_inner = r_inner = (c1[:, None] * m1 + np.arange(m1)).ravel()
         self._rows, self._cols = np.ones((self.n, r_inner.size + 2)), np.ones((r_inner.size + 2, self.n))
         self._rows[:, :-2] = inner[:, r_inner]
         self._phi_out = [outer[:, c * m2 : (c + 1) * m2] for c in c2.tolist()]
         # max|R| over the columns v leaves alone: all but the last
         self._fixed_max = float(np.abs(self._rows[:, :-1]).max())
-        # the narrower table's symmetric column products, when few enough
-        # that one product of w with all of them beats a pass per Hessian
-        self.fused = _fuses(inner.shape[1])
-        if self.fused:
-            i1, i2 = np.triu_indices(inner.shape[1])
-            # one row per product, so a panel's rows are a slice of its columns
-            self._products = (inner[:, i1] * inner[:, i2]).T.copy()
-            # column of U for each pair of narrow columns, either way round
-            self._slot = np.empty((inner.shape[1],) * 2, dtype=np.intp)
-            self._slot[i1, i2] = self._slot[i2, i1] = np.arange(i1.size)
-            # U's columns of R's [phi_c for each term | 1], and of the
-            # within-group-1 features, times the table's 1 (its last column):
-            # their sums against w; the last of the first is the weights' sums
-            one = inner.shape[1] - 1
-            self._first_slots = self._slot[np.append(r_inner, one), one]
-            self._within_slots = self._slot[n_emb * m1 : one, one]
         # shift by the score bound up to here: the largest weight is then
         # at least exp(-2 limit), and any that can move the sum is normal
         finfo = np.finfo(np.float64)
         self._shift_limit = (np.log(finfo.eps) - np.log(finfo.tiny) - np.log(self.count)) / 2
-        # one panel buffer, and the flat position of each panel row's diagonal
-        step = min(self.n, max(1, WEIGH_PANEL_FLOATS // self.n))
-        self._panel = np.empty((step, self.n))
-        self._diagonals = [(lo, np.arange(min(step, self.n - lo)) * (self.n + 1) + lo) for lo in range(0, self.n, step)]
 
     def _factors(self, v: np.ndarray) -> float:
         """Fill C's term rows M_t phi2^T, C's within-group row and R's
@@ -384,6 +289,117 @@ class PairScoreGrid:
         # a non-finite entry of R or C makes the bound inf or NaN (initial= keeps a NaN)
         r_max = float(np.abs(self._rows[:, -1]).max(initial=self._fixed_max))
         return r_max * float(np.abs(self._cols).sum(axis=0).max())
+
+    def _plan_gram(self, forms, c1, c2, flipped):
+        """The per-column arrays and per-class tables that ``_gram_terms`` reads.
+
+        A column's class is 0 within group 1, 1 within group 2, and
+        2 + f block_dim + d for coordinate d of a cross pair, f = 1 when the
+        pair's first variable is in group 2.  The class fixes the factor
+        blocks its terms read and their weights; its position p base + q
+        gives the offsets in those blocks: p, q the cross pair's variables
+        in groups 1 and 2, or a within-group column's place among its
+        group's columns (as p in group 1, as q in group 2).
+        """
+        (m1, m2), n_emb, bd = self._block_shape, self._n_emb, self._index.block_dim
+        dim, base = self._index.dim, max(1, m2, self._cols2.size)
+        self._col_class, self._col_pos = np.empty(dim, dtype=np.intp), np.empty(dim, dtype=np.intp)
+        self._col_class[self._cols1], self._col_pos[self._cols1] = 0, np.arange(self._cols1.size) * base
+        self._col_class[self._cols2], self._col_pos[self._cols2] = 1, np.arange(self._cols2.size)
+        self._col_class[self._cols_x] = (2 + flipped[:, None] * bd + np.arange(bd)).ravel()
+        p, q = np.divmod(self._pq, m2)
+        self._col_pos[self._cols_x] = np.repeat(p * base + q, bd)
+        # each class's terms, padded to the widest column's with zero-weight
+        # terms against the columns of ones; ``on`` marks the terms that
+        # take the position's offsets
+        self._gram_width = width = max(1, int((self._coef != 0.0).sum(axis=2).max(initial=0)))
+        shape = (2 + 2 * bd, width)
+        a, b = np.full(shape, self._inner.shape[1] - 1), np.full(shape, n_emb * m2)
+        coef, on = np.zeros(shape), np.zeros(shape, dtype=np.intp)
+        a[0, 0], b[1, 0], coef[:2, 0], on[:2, 0] = n_emb * m1, n_emb * m2 + 1, 1.0, 1
+        for k, weights in enumerate(np.concatenate([forms[:, c1, c2], forms[:, c2, c1]])):
+            t = np.flatnonzero(weights)[:width]  # a class no cross pair is in may have more
+            a[2 + k, : t.size], b[2 + k, : t.size] = c1[t] * m1, c2[t] * m2
+            coef[2 + k, : t.size], on[2 + k, : t.size] = weights[t], 1
+        self._gram_plan = (base, a, b, coef, on)
+
+    def _gram_terms(self, cols: np.ndarray):
+        """Feature columns ``cols`` as sums over their terms of
+        coef[e, t] inner[:, a[e, t]] (row j) times outer[:, b[e, t]] (row k),
+        from each column's class and position (``_plan_gram``); returned as
+        (a, b, coef).
+
+        A within-group column is one term against a column of ones; a cross
+        column has one term per nonzero entry of its bilinear form.  Columns
+        with fewer terms than the widest are padded with zero-weight terms.
+        """
+        base, class_a, class_b, class_coef, class_on = self._gram_plan
+        kind = self._col_class[cols]
+        p, q = np.divmod(self._col_pos[cols], base)
+        on = class_on[kind]
+        a, b = class_a[kind] + p[:, None] * on, class_b[kind] + q[:, None] * on
+        return a, b, class_coef[kind]
+
+    def _sum_from_moments(self, prod: np.ndarray, inner_sums: np.ndarray) -> np.ndarray:
+        """F^T w from ``prod``, per column of C the weights against R's
+        [phi1_c for each term | 1], and ``inner_sums``, group 1's
+        within-group features against w's sums per row of R."""
+        m1, width = self._block_shape[0], self._rows.shape[1] - 2
+        out = np.empty(self._index.dim)
+        out[self._cols2] = self._f2.T @ prod[:, width]
+        out[self._cols1] = inner_sums
+        cross = np.empty((len(self._terms), self._pq.size))
+        for t, phi in enumerate(self._phi_out):
+            cross[t] = (phi.T @ prod[:, t * m1 : (t + 1) * m1]).T.ravel()[self._pq]
+        out[self._cols_x] = np.einsum("ti,idt->id", cross, self._coef).ravel()
+        return out
+
+    def _feature_row(self, j: int, k: int) -> np.ndarray:
+        """The feature row of x^[j,k], j and k in the caller's labels."""
+        x_pair = permuted_matrix(self._data, np.array([j]), np.array([k]))
+        return pair_feature_matrix(self._feature, x_pair, self._index)[0]
+
+
+class PairScoreGrid(PairFactors):
+    """Every ordered pair j != k scored as the n x n grid R C.  The diagonal
+    j == k is no permuted pair: ``scores`` fills it with -inf, and weights
+    must be zero there.
+
+    ``weigh`` scores the grid a panel of R's rows at a time and
+    exponentiates each panel.  When the narrower table has at most
+    ``FUSED_MAX_PRODUCTS`` symmetric column products the grid is ``fused``:
+    the panels pass through one reused buffer, and each one's weights are
+    multiplied by all of those products into the moments U, so no
+    evaluation holds an n x n array.  Otherwise the panels are kept as the
+    weights W, with group 1's rows as its rows.  ``weighted_sum`` (F^T w) needs w
+    against R's [phi_c for each term | 1], which gives every cross term and
+    the row sums: U's columns that pair those with the table's 1, or W^T R
+    summed over the panels.  ``gram`` gives any Gram block, on U as
+    ``moment_gram``, one contraction of U with the other table's columns.
+    """
+
+    def __init__(self, data: Dataset, feature: FeatureMap, index: PairIndex):
+        super().__init__(data, feature, index, data.n * (data.n - 1))
+        inner, r_inner, one = self._inner, self._r_inner, self._inner.shape[1] - 1
+        # the narrower table's symmetric column products, when few enough
+        # that one product of w with all of them beats a pass per Hessian
+        self.fused = _fuses(inner.shape[1])
+        if self.fused:
+            i1, i2 = np.triu_indices(inner.shape[1])
+            # one row per product, so a panel's rows are a slice of its columns
+            self._products = (inner[:, i1] * inner[:, i2]).T.copy()
+            # column of U for each pair of narrow columns, either way round
+            self._slot = np.empty((inner.shape[1],) * 2, dtype=np.intp)
+            self._slot[i1, i2] = self._slot[i2, i1] = np.arange(i1.size)
+            # U's columns of R's [phi_c for each term | 1], and of the
+            # within-group-1 features, times the table's 1 (its last column):
+            # their sums against w; the last of the first is the weights' sums
+            self._first_slots = self._slot[np.append(r_inner, one), one]
+            self._within_slots = self._slot[self._n_emb * self._block_shape[0] : one, one]
+        # one panel buffer, and the flat position of each panel row's diagonal
+        step = min(self.n, max(1, WEIGH_PANEL_FLOATS // self.n))
+        self._panel = np.empty((step, self.n))
+        self._diagonals = [(lo, np.arange(min(step, self.n - lo)) * (self.n + 1) + lo) for lo in range(0, self.n, step)]
 
     def scores(self, v: np.ndarray) -> tuple[np.ndarray, float]:
         """F v as an n x n grid in the caller's labels, row j and column k
@@ -449,7 +465,7 @@ class PairScoreGrid:
         U's columns that pair those with the table's 1 on a fused grid; on
         W, the first is W^T R summed over ``weigh``'s panels of rows in
         order, so neither depends on the number of BLAS threads."""
-        m1, width = self._block_shape[0], self._rows.shape[1] - 2
+        width = self._rows.shape[1] - 2
         if self.fused:
             prod = weights[:, self._first_slots]
             inner_sums = weights[:, self._within_slots].sum(axis=0)
@@ -458,64 +474,7 @@ class PairScoreGrid:
             for lo, diagonal in self._diagonals:
                 prod += weights[lo : lo + diagonal.size].T @ self._rows[lo : lo + diagonal.size, : width + 1]
             inner_sums = self._f1.T @ weights.sum(axis=1)
-        out = np.empty(self._index.dim)
-        out[self._cols2] = self._f2.T @ prod[:, width]
-        out[self._cols1] = inner_sums
-        cross = np.empty((len(self._terms), self._pq.size))
-        for t, phi in enumerate(self._phi_out):
-            cross[t] = (phi.T @ prod[:, t * m1 : (t + 1) * m1]).T.ravel()[self._pq]
-        out[self._cols_x] = np.einsum("ti,idt->id", cross, self._coef).ravel()
-        return out
-
-    def _plan_gram(self, forms, c1, c2, flipped):
-        """The per-column arrays and per-class tables that ``_gram_terms`` reads.
-
-        A column's class is 0 within group 1, 1 within group 2, and
-        2 + f block_dim + d for coordinate d of a cross pair, f = 1 when the
-        pair's first variable is in group 2.  The class fixes the factor
-        blocks its terms read and their weights; its position p base + q
-        gives the offsets in those blocks: p, q the cross pair's variables
-        in groups 1 and 2, or a within-group column's place among its
-        group's columns (as p in group 1, as q in group 2).
-        """
-        (m1, m2), n_emb, bd = self._block_shape, self._n_emb, self._index.block_dim
-        dim, base = self._index.dim, max(1, m2, self._cols2.size)
-        self._col_class, self._col_pos = np.empty(dim, dtype=np.intp), np.empty(dim, dtype=np.intp)
-        self._col_class[self._cols1], self._col_pos[self._cols1] = 0, np.arange(self._cols1.size) * base
-        self._col_class[self._cols2], self._col_pos[self._cols2] = 1, np.arange(self._cols2.size)
-        self._col_class[self._cols_x] = (2 + flipped[:, None] * bd + np.arange(bd)).ravel()
-        p, q = np.divmod(self._pq, m2)
-        self._col_pos[self._cols_x] = np.repeat(p * base + q, bd)
-        # each class's terms, padded to the widest column's with zero-weight
-        # terms against the columns of ones; ``on`` marks the terms that
-        # take the position's offsets
-        self._gram_width = width = max(1, int((self._coef != 0.0).sum(axis=2).max(initial=0)))
-        shape = (2 + 2 * bd, width)
-        a, b = np.full(shape, self._inner.shape[1] - 1), np.full(shape, n_emb * m2)
-        coef, on = np.zeros(shape), np.zeros(shape, dtype=np.intp)
-        a[0, 0], b[1, 0], coef[:2, 0], on[:2, 0] = n_emb * m1, n_emb * m2 + 1, 1.0, 1
-        for k, weights in enumerate(np.concatenate([forms[:, c1, c2], forms[:, c2, c1]])):
-            t = np.flatnonzero(weights)[:width]  # a class no cross pair is in may have more
-            a[2 + k, : t.size], b[2 + k, : t.size] = c1[t] * m1, c2[t] * m2
-            coef[2 + k, : t.size], on[2 + k, : t.size] = weights[t], 1
-        self._gram_plan = (base, a, b, coef, on)
-
-    def _gram_terms(self, cols: np.ndarray):
-        """Feature columns ``cols`` as sums over their terms of
-        coef[e, t] inner[:, a[e, t]] (row j) times outer[:, b[e, t]] (row k),
-        from each column's class and position (``_plan_gram``); returned as
-        (a, b, coef).
-
-        A within-group column is one term against a column of ones; a cross
-        column has one term per nonzero entry of its bilinear form.  Columns
-        with fewer terms than the widest are padded with zero-weight terms.
-        """
-        base, class_a, class_b, class_coef, class_on = self._gram_plan
-        kind = self._col_class[cols]
-        p, q = np.divmod(self._col_pos[cols], base)
-        on = class_on[kind]
-        a, b = class_a[kind] + p[:, None] * on, class_b[kind] + q[:, None] * on
-        return a, b, class_coef[kind]
+        return self._sum_from_moments(prod, inner_sums)
 
     def gram(self, weights: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """F[:, rows]^T diag(w) F[:, cols] from the weights as ``weigh`` gives
@@ -631,9 +590,77 @@ class PairScoreGrid:
         if not bad.any():
             return None
         row, col = divmod(int(np.argmax(bad)), self.n)
-        j, k = (col, lo + row) if self.transposed else (lo + row, col)
-        x_pair = permuted_matrix(self._data, np.array([j]), np.array([k]))
-        return pair_feature_matrix(self._feature, x_pair, self._index)[0]
+        return self._feature_row(*((col, lo + row) if self.transposed else (lo + row, col)))
+
+
+class PairSample(PairFactors):
+    """A sample of the ordered pairs, pair i being x^[pair_j[i], pair_k[i]],
+    scored on the factors (``PairFactors``): one weight per pair, the dot of
+    R's row and C's column at its two rows; no pair's feature row is kept.
+    """
+
+    def __init__(self, data: Dataset, feature: FeatureMap, index: PairIndex, pair_j, pair_k):
+        super().__init__(data, feature, index, pair_j.size)
+        self._pairs = pair_j, pair_k
+        # each pair's row of R and column of C, and R's columns that v leaves
+        # alone, [phi1_c for each term | 1], at its row: one row per column
+        self._at = (pair_k, pair_j) if self.transposed else (pair_j, pair_k)
+        self._first = np.take(self._rows[:, :-1].T, self._at[0], axis=1)
+
+    def scores(self, v: np.ndarray) -> tuple[np.ndarray, float]:
+        """F v, one entry per pair, and the bound on its magnitude from ``_factors``."""
+        bound = self._factors(v)
+        rows, cols = self._at
+        scores = np.einsum("kp,kp->p", self._first, np.take(self._cols[:-1], cols, axis=1))
+        scores += np.take(self._rows[:, -1], rows)
+        return scores, bound
+
+    def weigh(self, v: np.ndarray, guard) -> tuple[float, float, np.ndarray]:
+        """(top, total, w) as the grid's ``weigh`` gives them, w one weight
+        per pair, written over the scores once ``guard`` has seen them."""
+        scores, bound = self.scores(v)
+        if not bound < FINITE_SCORE_BOUND:  # also when the bound is NaN
+            guard(self.bad_pair_features(scores))
+        top = bound if bound <= self._shift_limit else float(scores.max())
+        scores -= top
+        np.exp(scores, out=scores)
+        return top, float(scores.sum()), scores
+
+    def weighted_sum(self, w: np.ndarray) -> np.ndarray:
+        """F^T w from w's first moments, summed over the pairs in order by
+        ``np.bincount``: per column of C and per row of R."""
+        rows, cols = self._at
+        prod = np.column_stack([np.bincount(cols, weights=c * w, minlength=self.n) for c in self._first])
+        return self._sum_from_moments(prod, self._f1.T @ np.bincount(rows, weights=w, minlength=self.n))
+
+    def gram(self, w: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """F[:, rows]^T diag(w) F[:, cols]: panels of pairs in order rebuild
+        the columns from the tables (``_gram_terms``) within
+        ``GRAM_PANEL_FLOATS`` floats, times sqrt(w).  Each product takes at
+        most 256 pairs, so the bits do not depend on the BLAS thread count."""
+        sides = [self._gram_terms(rows)] if np.array_equal(rows, cols) else [self._gram_terms(rows),
+                                                                             self._gram_terms(cols)]
+        panel = max(1, GRAM_PANEL_FLOATS // (self._gram_width * max(rows.size, cols.size)))
+        root = np.sqrt(w)
+        out = np.zeros((rows.size, cols.size))
+        for lo in range(0, self.count, panel):
+            j, k = (at[lo : lo + panel, None, None] for at in self._at)
+            feats = [np.einsum("pct,ct->pc", self._inner[j, a] * self._outer[k, b], coef) * root[lo : lo + panel, None]
+                     for a, b, coef in sides]
+            for o in range(0, feats[0].shape[0], 256):
+                out += feats[0][o : o + 256].T @ feats[-1][o : o + 256]
+        return out
+
+    def score_range(self, v: np.ndarray) -> tuple[float, float]:
+        """The least and the largest pair score at v."""
+        scores = self.scores(v)[0]
+        return float(scores.min()), float(scores.max())
+
+    def bad_pair_features(self, scores: np.ndarray) -> np.ndarray | None:
+        """Rebuilt feature row of the first non-finite pair score, or None."""
+        bad = ~np.isfinite(scores)
+        i = int(np.argmax(bad))
+        return self._feature_row(self._pairs[0][i], self._pairs[1][i]) if bad[i] else None
 
 
 # A pair-score bound below this leaves every score finite, so the scan for
@@ -663,26 +690,24 @@ def _fuses(width: int) -> bool:
 def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, layout: str, f: FeatureMap) -> int:
     """Estimated peak bytes of the arrays ``ModelTerms`` builds for a dataset.
 
-    Counts the pair backing's (``PairPolicy.layout``) largest moment.  The
-    grid holds the within-group features of every data row, a few integers
-    of bookkeeping per feature column, a fused grid's product table
-    (n w(w + 1)/2 for a narrower table of w columns; a general grid has
-    none), the score factors R (n x K) and C (K x n), K = T min(m1, m2) + 2
-    for T terms, and one panel buffer of ``WEIGH_PANEL_FLOATS`` floats (a
-    row, if that is more); on top of them come either the build's
-    temporaries (those features' gathered operands, then the n x m1 x m2
-    cross-mean temporary next to a delta feature's boolean matches) or an
+    Counts the pair backing's (``PairPolicy.layout``) largest moment.  Both
+    backings hold the within-group features of every data row, a few
+    integers of bookkeeping per feature column and the score factors R
+    (n x K) and C (K x n), K = T min(m1, m2) + 2 for T terms.  The grid adds
+    a fused grid's product table (n w(w + 1)/2 for a narrower table of w
+    columns; a general grid has none) and one panel buffer of
+    ``WEIGH_PANEL_FLOATS`` floats (a row, if that is more); a sample adds
+    its pairs' two indices and, at each, R's K - 1 columns that v leaves
+    alone.  On top of them come either the build's temporaries (those
+    features' gathered operands, then the n x m1 x m2 cross-mean temporary
+    next to a delta feature's boolean matches, and a sample's draws) or an
     evaluation: the Hessian's panels (four of ``GRAM_PANEL_FLOATS`` at
     once) and, on a fused grid, the moments and a panel's product into
-    them, each the size of the product table, or on a general grid the
-    n x n weights and the gradient's n x K sum with a panel's share of it.  Dense rows
-    hold the same bookkeeping and the data rows' features, kept for
-    ``diagnostics``, then the permuted samples, the two gathered feature
-    operands and the feature rows at once.
+    them, each the size of the product table, on a general grid the n x n
+    weights and the gradient's n x K sum with a panel's share of it, or on
+    a sample each pair's score and weight and C's K - 1 entries at it.
     """
-    n, m, dim = data.n, index.m, index.dim
-    if layout == "dense":
-        return 8 * (8 * dim + n * dim + 2 * pair_count + pair_count * (3 * m + 2 * index.n_pairs + dim))
+    n, dim = data.n, index.dim
     cross = int(index.cross_mask(data.partition).sum()) * index.block_dim
     within = dim - cross
     build = max(2 * n * within, n * cross + n * cross // 8)
@@ -690,13 +715,17 @@ def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, layout: str, f
     # the codes embedded; an uncoded delta embeds the values both groups hold
     shared = np.intersect1d(data.samples[:, g1], data.samples[:, g2]).size if f.kind == KRONECKER_DELTA else 1
     codes, sizes = f.categories or shared, (len(g1), len(g2))
-    narrow = min(codes * k + k * (k - 1) // 2 * index.block_dim + 1 for k in sizes)
-    products = n * narrow * (narrow + 1) // 2 if _fuses(narrow) else 0
     # every (c, c') of a table is a term; a delta's terms are its codes
     width = (codes**2 if f.kind == TABLE else codes) * min(sizes) + 2
-    factors = 2 * n * width + max(WEIGH_PANEL_FLOATS, n)
-    evaluation = (2 * products if products else n * n + 2 * n * width) + 4 * GRAM_PANEL_FLOATS
-    return 8 * (8 * dim + n * within + products + factors + max(build, evaluation))
+    if layout == "grid":
+        narrow = min(codes * k + k * (k - 1) // 2 * index.block_dim + 1 for k in sizes)
+        products = n * narrow * (narrow + 1) // 2 if _fuses(narrow) else 0
+        held = products + max(WEIGH_PANEL_FLOATS, n)
+        evaluation = 2 * products if products else n * n + 2 * n * width
+    else:
+        # ``select_ordered_pairs`` sorts its draws, up to 12 integers a pair
+        held, build, evaluation = (width + 1) * pair_count, max(build, 12 * pair_count), (width + 1) * pair_count
+    return 8 * (8 * dim + n * within + 2 * n * width + held + max(build, evaluation + 4 * GRAM_PANEL_FLOATS))
 
 
 @dataclass(eq=False)
@@ -721,9 +750,9 @@ class ModelTerms:
 
     Holds the data rows' mean feature row ``mean_f`` and one pair backing,
     chosen by ``PairPolicy.layout``: a ``PairScoreGrid`` when the policy
-    keeps every ordered pair, otherwise ``DensePairRows`` with the
-    subsampled permuted feature rows.  Each backing computes ``mean_f`` its
-    own way, bit-identical to the column mean of ``pair_feature_matrix``.
+    keeps every ordered pair, otherwise a ``PairSample`` of the policy's
+    pairs.  Both compute ``mean_f`` in their shared construction,
+    bit-identical to the column mean of ``pair_feature_matrix``.
     The solver builds this once and reuses it across iterations, path
     points, and cross-validation scoring.  A dataset whose
     estimated peak (see ``_peak_bytes``; kept as ``peak_bytes``) exceeds
@@ -756,8 +785,7 @@ class ModelTerms:
         if layout == "grid":
             self.backing = PairScoreGrid(data, feature, self.index)
         else:
-            self.backing = DensePairRows(data, feature, self.index,
-                                         *select_ordered_pairs(data.n, self.policy))
+            self.backing = PairSample(data, feature, self.index, *select_ordered_pairs(data.n, self.policy))
         self.mean_f = self.backing.data_mean
         self._last: _Evaluated | None = None
         self.scorings = 0
@@ -936,8 +964,8 @@ def hessian(
     The data term is linear, so this is the softmax-weighted feature
     covariance over permuted pairs, F^T diag(w) F - g g^T (positive
     semidefinite), built by ``ModelTerms.hessian`` in one call: closed form
-    from the grid's factors, or one weighted product of the dense feature
-    rows.  A Hessian that, with its symmetrized copy and ``terms.peak_bytes``,
+    from the grid's factors, or a sample's feature columns rebuilt from them
+    a panel of pairs at a time.  A Hessian that, with its symmetrized copy and ``terms.peak_bytes``,
     exceeds physical memory raises ``SizeError`` before it is built.
     """
     terms = _terms_for(theta, data, f, pair_policy)
@@ -1030,8 +1058,8 @@ def diagnostics(
     """Measure restricted curvature, incoherence, and boundedness at theta_star.
 
     The Hessian columns H[:, S] of the support come from one
-    ``ModelTerms.hessian`` call (closed form on the grid's factors, one
-    weighted product on dense rows); H_SS and the complement's rows are
+    ``ModelTerms.hessian`` call (closed form on the grid's factors, panels
+    of a sample's pairs on the same factors); H_SS and the complement's rows are
     slices of them.  The data rows' feature matrix is built once, for the
     feature bounds and the ratio bounds.  Feature bounds cover the data rows
     and every permuted sample, whatever the pair set, from one pass over the
@@ -1075,15 +1103,14 @@ def diagnostics(
         worst = np.abs(y).reshape(s_cols.size, len(comp_pairs), index.block_dim).sum(axis=(0, 2)).max()
         margin = 1.0 - float(worst)
 
-    backing = terms.backing  # dense rows keep the data rows' features
-    f_data = backing.f_data if isinstance(backing, DensePairRows) else pair_feature_matrix(f, data.samples, index)
+    f_data = pair_feature_matrix(f, data.samples, index)
     obs_inf, obs_l2 = _pair_feature_bounds(data, f, index, f_data)
     bounds = FeatureBoundReport(obs_inf, obs_l2, f.bound_inf, f.bound_l2)
 
     log_norm = terms.log_normalizer(theta_star.flat)
     scores_data = f_data @ theta_star.flat
     # every pair score passed the finite guard when the normalizer was taken
-    low, high = backing.score_range(theta_star.flat)
+    low, high = terms.backing.score_range(theta_star.flat)
     with np.errstate(over="ignore"):  # a bound past float64 is inf
         ratios = RatioBounds(float(np.exp(min(float(scores_data.min()), low) - log_norm)),
                              float(np.exp(max(float(scores_data.max()), high) - log_norm)))

@@ -158,10 +158,10 @@ def _solve_model(hess: np.ndarray, grad: np.ndarray, start: np.ndarray, lam: flo
                  block_dim: int, tol: float) -> tuple[np.ndarray, int]:
     """Minimize grad.(z - start) + (z - start)' hess (z - start) / 2 + lam sum_b ||z_b||.
 
-    Block coordinate descent from ``start``: each block takes a proximal
-    gradient step of length 1/L_b, L_b the largest eigenvalue of its
-    diagonal block of ``hess``; for scalar blocks that is the exact
-    coordinate minimizer, a soft-threshold.  The model's gradient q is kept
+    Block coordinate descent from ``start``: each block moves to the
+    model's exact minimizer over it, the others held: a soft-threshold for
+    scalar blocks, else ``_block_minimizer`` on the eigenbasis of its
+    diagonal block of ``hess``.  The model's gradient q is kept
     current with one vector update per coordinate that moves, while the
     coordinates themselves are plain floats.  It stops once the model's KKT
     residual is at most ``tol`` or after ``MAX_SWEEPS`` sweeps, and returns
@@ -181,11 +181,13 @@ def _solve_model(hess: np.ndarray, grad: np.ndarray, start: np.ndarray, lam: flo
     blocks = grad.size // block_dim
     if block_dim == 1:
         curv = hess.diagonal()
+        # a coordinate without curvature still gets a finite (long) step
+        steps = (1.0 / np.maximum(curv, 1e-12 * max(1.0, float(curv.max())))).tolist()
     else:
         diag = np.arange(blocks)
-        curv = np.linalg.eigvalsh(hess.reshape(blocks, block_dim, blocks, block_dim)[diag, :, diag, :])[:, -1]
-    # a block without curvature still gets a finite (long) step
-    steps = (1.0 / np.maximum(curv, 1e-12 * max(1.0, float(curv.max())))).tolist()
+        vals, vecs = np.linalg.eigh(hess.reshape(blocks, block_dim, blocks, block_dim)[diag, :, diag, :])
+        # a block without curvature still has a finite minimizer
+        vals = np.maximum(vals, 1e-12 * max(1.0, float(vals.max())))
     z = start.tolist()
     q = grad.copy()  # grad + hess (z - start)
     item = q.item
@@ -200,15 +202,13 @@ def _solve_model(hess: np.ndarray, grad: np.ndarray, start: np.ndarray, lam: flo
                     q += hess[i] * (new - z[i])
                     z[i] = new
         else:
-            for blk, step in enumerate(steps):
-                span = range(blk * block_dim, (blk + 1) * block_dim)
-                u = [z[i] - step * item(i) for i in span]
-                norm = math.sqrt(sum(v * v for v in u))
-                shrink = 1.0 - lam * step / norm if norm > lam * step else 0.0
-                for i, v in zip(span, u):
-                    if v * shrink != z[i]:
-                        q += hess[i] * (v * shrink - z[i])
-                        z[i] = v * shrink
+            for blk, (val, vec) in enumerate(zip(vals, vecs)):
+                span = slice(blk * block_dim, (blk + 1) * block_dim)
+                old = np.array(z[span])
+                new = _block_minimizer(val, vec, hess[span, span] @ old - q[span], lam)
+                if not np.array_equal(new, old):
+                    q += hess[span].T @ (new - old)
+                    z[span] = new.tolist()
         if _model_residual(z, q.tolist(), lam, block_dim) <= tol:
             break
         if block_dim == 1:
@@ -219,6 +219,26 @@ def _solve_model(hess: np.ndarray, grad: np.ndarray, start: np.ndarray, lam: flo
                     return exact, sweep
                 rejected = signs
     return np.array(z), sweep
+
+
+def _block_minimizer(vals: np.ndarray, vecs: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
+    """argmin over x of x'Hx/2 - b.x + lam ||x||, H = vecs diag(vals) vecs'
+    positive definite: 0 when ||b|| <= lam, else x = (H + mu I)^-1 b with
+    mu ||x|| = lam.  mu is the root of the secular equation 1/||x(mu)|| -
+    mu/lam, concave in mu (More & Sorensen 1983), so Newton's method from
+    this start above it descends to it."""
+    norm = math.sqrt(float(b @ b))
+    if norm <= lam:
+        return np.zeros_like(b)
+    c = vecs.T @ b
+    mu = lam * float(vals[-1]) / (norm - lam)
+    while True:
+        size = math.sqrt(float((c**2 / (vals + mu) ** 2).sum()))
+        slope = float((c**2 / (vals + mu) ** 3).sum()) / size**3 - 1.0 / lam
+        new = mu - (1.0 / size - mu / lam) / slope
+        if not new < mu:  # no further descent in floating point, or NaN
+            return vecs @ (c / (vals + mu))
+        mu = new
 
 
 def _sign_pattern_minimizer(hess: np.ndarray, grad: np.ndarray, start: np.ndarray, lam: float,

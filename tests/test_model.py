@@ -33,7 +33,7 @@ from pmnet import (
 from pmnet import core as core_mod
 from pmnet import model as model_mod
 from pmnet.core import observed_feature_bounds, pair_feature_matrix, permuted_matrix, permuted_pair
-from pmnet.model import DensePairRows, ModelTerms, PairScoreGrid, select_ordered_pairs
+from pmnet.model import ModelTerms, PairSample, PairScoreGrid, select_ordered_pairs
 from pmnet.synth import finite_difference_gradient, normalizer_enumeration_oracle
 
 from conftest import make_coded_dataset, make_dataset
@@ -406,8 +406,8 @@ class TestDiagnostics:
         assert calls == [small_data.samples.shape]
 
     def test_sampled_fit_builds_the_data_feature_matrix_once(self, monkeypatch):
-        # dense rows keep the data rows' feature matrix, which diagnostics
-        # reads; the only other one built is the sample's
+        # a sample is scored on the factor tables, so the data rows' feature
+        # matrix is the only one built: no permuted sample's
         calls = []
 
         def counted(f, x_rows, index):
@@ -420,7 +420,7 @@ class TestDiagnostics:
         assert policy.layout(data.n) == "dense"
         theta = random_theta(build_pair_index(data.m), 47, scale=0.1)
         diagnostics(theta, data, FeatureMap.product(), [(0, 3), (1, 4)], pair_policy=policy)
-        assert calls == [(24, 5), (60, 5)]
+        assert calls == [(24, 5)]
 
     def test_repeated_support_pair_is_rejected(self, small_data):
         theta = random_theta(build_pair_index(small_data.m), 44, scale=0.1)
@@ -476,17 +476,40 @@ def every_sample_bounds(data, f, index):
     return observed_feature_bounds(pair_feature_matrix(f, rows, index), index)
 
 
+class DenseRows:
+    """Slow reference backing: one feature row per pair of the set, built
+    from its permuted samples, and the weigh/weighted_sum/gram of
+    ``ModelTerms``' backings written on those rows."""
+
+    def __init__(self, terms):
+        j, k = select_ordered_pairs(terms.data.n, terms.policy)
+        self.f_perm = pair_feature_matrix(terms.feature, permuted_matrix(terms.data, j, k), terms.index)
+        self.count = self.f_perm.shape[0]
+
+    def weigh(self, v, guard):
+        scores = self.f_perm @ v
+        top = float(scores.max())
+        w = np.exp(scores - top)
+        return top, float(w.sum()), w
+
+    def weighted_sum(self, w):
+        return self.f_perm.T @ w
+
+    def gram(self, w, rows, cols):
+        return self.f_perm[:, rows].T @ (w[:, None] * self.f_perm[:, cols])
+
+
 def dense_twin(terms):
     """Same terms with the pair set held as dense permuted feature rows."""
     twin = ModelTerms(terms.data, terms.feature, pair_policy=terms.policy)
-    pairs = select_ordered_pairs(terms.data.n, terms.policy)
-    twin.backing = DensePairRows(terms.data, terms.feature, terms.index, *pairs)
+    twin.backing = DenseRows(terms)
     return twin
 
 
 def layout_of(terms) -> str:
-    """"grid" or "dense": the pair backing ``terms`` holds."""
-    if isinstance(terms.backing, DensePairRows):
+    """"grid" or "dense": the pair backing ``terms`` holds, every ordered
+    pair or a sample of them."""
+    if isinstance(terms.backing, PairSample):
         return "dense"
     assert isinstance(terms.backing, PairScoreGrid)
     return "grid"
@@ -580,12 +603,13 @@ class TestScoreGrid:
         assert not hasattr(terms.backing, "f_perm")
         assert terms.n_pairs_used == small_data.n * (small_data.n - 1)
 
-    def test_subsample_keeps_dense_rows(self, small_data):
+    def test_subsample_is_scored_on_the_factors(self, small_data):
         # 132 ordered pairs, more than GRID_MAX_SPARSITY times the 16 kept
         assert 132 > model_mod.GRID_MAX_SPARSITY * 16
         pol = PairPolicy(cap=16, seed=1)
         terms = ModelTerms(small_data, FeatureMap.product(), pair_policy=pol)
-        assert isinstance(terms.backing, DensePairRows)
+        assert isinstance(terms.backing, PairSample)
+        assert not hasattr(terms.backing, "f_perm")
         assert terms.n_pairs_used == 16
 
     def test_default_policy_scores_every_pair_at_n_400(self):
@@ -598,7 +622,7 @@ class TestScoreGrid:
     @pytest.mark.parametrize("n", [5, 11, 16, 26])
     def test_layout_boundary(self, n):
         # n(n-1) = GRID_MAX_SPARSITY cap keeps every ordered pair on the grid;
-        # one cap fewer samples cap - 1 pairs into dense rows
+        # one cap fewer samples cap - 1 pairs
         data = make_dataset(n, 2, 2, seed=n)
         cap = n * (n - 1) // model_mod.GRID_MAX_SPARSITY
         assert n * (n - 1) == model_mod.GRID_MAX_SPARSITY * cap
@@ -709,6 +733,53 @@ class TestScoreGrid:
             rtol=1e-10,
             atol=1e-12,
         )
+
+
+def sampled_problem(kind, split):
+    """40 rows, 1,560 ordered pairs, and a policy that samples 150 of them."""
+    if kind in ("product", "squared_product"):
+        data, f = make_dataset(40, *split, seed=sum(split)), FeatureMap(kind)
+    else:
+        data = make_coded_dataset(40, *split, categories=3, seed=sum(split))
+        f = FeatureMap.kronecker_delta(3) if kind == "delta" else FeatureMap.from_table(
+            np.random.default_rng(1).standard_normal((3, 3, 2)))
+    return data, f, PairPolicy(cap=150, seed=4)
+
+
+class TestPairSample:
+    """A sample scored on the factor tables against the dense reference
+    rows, in both orientations: 2|6 (group 1 indexes R) and 6|2."""
+
+    @pytest.mark.parametrize("split", [(2, 6), (6, 2)], ids=["2-6", "6-2"])
+    @pytest.mark.parametrize("kind", ["product", "squared_product", "delta", "table"])
+    def test_matches_the_dense_reference(self, kind, split):
+        data, f, policy = sampled_problem(kind, split)
+        terms = ModelTerms(data, f, pair_policy=policy)
+        assert layout_of(terms) == "dense" and terms.backing.transposed is (split == (6, 2))
+        dense = dense_twin(terms)
+        flat = random_theta(terms.index, 5, scale=0.3).flat
+        support = np.sort(np.random.default_rng(6).permutation(terms.index.dim)[:9])
+        value, grad = terms.value_grad(flat)
+        want_value, want_grad = dense.value_grad(flat)
+        assert value == pytest.approx(want_value, rel=1e-12)
+        np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12 * np.abs(want_grad).max())
+        for rows in (support, None):  # H_SS and H[:, S]
+            got, want = terms.hessian(flat, support, rows=rows), dense.hessian(flat, support, rows=rows)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        scores = dense.backing.f_perm @ flat
+        np.testing.assert_allclose(terms.backing.score_range(flat), [scores.min(), scores.max()], rtol=1e-12)
+
+    @pytest.mark.parametrize("split", [(2, 6), (6, 2)], ids=["2-6", "6-2"])
+    def test_non_finite_score_names_the_block(self, split):
+        data, f, policy = sampled_problem("table", split)
+        terms = ModelTerms(data, f, pair_policy=policy)
+        flat = 0.01 * np.ones(terms.index.dim)
+        flat[terms.index.slice_of((1, 5))] = [np.inf, 1.0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores, bound = terms.backing.scores(flat)
+        assert not np.isfinite(scores).all() and not bound < model_mod.FINITE_SCORE_BOUND
+        with pytest.raises(NumericError, match=r"dominant block is pair \(1, 5\)"):
+            terms.value_grad(flat)
 
 
 def whole_dim_gram_terms(grid):
@@ -1474,9 +1545,11 @@ class TestPreflightSize:
     @pytest.mark.parametrize("layout, rows, policy", MEMO_POLICIES)
     def test_over_physical_memory_raises_before_allocating(self, layout, rows, policy, monkeypatch):
         data = memo_data(rows)
-        n, dim = data.n, build_pair_index(data.m).dim
-        # at least the n x n grid, or the dense feature rows, is counted
-        result = 8 * (policy.pair_count(n) * dim if layout == "dense" else n * n)
+        n = data.n
+        # at least the n x n grid is counted, or for a sample each pair's
+        # score, weight and factor entries: R and C have min(3, 2) + 2
+        # columns on this 3|2 product problem
+        result = 8 * (policy.pair_count(n) * (min(3, 2) + 2) if layout == "dense" else n * n)
         monkeypatch.setattr(model_mod, "physical_memory_bytes", lambda: result)
 
         def allocates(*args, **kwargs):
@@ -1541,6 +1614,21 @@ class TestPreflightSize:
         assert fitting_peak <= estimate
         # diagnostics counts the dim x 8 result on top of the estimate
         assert peak <= estimate + 8 * index.dim * 8
+
+    def test_sample_keeps_no_feature_rows(self):
+        # m = 50 (dim 1225), 2000 of 200 rows' ordered pairs: their feature
+        # rows alone would take 19.6 MB; the factor tables take a fraction
+        data, f = make_dataset(200, 40, 10, seed=17), FeatureMap.product()
+        rows_bytes = 8 * 2000 * build_pair_index(50).dim
+        tracemalloc.start()
+        try:
+            terms = ModelTerms(data, f, pair_policy=PairPolicy(cap=2000))
+            terms.value_grad(random_theta(terms.index, 3, scale=0.01).flat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert layout_of(terms) == "dense"
+        assert peak <= terms.peak_bytes < rows_bytes and peak < rows_bytes // 4
 
     def test_estimate_counts_the_grids_own_product_table(self, monkeypatch):
         # a 2|6 grid's narrower table has 4 columns, so 10 products whatever
