@@ -25,7 +25,8 @@ the weighted Gram block F[:, rows]^T diag(w) F[:, cols] (``gram``) read
 that.  Every evaluation here, the Hessian included, is written on those
 three.  A grid whose narrower factor table has few column products
 (``FUSED_MAX_PRODUCTS``) keeps only the weights' moments U; no n x n array
-is kept.
+is kept.  Every grid's Gram block contracts the moments of w on pairs of
+the narrower table's columns, gathered from U or formed from W.
 """
 
 import os
@@ -374,8 +375,9 @@ class PairScoreGrid(PairFactors):
     weights W, with group 1's rows as its rows.  ``weighted_sum`` (F^T w) needs w
     against R's [phi_c for each term | 1], which gives every cross term and
     the row sums: U's columns that pair those with the table's 1, or W^T R
-    summed over the panels.  ``gram`` gives any Gram block, on U as
-    ``moment_gram``, one contraction of U with the other table's columns.
+    summed over the panels.  ``gram`` gives any Gram block as one
+    contraction of the moments that ``_moments`` reads, from U or from W,
+    with the other table's columns.
     """
 
     def __init__(self, data: Dataset, feature: FeatureMap, index: PairIndex):
@@ -470,108 +472,100 @@ class PairScoreGrid(PairFactors):
             prod = weights[:, self._first_slots]
             inner_sums = weights[:, self._within_slots].sum(axis=0)
         else:
-            prod = np.zeros((self.n, width + 1))
-            for lo, diagonal in self._diagonals:
-                prod += weights[lo : lo + diagonal.size].T @ self._rows[lo : lo + diagonal.size, : width + 1]
+            prod = self._summed(weights, self._rows[:, : width + 1])
             inner_sums = self._f1.T @ weights.sum(axis=1)
         return self._sum_from_moments(prod, inner_sums)
 
+    def _summed(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a^T b for a and b with a row per row of W, as products over
+        ``weigh``'s panels of rows, added in order, each taking as many of b's
+        columns as a panel has rows (at most 160): OpenBLAS splits a product
+        over threads only past about 200 columns, so no bit depends on those."""
+        step, parts = self._panel.shape[0], []
+        for c in range(0, b.shape[1], step):
+            parts.append(a[:step].T @ b[:step, c : c + step])
+            for lo in range(step, self.n, step):
+                parts[-1] += a[lo : lo + step].T @ b[lo : lo + step, c : c + step]
+        return parts[0] if len(parts) == 1 else np.hstack(parts)
+
+    def _moments(self, weights: np.ndarray, a: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """V[o, i, k] = sum_j w_jo inner[j, a_i] inner[j, q_k] from the
+        weights as ``weigh`` gives them: gathered from a fused grid's U, else
+        ``_summed`` from W and the Khatri-Rao columns at the distinct a and q."""
+        if self.fused:
+            return weights[:, self._slot[a][:, q]]
+        a_q, a_at = np.unique(a, return_inverse=True)
+        v = self._summed(weights, (self._inner[:, a_q, None] * self._inner[:, None, q]).reshape(self.n, -1))
+        # np.take, unlike v[:, a_at], gives V in C order
+        return np.take(v.reshape(self.n, a_q.size, -1), a_at, axis=1)
+
     def gram(self, weights: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """F[:, rows]^T diag(w) F[:, cols] from the weights as ``weigh`` gives
-        them: ``moment_gram`` on a fused grid's moments U, else from W and the
-        factor columns that ``_gram_terms`` gives for the requested rows and
-        columns only.
+        them, in one contraction of their moments V (``_moments``).
 
-        For terms r and c of two columns, sum_jk w_jk inner_r inner_c
-        outer_r outer_c, the inner table's factors taken at W's rows and the
-        outer one's at its columns, is one product of W^T with the row-wise
-        products inner_r * inner_c (a Khatri-Rao product over the distinct
-        narrow factors), then a sum over the other side's rows against
-        outer_r * outer_c.  Rows, then columns, are done in panels sized so
-        that each temporary holds about ``GRAM_PANEL_FLOATS`` floats, or one
-        row's and column's worth if that is more.  When ``cols is rows`` and
-        both fit one panel, the columns reuse the rows' terms.
+        A term pair (r, c) of two columns (``_gram_terms``) sums coef_r coef_c
+        outer_r outer_c V[:, inner_r, inner_c] over the outer table's rows o.
+        V at the row terms against narrow columns q, times their outer factors
+        and weights, gives left[o, (r, k)]; its product (``_summed``) with the
+        column terms' outer factors and weights gives each (r, k) against each
+        column term, which reads its own k.  Rows come in panels.  q is a fused
+        grid's whole narrow table, read as a slice, if it fits one panel, else
+        the columns the terms read (each costs a general grid a product with
+        W).  If those and the terms fit, one panel takes every term in order;
+        else the terms, ordered by narrow column, are cut into panels of whole
+        narrow columns (one with too many terms is split).  Each temporary
+        holds about ``GRAM_PANEL_FLOATS`` floats, or a row's and a narrow
+        column's worth.  When ``cols is rows`` fits one row panel, the columns
+        reuse the rows' terms and outer side.
         """
-        if self.fused:
-            return self.moment_gram(weights, rows, cols)
-        inner, outer = self._inner, self._outer
-        n, width = self.n, self._gram_width
-        out = np.empty((rows.size, cols.size))
-        row_panel = max(1, GRAM_PANEL_FLOATS // (n * width * width))
-        for r_lo in range(0, rows.size, row_panel):
-            r_in, r_out, r_coef = self._gram_terms(rows[r_lo : r_lo + row_panel])
-            panel = max(1, GRAM_PANEL_FLOATS // (n * r_coef.size * width))
-            square = cols is rows and rows.size <= min(row_panel, panel)
-            row_out, row_coef = outer[:, r_out.ravel()], r_coef.ravel()
-            row_q, row_pos = np.unique(r_in, return_inverse=True)
-            inner_r = inner[:, row_q]
-            for lo in range(0, cols.size, panel):
-                if square:
-                    c_out, c_coef, col_q, col_pos = r_out, r_coef, row_q, row_pos
-                else:
-                    c_in, c_out, c_coef = self._gram_terms(cols[lo : lo + panel])
-                    col_q, col_pos = np.unique(c_in, return_inverse=True)
-                wv = weights.T @ (inner_r[:, :, None] * inner[:, None, col_q]).reshape(n, -1)
-                k = wv.reshape(n, row_q.size, col_q.size)[:, row_pos.reshape(-1, 1), col_pos.reshape(1, -1)]
-                del wv
-                k *= row_out[:, :, None]
-                k *= outer[:, None, c_out.ravel()]
-                k = k.sum(axis=0) * row_coef[:, None] * c_coef.reshape(1, -1)
-                k = k.reshape(-1, width, len(c_coef), width)
-                out[r_lo : r_lo + row_panel, lo : lo + panel] = k.sum(axis=(1, 3))
-        return out
-
-    def moment_gram(self, u: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """F[:, rows]^T diag(w) F[:, cols] from the moments U of w, in one
-        contraction over U.
-
-        With the weights on the narrower table, a term pair (r, c) sums
-        coef_r coef_c outer_r outer_c U[:, (inner_r, inner_c)] over the other
-        table's rows o.  U gathered at each row's terms against every narrow
-        column i, times the terms' outer factors and weights, gives
-        left[o, (r, i)]; one product of it with every column term's outer
-        factors and weight gives each (r, i) against each column term, which
-        reads its own i = inner_c.  The product sums over ``weigh``'s panels
-        of rows in a fixed order, so its bits do not depend on the number of
-        BLAS threads.  Terms come from ``_gram_terms`` per panel of rows and
-        of columns (a ``table`` column can have dozens), and the panels keep
-        each temporary within ``GRAM_PANEL_FLOATS`` floats, or one row's and
-        column's worth if that is more; a square block that fits one panel
-        reuses the rows' terms for its columns.
-        """
-        outer = self._outer
-        n, width, narrow = self.n, self._gram_width, self._slot.shape[0]
-        step = self._panel.shape[0]
-        # per column: its terms' outer factors; per row: those, its moments
-        # at every narrow column, and its share of the product
-        col_panel = max(1, GRAM_PANEL_FLOATS // (n * width))
-        row_panel = max(1, GRAM_PANEL_FLOATS // max(n * max(width, narrow), narrow * width * min(col_panel, cols.size)))
-        square = cols is rows and rows.size <= min(row_panel, col_panel)
+        outer, n, width = self._outer, self.n, self._gram_width
+        col_terms, narrow = self._gram_terms(cols), self._inner.shape[1]
+        c_in = col_terms[0].ravel()
+        row_panel = max(1, GRAM_PANEL_FLOATS // (width * max(n, cols.size)))
+        per_panel = max(1, min(row_panel, rows.size))
+        q_panel = max(1, GRAM_PANEL_FLOATS // (n * width * per_panel))
+        whole = self.fused and narrow <= q_panel
+        q, at = (np.arange(narrow), c_in) if whole else np.unique(c_in, return_inverse=True)
+        term_panel = max(1, GRAM_PANEL_FLOATS // max(n, per_panel * min(q_panel, q.size)))
+        panels = [(slice(None), slice(None) if whole else q, at)] if at.size else []
+        if q.size > q_panel or at.size > term_panel:
+            order = np.argsort(at)
+            ordered, panels, lo = at[order], [], 0
+            while lo < order.size:
+                hi = min(lo + term_panel, int(np.searchsorted(ordered, ordered[lo] + q_panel)))
+                if hi < order.size:
+                    # a cut inside a narrow column moves to its start, unless it fills the panel alone
+                    start = int(np.searchsorted(ordered, ordered[hi]))
+                    hi = start if start > lo else hi
+                panels.append((order[lo:hi], q[ordered[lo] : ordered[hi - 1] + 1], ordered[lo:hi] - ordered[lo]))
+                lo = hi
+        square = cols is rows and rows.size <= row_panel
         out = np.empty((rows.size, cols.size))
         for r_lo in range(0, rows.size, row_panel):
-            r_in, r_out, r_coef = self._gram_terms(rows[r_lo : r_lo + row_panel])
+            r_in, r_out, r_coef = col_terms if square else self._gram_terms(rows[r_lo : r_lo + row_panel])
+            size = len(r_in)
             side = outer[:, r_out]
             side *= r_coef
-            # left[o, r, i]: sum over r's terms of U[o, (inner, i)] coef outer[o]
-            left = u[:, self._slot[r_in[:, 0]]]
-            left *= side[:, :, :1]
-            for t in range(1, width):
-                left += u[:, self._slot[r_in[:, t]]] * side[:, :, t : t + 1]
-            left, c_in = left.reshape(n, -1), r_in
-            for lo in range(0, cols.size, col_panel):
-                if not square:  # the columns' terms and side replace the rows'
-                    c_in, c_out, c_coef = self._gram_terms(cols[lo : lo + col_panel])
-                    side = outer[:, c_out]
-                    side *= c_coef
-                terms = side.reshape(n, -1)
-                prod = left[:step].T @ terms[:step]
-                for o in range(step, n, step):
-                    prod += left[o : o + step].T @ terms[o : o + step]
-                # entry (r, term s of column c) is read at narrow column c_in[c, s]
-                picked = prod.reshape(len(r_in), narrow, -1)[:, c_in.ravel(), np.arange(terms.shape[1])]
-                out[r_lo : r_lo + row_panel, lo : lo + col_panel] = picked.reshape(len(r_in), -1, width).sum(axis=2)
-                del prod  # free each panel's product before the next
-            del side, left
+            acc = np.empty((size, c_in.size))
+            for terms, q, at in panels:
+                # left[o, r, k]: sum over r's terms of V[o, (r, t), k] coef outer[o]
+                v = self._moments(weights, r_in.ravel(), q).reshape(n, size, width, -1)
+                left = v[:, :, 0]
+                left *= side[:, :, :1]
+                for t in range(1, width):
+                    left += v[:, :, t] * side[:, :, t : t + 1]
+                del v
+                left = left.reshape(n, -1)
+                if square:
+                    c_side = side.reshape(n, -1)[:, terms]
+                else:
+                    c_side = outer[:, col_terms[1].ravel()[terms]] * col_terms[2].ravel()[terms]
+                prod = self._summed(c_side, left)
+                del left, c_side
+                # entry (column term s, r) is read at its narrow column
+                acc[:, terms] = prod.reshape(prod.shape[0], size, -1)[np.arange(prod.shape[0]), :, at].T
+                del prod
+            out[r_lo : r_lo + size] = acc.reshape(size, -1, width).sum(axis=2)
         return out
 
     def score_range(self, v: np.ndarray) -> tuple[float, float]:
@@ -701,11 +695,15 @@ def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, layout: str, f
     alone.  On top of them come either the build's temporaries (those
     features' gathered operands, then the n x m1 x m2 cross-mean temporary
     next to a delta feature's boolean matches, and a sample's draws) or an
-    evaluation: the Hessian's panels (four of ``GRAM_PANEL_FLOATS`` at
-    once) and, on a fused grid, the moments and a panel's product into
-    them, each the size of the product table, on a general grid the n x n
-    weights and the gradient's n x K sum with a panel's share of it, or on
-    a sample each pair's score and weight and C's K - 1 entries at it.
+    evaluation: the Hessian's panels and, on a fused grid, the moments and
+    a panel's product into them, each the size of the product table, on a
+    general grid the n x n weights and the gradient's n x K sum with a
+    panel's share of it, or on a sample each pair's score and weight and
+    C's K - 1 entries at it.  A grid's ``gram`` holds up to six panels of
+    ``GRAM_PANEL_FLOATS`` at once: the rows' outer side and their entries
+    against every column term, then the moments V with their Khatri-Rao
+    columns and a panel's share of them, or the left factor, the column
+    factors, the product and a panel's share of it; a sample's fewer.
     """
     n, dim = data.n, index.dim
     cross = int(index.cross_mask(data.partition).sum()) * index.block_dim
@@ -725,7 +723,7 @@ def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, layout: str, f
     else:
         # ``select_ordered_pairs`` sorts its draws, up to 12 integers a pair
         held, build, evaluation = (width + 1) * pair_count, max(build, 12 * pair_count), (width + 1) * pair_count
-    return 8 * (8 * dim + n * within + 2 * n * width + held + max(build, evaluation + 4 * GRAM_PANEL_FLOATS))
+    return 8 * (8 * dim + n * within + 2 * n * width + held + max(build, evaluation + 6 * GRAM_PANEL_FLOATS))
 
 
 @dataclass(eq=False)
@@ -860,9 +858,10 @@ class ModelTerms:
         """H[rows, cols] of the normalized objective, every row by default.
 
         H = F^T diag(w) F - g g^T with w the softmax pair weights and
-        g = F^T w; the backing's ``gram`` gives the first term from the
-        weights its ``weigh`` kept at the remembered point, so a Hessian at the point
-        just evaluated scores nothing.  g g^T is subtracted in chunks of rows
+        g = F^T w; the backing's ``gram`` gives the first term from what its
+        ``weigh`` kept at the remembered point, so a Hessian at the point just
+        evaluated scores nothing; every backing sums it in an order fixed
+        whatever the BLAS thread count.  g g^T is subtracted in chunks of rows
         of about ``GRAM_PANEL_FLOATS`` floats, so no temporary is the size of
         the result."""
         flat = self._check_flat(flat)

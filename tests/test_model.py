@@ -264,7 +264,7 @@ class TestHessian:
             fd[:, i] = (gp - gm) / (2 * eps)
         np.testing.assert_allclose(h, (fd + fd.T) / 2, atol=1e-7)
 
-    def test_restriction_slices_full_matrix(self):
+    def test_restriction_slices_full_matrix(self, monkeypatch):
         data = make_dataset(7, 2, 2, seed=32)
         idx = build_pair_index(4)
         theta = random_theta(idx, 32)
@@ -274,6 +274,8 @@ class TestHessian:
         cols = [idx.position(p) for p in sub_pairs]
         sub = hessian(theta, data, f, restrict=sub_pairs, pair_policy=ALL)
         np.testing.assert_allclose(sub, full[np.ix_(cols, cols)], atol=1e-14)
+        assert hessian(theta, data, f, restrict=[], pair_policy=ALL).shape == (0, 0)
+        monkeypatch.setattr(model_mod, "FUSED_MAX_PRODUCTS", 0)  # and on a general grid
         assert hessian(theta, data, f, restrict=[], pair_policy=ALL).shape == (0, 0)
 
     def test_over_physical_memory_raises_before_gram(self, monkeypatch):
@@ -804,32 +806,10 @@ def whole_dim_gram_terms(grid):
     return a, b, coef
 
 
-def whole_dim_gram(grid, w, rows, cols):
-    """``gram`` from the whole-dim table and the weights W in R's
-    orientation (rows on the row side): all ``rows`` at once, the columns in
-    panels of GRAM_PANEL_FLOATS // (n rows width^2)."""
-    t_in, t_out, t_coef = whole_dim_gram_terms(grid)
-    inner, outer = grid._inner, grid._outer
-    n, width = grid.n, t_in.shape[1]
-    row_out, row_coef = outer[:, t_out[rows].ravel()], t_coef[rows].ravel()
-    row_q, row_pos = np.unique(t_in[rows], return_inverse=True)
-    out = np.empty((rows.size, cols.size))
-    panel = max(1, model_mod.GRAM_PANEL_FLOATS // (n * row_coef.size * width))
-    for lo in range(0, cols.size, panel):
-        part = cols[lo : lo + panel]
-        col_q, col_pos = np.unique(t_in[part], return_inverse=True)
-        wv = (w.T @ (inner[:, row_q, None] * inner[:, None, col_q]).reshape(n, -1)).reshape(n, row_q.size, -1)
-        k = wv[:, row_pos.reshape(-1, 1), col_pos.reshape(1, -1)] * row_out[:, :, None]
-        k *= outer[:, None, t_out[part].ravel()]
-        k = k.sum(axis=0) * row_coef[:, None] * t_coef[part].reshape(1, -1)
-        out[:, lo : lo + panel] = k.reshape(rows.size, width, part.size, width).sum(axis=(1, 3))
-    return out
-
-
 class TestGramPlan:
     """``PairScoreGrid.gram`` plans its factor terms per call, for the rows
-    and columns asked for, and panels the rows; the whole-dim table gives the
-    same bits, row panel by row panel."""
+    and columns asked for: they are bit-equal to the whole-dim table's, and
+    the Gram block agrees with the one summed entry by entry over W."""
 
     @pytest.mark.parametrize("panel_floats", [model_mod.GRAM_PANEL_FLOATS, 200, 7])
     @pytest.mark.parametrize("layout", ["grid"])
@@ -860,12 +840,11 @@ class TestGramPlan:
         assert (a.tobytes(), b.tobytes(), coef.tobytes()) == (t_a.tobytes(), t_b.tobytes(), t_coef.tobytes())
 
         monkeypatch.setattr(model_mod, "GRAM_PANEL_FLOATS", panel_floats)
-        row_panel = max(1, panel_floats // (grid.n * t_a.shape[1] ** 2))
+        tol = fused_tolerance(terms, flat)
         rows = rng.permutation(idx.dim)[:9]
         for r, c in ((rows, rng.permutation(idx.dim)[:6]), (rows, rows), (rows, rows.copy()), (every, rows[:3])):
-            want = np.vstack([whole_dim_gram(grid, weights, r[lo : lo + row_panel], c)
-                              for lo in range(0, r.size, row_panel)])
-            assert grid.gram(weights, r, c).tobytes() == want.tobytes()
+            want, size = per_column_gram(grid, weights, r, c)
+            assert np.all(np.abs(grid.gram(weights, r, c) - want) <= tol * size)
 
 
 def fused_problem(kind, split):
@@ -948,19 +927,24 @@ for n in (200, 2000):
             print(hashlib.sha256(got.tobytes()).hexdigest())
 """
 
-# sha256 of a general 40|10 grid's value and gradient at n = 400
+# sha256 of a general grid's value, gradient, a 60-column H_SS and its
+# 8-column H[:, S]: 40|10 at n = 400, and 40|40 at n = 30, whose Khatri-Rao
+# products with W have more than 200 columns
 GENERAL_THREAD_HASHES = """
 import hashlib
 import numpy as np
 from pmnet import Dataset, FeatureMap, PairPolicy, Partition
 from pmnet.model import ModelTerms
-x = np.random.default_rng(400).standard_normal((400, 50))
-data = Dataset(x, Partition(tuple(range(40)), tuple(range(40, 50))))
-terms = ModelTerms(data, FeatureMap.product(), pair_policy=PairPolicy("all_ordered"))
-assert not terms.backing.fused
-value, grad = terms.value_grad(0.05 * np.random.default_rng(1).standard_normal(terms.index.dim))
-for got in (np.float64(value), grad):
-    print(hashlib.sha256(got.tobytes()).hexdigest())
+for n, m2 in ((400, 10), (30, 40)):
+    x = np.random.default_rng(n).standard_normal((n, 40 + m2))
+    data = Dataset(x, Partition(tuple(range(40)), tuple(range(40, 40 + m2))))
+    terms = ModelTerms(data, FeatureMap.product(), pair_policy=PairPolicy("all_ordered"))
+    assert not terms.backing.fused
+    flat = 0.05 * np.random.default_rng(1).standard_normal(terms.index.dim)
+    value, grad = terms.value_grad(flat)
+    support = np.sort(np.random.default_rng(2).permutation(terms.index.dim)[:60])
+    for got in (np.float64(value), grad, terms.hessian(flat, support, rows=support), terms.hessian(flat, support[:8])):
+        print(hashlib.sha256(got.tobytes()).hexdigest())
 """
 
 
@@ -1091,9 +1075,11 @@ class TestFusedMoments:
         assert len(hashes[0]) == 16 and hashes[0] == hashes[1]
 
     def test_general_grid_gradient_does_not_depend_on_the_blas_thread_count(self):
-        # a general grid's W^T R is summed over the weighing's panels of rows
+        # a general grid's W^T R, and its moments' W^T times the Khatri-Rao
+        # columns, are summed over the weighing's panels of rows, a panel's
+        # rows' count of result columns at a time
         hashes = hashes_at_one_and_two_threads(GENERAL_THREAD_HASHES)
-        assert len(hashes[0]) == 2 and hashes[0] == hashes[1]
+        assert len(hashes[0]) == 8 and hashes[0] == hashes[1]
 
     def test_wide_table_takes_the_general_path(self):
         # the CLI's default 40|10 split: group 2's table, the row side, has 56 columns
@@ -1200,37 +1186,41 @@ def per_column_gram(grid, w, rows, cols):
 
 
 class TestMomentGram:
-    """``PairScoreGrid.moment_gram``, one contraction over the moments U,
+    """``PairScoreGrid.gram``, one contraction over the weights' moments, on
+    a fused grid (moments gathered from U) and a general one (from W),
     against the Gram block summed entry by entry over the full weight grid."""
 
-    @pytest.mark.parametrize("panel_floats", [model_mod.GRAM_PANEL_FLOATS, 120],
-                             ids=["one-panel", "many-panels"])
+    @pytest.mark.parametrize("panel_floats", [model_mod.GRAM_PANEL_FLOATS, 400, 120, 30],
+                             ids=["one-panel", "square-many-columns", "many-panels", "split-columns"])
     @pytest.mark.parametrize("split", [(2, 6), (6, 2)])
     @pytest.mark.parametrize("kind", ["product", "squared_product", "delta", "table"])
     def test_matches_a_per_column_reference(self, kind, split, panel_floats, monkeypatch):
-        # 15 rows weighed and summed 4 at a time; at 120 floats the Hessian's
-        # rows and columns come one to a few per panel as well
+        # 15 rows weighed and summed 4 at a time; at 400 floats a scalar
+        # feature's 9 x 9 block takes its rows in one panel and its narrow
+        # columns in several, at 120 the rows and narrow columns come one to a
+        # few per panel, and at 30 a narrow column's terms are split over panels
         monkeypatch.setattr(model_mod, "WEIGH_PANEL_FLOATS", 4 * 15)
         data, f = fused_problem(kind, split)
-        fused, _ = fused_and_general(data, f, monkeypatch)
-        grid, dim = fused.backing, fused.index.dim
-        assert grid.transposed is (split == (6, 2))
+        both = fused_and_general(data, f, monkeypatch)
         monkeypatch.setattr(model_mod, "GRAM_PANEL_FLOATS", panel_floats)
         rng = np.random.default_rng(9)
-        flat = random_theta(fused.index, 9, scale=0.2).flat
-        fused.value_grad(flat)
-        last = fused._last
-        # the full grid's weights at the fused point's shift, zero on the
-        # diagonal, in R's orientation
-        scores = grid.scores(flat)[0]
-        w = np.exp((scores.T if grid.transposed else scores) - last.top)
-        tol = fused_tolerance(fused, flat)
-        rows = rng.permutation(dim)[:9]
-        # the solver's H_SS (cols is rows), another block, and diagnostics' H[:, S]
-        for r, c in ((rows, rows), (rows, rng.permutation(dim)[:5]), (np.arange(dim), rows[:3])):
-            got = grid.moment_gram(last.weights, r, c)
-            want, size = per_column_gram(grid, w, r, c)
-            assert np.all(np.abs(got - want) <= tol * size)
+        for terms in both:
+            grid, dim = terms.backing, terms.index.dim
+            assert grid.transposed is (split == (6, 2))
+            flat = random_theta(terms.index, 9, scale=0.2).flat
+            terms.value_grad(flat)
+            last = terms._last
+            # the full grid's weights at the point's shift, zero on the
+            # diagonal, in R's orientation
+            scores = grid.scores(flat)[0]
+            w = np.exp((scores.T if grid.transposed else scores) - last.top)
+            tol = fused_tolerance(terms, flat)
+            rows = rng.permutation(dim)[:9]
+            # the solver's H_SS (cols is rows), another block, and diagnostics' H[:, S]
+            for r, c in ((rows, rows), (rows, rng.permutation(dim)[:5]), (np.arange(dim), rows[:3])):
+                got = grid.gram(last.weights, r, c)
+                want, size = per_column_gram(grid, w, r, c)
+                assert np.all(np.abs(got - want) <= tol * size)
 
 
 def loop_hessian(theta, data, f, pairs):
