@@ -179,11 +179,15 @@ def _cmd_fit(args):
     return _report_uncertified([result], cv_uncertified), {"data": args.data}, {"fit": args.out}
 
 
+def _walk_path(args, data, feature):
+    """``lambda_path`` on the solver flags (checked first) and schedule of ``path`` and ``align``."""
+    cfg = SolverConfig(max_iter=args.max_iter, tol_kkt=args.tol_kkt)
+    return lambda_path(data, feature, _parse_schedule(args.schedule), cfg=cfg, pair_policy=_pair_policy(vars(args)))
+
+
 def _cmd_path(args):
     data, feature = _load_for_fit(args)
-    cfg = SolverConfig(max_iter=args.max_iter, tol_kkt=args.tol_kkt)
-    schedule = _parse_schedule(args.schedule)
-    result = lambda_path(data, feature, schedule, cfg=cfg, pair_policy=_pair_policy(vars(args)))
+    result = _walk_path(args, data, feature)
     path_to_json(result, data.partition, feature, args.out)
     return _report_uncertified(e.fit for e in result.entries), {"data": args.data}, {"path": args.out}
 
@@ -258,9 +262,7 @@ def _cmd_align(args):
     data = window_sequences(seq1, seq2, cfg)
     feature_name = args.feature or ("delta" if kind1 == "coded" else "product")
     feature = feature_by_name(feature_name, data.categories)
-    solver_cfg = SolverConfig(max_iter=args.max_iter, tol_kkt=args.tol_kkt)
-    schedule = _parse_schedule(args.schedule)
-    result = lambda_path(data, feature, schedule, cfg=solver_cfg, pair_policy=_pair_policy(vars(args)))
+    result = _walk_path(args, data, feature)
     last = result.entries[-1]
     m1 = len(data.partition.group1)
     edges = cross_group_edges(last.fit.theta_hat, data.partition, scope="cross_group_only")
@@ -321,11 +323,11 @@ def _cmd_diag(args):
 
 
 def _add_solver_flags(p):
-    p.add_argument("--max-iter", type=int, default=2000)
-    p.add_argument("--tol-kkt", type=float, default=1e-6)
-    p.add_argument("--pair-seed", type=int, default=0,
+    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    p.add_argument("--tol-kkt", type=float, default=SolverConfig.tol_kkt)
+    p.add_argument("--pair-seed", type=int, default=PairPolicy.seed,
                    help="seed for the sampled permuted pairs, drawn when n(n-1) > 5 x cap")
-    p.add_argument("--pair-cap", type=int, default=40_000,
+    p.add_argument("--pair-cap", type=int, default=PairPolicy.cap,
                    help="every ordered pair is used while n(n-1) <= 5 x cap, else cap sampled pairs "
                         "(default: every pair up to n = 447, 40,000 from n = 448)")
 

@@ -106,12 +106,6 @@ class PairPolicy:
         total = n * (n - 1)
         return self.cap if self.kind == "auto" and total > GRID_MAX_SPARSITY * self.cap else total
 
-    def layout(self, n: int) -> str:
-        """"grid" (every ordered pair, a ``PairScoreGrid``) or "dense" (a
-        sample, a ``PairSample``): how ``ModelTerms`` holds the pair set for
-        n rows."""
-        return "grid" if self.pair_count(n) == n * (n - 1) else "dense"
-
 
 def select_ordered_pairs(n: int, policy: PairPolicy | None = None):
     """Ordered index pairs (j, k), j != k, per the policy; deterministic."""
@@ -466,7 +460,7 @@ class PairScoreGrid(PairFactors):
         within-group features are summed against w's row sums.  Both are
         U's columns that pair those with the table's 1 on a fused grid; on
         W, the first is W^T R summed over ``weigh``'s panels of rows in
-        order, so neither depends on the number of BLAS threads."""
+        order (``_summed``)."""
         width = self._rows.shape[1] - 2
         if self.fused:
             prod = weights[:, self._first_slots]
@@ -479,8 +473,9 @@ class PairScoreGrid(PairFactors):
     def _summed(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a^T b for a and b with a row per row of W, as products over
         ``weigh``'s panels of rows, added in order, each taking as many of b's
-        columns as a panel has rows (at most 160): OpenBLAS splits a product
-        over threads only past about 200 columns, so no bit depends on those."""
+        columns as a panel has rows (at most 160).  That fixes the sum's order,
+        not each product's bits: a 128 x 91 x 91 product (rows summed, result
+        rows and columns) differs between one and two BLAS threads."""
         step, parts = self._panel.shape[0], []
         for c in range(0, b.shape[1], step):
             parts.append(a[:step].T @ b[:step, c : c + step])
@@ -631,7 +626,8 @@ class PairSample(PairFactors):
         """F[:, rows]^T diag(w) F[:, cols]: panels of pairs in order rebuild
         the columns from the tables (``_gram_terms``) within
         ``GRAM_PANEL_FLOATS`` floats, times sqrt(w).  Each product takes at
-        most 256 pairs, so the bits do not depend on the BLAS thread count."""
+        most 256 pairs, added in order; a block of 150 or more columns still
+        differs between one and two BLAS threads (m = 50, 40,000 pairs)."""
         sides = [self._gram_terms(rows)] if np.array_equal(rows, cols) else [self._gram_terms(rows),
                                                                              self._gram_terms(cols)]
         panel = max(1, GRAM_PANEL_FLOATS // (self._gram_width * max(rows.size, cols.size)))
@@ -681,13 +677,15 @@ def _fuses(width: int) -> bool:
     return width * (width + 1) // 2 <= FUSED_MAX_PRODUCTS
 
 
-def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, layout: str, f: FeatureMap) -> int:
-    """Estimated peak bytes of the arrays ``ModelTerms`` builds for a dataset.
+def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, f: FeatureMap) -> int:
+    """Estimated peak bytes of the arrays ``ModelTerms`` builds for a dataset
+    whose pair set keeps ``pair_count`` pairs: a sample when that is fewer
+    than n(n - 1), else the grid.
 
-    Counts the pair backing's (``PairPolicy.layout``) largest moment.  Both
-    backings hold the within-group features of every data row, a few
-    integers of bookkeeping per feature column and the score factors R
-    (n x K) and C (K x n), K = T min(m1, m2) + 2 for T terms.  The grid adds
+    Counts the pair backing's largest moment.  Both backings hold the
+    within-group features of every data row, a few integers of bookkeeping
+    per feature column and the score factors R (n x K) and C (K x n),
+    K = T min(m1, m2) + 2 for T terms.  The grid adds
     a fused grid's product table (n w(w + 1)/2 for a narrower table of w
     columns; a general grid has none) and one panel buffer of
     ``WEIGH_PANEL_FLOATS`` floats (a row, if that is more); a sample adds
@@ -715,14 +713,14 @@ def _peak_bytes(data: Dataset, index: PairIndex, pair_count: int, layout: str, f
     codes, sizes = f.categories or shared, (len(g1), len(g2))
     # every (c, c') of a table is a term; a delta's terms are its codes
     width = (codes**2 if f.kind == TABLE else codes) * min(sizes) + 2
-    if layout == "grid":
+    if pair_count < n * (n - 1):
+        # ``select_ordered_pairs`` sorts its draws, up to 12 integers a pair
+        held, build, evaluation = (width + 1) * pair_count, max(build, 12 * pair_count), (width + 1) * pair_count
+    else:
         narrow = min(codes * k + k * (k - 1) // 2 * index.block_dim + 1 for k in sizes)
         products = n * narrow * (narrow + 1) // 2 if _fuses(narrow) else 0
         held = products + max(WEIGH_PANEL_FLOATS, n)
         evaluation = 2 * products if products else n * n + 2 * n * width
-    else:
-        # ``select_ordered_pairs`` sorts its draws, up to 12 integers a pair
-        held, build, evaluation = (width + 1) * pair_count, max(build, 12 * pair_count), (width + 1) * pair_count
     return 8 * (8 * dim + n * within + 2 * n * width + held + max(build, evaluation + 6 * GRAM_PANEL_FLOATS))
 
 
@@ -746,11 +744,11 @@ class _Evaluated:
 class ModelTerms:
     """Cached per-dataset terms for repeated evaluations on one dataset.
 
-    Holds the data rows' mean feature row ``mean_f`` and one pair backing,
-    chosen by ``PairPolicy.layout``: a ``PairScoreGrid`` when the policy
-    keeps every ordered pair, otherwise a ``PairSample`` of the policy's
-    pairs.  Both compute ``mean_f`` in their shared construction,
-    bit-identical to the column mean of ``pair_feature_matrix``.
+    Holds the data rows' mean feature row ``mean_f`` and one pair backing:
+    a ``PairSample`` of the policy's pairs when ``PairPolicy.pair_count``
+    keeps fewer than the n(n - 1) ordered pairs, otherwise a
+    ``PairScoreGrid`` of them all.  Both compute ``mean_f`` in their shared
+    construction, bit-identical to the column mean of ``pair_feature_matrix``.
     The solver builds this once and reuses it across iterations, path
     points, and cross-validation scoring.  A dataset whose
     estimated peak (see ``_peak_bytes``; kept as ``peak_bytes``) exceeds
@@ -777,13 +775,12 @@ class ModelTerms:
         self.index = build_pair_index(data.m, block_dim=feature.block_dim)
         self.policy = pair_policy or PairPolicy()
         pair_count = self.policy.pair_count(data.n)
-        layout = self.policy.layout(data.n)
-        self.peak_bytes = _peak_bytes(data, self.index, pair_count, layout, feature)
+        self.peak_bytes = _peak_bytes(data, self.index, pair_count, feature)
         _check_memory(f"{pair_count} permuted pairs over {self.index.dim} features need", self.peak_bytes)
-        if layout == "grid":
-            self.backing = PairScoreGrid(data, feature, self.index)
-        else:
+        if pair_count < data.n * (data.n - 1):
             self.backing = PairSample(data, feature, self.index, *select_ordered_pairs(data.n, self.policy))
+        else:
+            self.backing = PairScoreGrid(data, feature, self.index)
         self.mean_f = self.backing.data_mean
         self._last: _Evaluated | None = None
         self.scorings = 0
@@ -860,10 +857,11 @@ class ModelTerms:
         H = F^T diag(w) F - g g^T with w the softmax pair weights and
         g = F^T w; the backing's ``gram`` gives the first term from what its
         ``weigh`` kept at the remembered point, so a Hessian at the point just
-        evaluated scores nothing; every backing sums it in an order fixed
-        whatever the BLAS thread count.  g g^T is subtracted in chunks of rows
-        of about ``GRAM_PANEL_FLOATS`` floats, so no temporary is the size of
-        the result."""
+        evaluated scores nothing; every backing sums it over panels in a
+        fixed order, but its products' bits can depend on the BLAS thread
+        count (``PairScoreGrid._summed``).  g g^T is subtracted in chunks of
+        rows of about ``GRAM_PANEL_FLOATS`` floats, so no temporary is the
+        size of the result."""
         flat = self._check_flat(flat)
         last = self._evaluated(flat)
         grad = self._gradient(last)
@@ -1064,8 +1062,8 @@ def diagnostics(
     and every permuted sample, whatever the pair set, from one pass over the
     data (``_pair_feature_bounds``); the ratio bounds take the data rows'
     scores and the backing's ``score_range``, which a grid reads a panel
-    at a time.  An H[:, S] that with ``terms.peak_bytes`` exceeds
-    physical memory raises ``SizeError`` before the Hessian is built.
+    at a time.  When those arrays and ``terms.peak_bytes`` exceed physical
+    memory, ``SizeError`` is raised before the Hessian is built.
     """
     index = theta_star.index
     support_pairs = [tuple(p) for p in support]
@@ -1081,7 +1079,10 @@ def diagnostics(
 
     terms = _terms_for(theta_star, data, f, pair_policy)
     s_cols = _restrict_columns(index, support_pairs)
-    _check_memory("H[:, S] needs", terms.peak_bytes + 8 * index.dim * s_cols.size)
+    # H[:, S] with the margin's solve, four dim x |S| arrays at most, and the data
+    # rows' feature matrix with ``observed_feature_bounds``' two of its size
+    need = terms.peak_bytes + 8 * index.dim * (4 * s_cols.size + 3 * data.n)
+    _check_memory("H[:, S] needs (with the data rows' feature matrix)", need)
 
     # H[:, S]; rows for the complement come from the same columns
     h_cols = terms.hessian(theta_star.flat, s_cols)

@@ -18,7 +18,9 @@ Newton-type methods for minimizing composite functions", and Tibshirani et
 al. (2012), "Strong rules for discarding predictors in lasso-type problems".
 """
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -450,6 +452,20 @@ class PathResult:
         return np.array([e.lam for e in self.entries])
 
 
+def _walk(data: Dataset, f: FeatureMap, lambdas, cfg: SolverConfig | None, terms: ModelTerms, cap=math.inf):
+    """Fit each penalty of ``lambdas`` in turn, each warm-started from the
+    previous fit's coefficients, yielding its ``PathEntry``; stop after the
+    first whose support exceeds ``cap``."""
+    warm = None
+    for lam in lambdas:
+        res = fit(data, f, lam, cfg=cfg, warm_start=warm, terms=terms)
+        warm = res.theta_hat
+        entry = PathEntry(lam, res, len(warm.nonzero_pairs()))
+        yield entry
+        if entry.support_size > cap:
+            return
+
+
 def lambda_path(
     data: Dataset,
     f: FeatureMap,
@@ -461,33 +477,19 @@ def lambda_path(
     """Warm-started fits along a decreasing penalty schedule."""
     terms = _checked_terms(data, f, pair_policy, terms)
     lam_max = lambda_max(data, f, terms=terms)
-
-    entries = []
-    warm = None
+    cap = math.inf
     if isinstance(schedule, GeometricSchedule):
         start = schedule.start if schedule.start is not None else lam_max
-        for i in range(schedule.count):
-            lam = start * schedule.factor**i
-            res = fit(data, f, lam, cfg=cfg, warm_start=warm, terms=terms)
-            warm = res.theta_hat
-            entries.append(PathEntry(lam, res, len(res.theta_hat.nonzero_pairs())))
-        return PathResult(tuple(entries), "grid_exhausted")
-
-    if isinstance(schedule, UntilSupportSchedule):
-        lam = min(schedule.start, lam_max)
-        stop_reason = "grid_exhausted"
-        for _ in range(UNTIL_MAX_STEPS):
-            res = fit(data, f, lam, cfg=cfg, warm_start=warm, terms=terms)
-            warm = res.theta_hat
-            size = len(res.theta_hat.nonzero_pairs())
-            entries.append(PathEntry(lam, res, size))
-            if schedule.cap_k == 0 or size > schedule.cap_k:
-                stop_reason = "support_cap_reached"
-                break
-            lam *= schedule.factor
-        return PathResult(tuple(entries), stop_reason)
-
-    raise ConfigError(f"unknown schedule type {type(schedule).__name__}")
+        lambdas = (start * schedule.factor**i for i in range(schedule.count))
+    elif isinstance(schedule, UntilSupportSchedule):
+        steps = itertools.repeat(schedule.factor, UNTIL_MAX_STEPS - 1)
+        lambdas = itertools.accumulate(steps, operator.mul, initial=min(schedule.start, lam_max))
+        cap = schedule.cap_k or -1  # cap_k = 0: every support exceeds -1, so one penalty
+    else:
+        raise ConfigError(f"unknown schedule type {type(schedule).__name__}")
+    entries = tuple(_walk(data, f, lambdas, cfg, terms, cap))
+    capped = entries[-1].support_size > cap
+    return PathResult(entries, "support_cap_reached" if capped else "grid_exhausted")
 
 
 @dataclass(frozen=True, eq=False)
@@ -543,26 +545,17 @@ def cross_validate(
     for lam in lambdas.tolist():
         _check_finite("every lambda of the grid", lam, positive=False)
 
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(data.n)
-    fold_ids = np.array_split(order, folds)
-
+    fold_ids = np.array_split(np.random.default_rng(seed).permutation(data.n), folds)
     fold_scores = np.empty((folds, lambdas.size))
     uncertified = []
     for fold, val_rows in enumerate(fold_ids):
-        mask = np.ones(data.n, dtype=bool)
-        mask[val_rows] = False
-        train = data.subset(np.flatnonzero(mask))
-        val = data.subset(val_rows)
+        train, val = data.subset(np.delete(np.arange(data.n), val_rows)), data.subset(val_rows)
         train_terms = ModelTerms(train, f, pair_policy=pair_policy)
         val_terms = ModelTerms(val, f, pair_policy=pair_policy)
-        warm = None
-        for i, lam in enumerate(lambdas):
-            res = fit(train, f, lam, cfg=cfg, warm_start=warm, terms=train_terms)
-            warm = res.theta_hat
+        for i, res in enumerate(e.fit for e in _walk(train, f, lambdas, cfg, train_terms)):
             fold_scores[fold, i] = val_terms.value(res.theta_hat.flat)
             if not res.converged:
-                uncertified.append((fold, float(lam), res.iterations, res.kkt.max_residual))
+                uncertified.append((fold, res.lam, res.iterations, res.kkt.max_residual))
 
     mean_scores = fold_scores.mean(axis=0)
     best = int(np.argmin(mean_scores))  # first minimum = largest lambda on ties

@@ -71,7 +71,7 @@ class TestPairSelection:
         assert j_small.shape == (447 * 446,)
         j_big, _ = select_ordered_pairs(448)
         assert j_big.shape == (40_000,)
-        assert (PairPolicy().layout(447), PairPolicy().layout(448)) == ("grid", "dense")
+        assert (PairPolicy().pair_count(447), PairPolicy().pair_count(448)) == (447 * 446, 40_000)
 
     def test_auto_honours_cap_at_small_n(self):
         j, k = select_ordered_pairs(100, PairPolicy(cap=500))
@@ -322,7 +322,10 @@ class TestDiagnostics:
     def test_h_cols_over_physical_memory_raise_before_the_hessian(self, small_data, monkeypatch):
         f, support = FeatureMap.product(), [(0, 1), (2, 4)]
         theta = random_theta(build_pair_index(small_data.m), 44, scale=0.1)
-        need = ModelTerms(small_data, f, pair_policy=ALL).peak_bytes + 8 * theta.index.dim * len(support)
+        # H[:, S] and the margin's solve, four dim x |S| arrays at most, and the
+        # data rows' feature matrix with two temporaries of its size
+        need = ModelTerms(small_data, f, pair_policy=ALL).peak_bytes
+        need += 8 * theta.index.dim * (4 * len(support) + 3 * small_data.n)
         monkeypatch.setattr(model_mod, "physical_memory_bytes", lambda: need - 1)
 
         def builds(*args, **kwargs):
@@ -419,7 +422,7 @@ class TestDiagnostics:
         monkeypatch.setattr(model_mod, "pair_feature_matrix", counted)
         monkeypatch.setattr(core_mod, "pair_feature_matrix", counted)
         data, policy = memo_data(24), PairPolicy(cap=60, seed=1)
-        assert policy.layout(data.n) == "dense"
+        assert policy.pair_count(data.n) < data.n * (data.n - 1)
         theta = random_theta(build_pair_index(data.m), 47, scale=0.1)
         diagnostics(theta, data, FeatureMap.product(), [(0, 3), (1, 4)], pair_policy=policy)
         assert calls == [(24, 5)]
@@ -457,7 +460,7 @@ class TestDiagnostics:
             data, f = Dataset(codes, partition, 3), FeatureMap.from_table(table)
         idx = build_pair_index(7, block_dim=f.block_dim)
         policy = {"grid": ALL, "dense": PairPolicy(cap=20, seed=2)}[layout]
-        assert policy.layout(12) == layout
+        assert (policy.pair_count(12) == 12 * 11) is (layout == "grid")
         full = every_sample_bounds(data, f, idx)
         if layout == "grid":  # an every-pair fit builds no permuted sample
 
@@ -629,12 +632,12 @@ class TestScoreGrid:
         cap = n * (n - 1) // model_mod.GRID_MAX_SPARSITY
         assert n * (n - 1) == model_mod.GRID_MAX_SPARSITY * cap
         at, below = PairPolicy(cap=cap, seed=3), PairPolicy(cap=cap - 1, seed=3)
-        assert (at.layout(n), below.layout(n)) == ("grid", "dense")
+        assert (at.pair_count(n), below.pair_count(n)) == (n * (n - 1), cap - 1)
         on_grid = ModelTerms(data, FeatureMap.product(), pair_policy=at)
         assert (layout_of(on_grid), on_grid.n_pairs_used) == ("grid", n * (n - 1))
         sampled = ModelTerms(data, FeatureMap.product(), pair_policy=below)
         assert (layout_of(sampled), sampled.n_pairs_used) == ("dense", cap - 1)
-        assert ALL.layout(n) == "grid"
+        assert ALL.pair_count(n) == n * (n - 1)
 
     @pytest.mark.parametrize("split, group1_rows", [((2, 6), True), ((6, 2), False), ((4, 4), False)])
     def test_gram_contracts_the_narrower_side(self, split, group1_rows, monkeypatch):
@@ -1599,11 +1602,33 @@ class TestPreflightSize:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        estimate = model_mod._peak_bytes(data, index, policy.pair_count(data.n), policy.layout(data.n), f)
+        estimate = model_mod._peak_bytes(data, index, policy.pair_count(data.n), f)
         assert estimate == terms.peak_bytes
         assert fitting_peak <= estimate
         # diagnostics counts the dim x 8 result on top of the estimate
         assert peak <= estimate + 8 * index.dim * 8
+
+    @pytest.mark.parametrize("policy", [ALL, PairPolicy(cap=2000, seed=1)], ids=["grid", "dense"])
+    def test_diagnostics_checks_what_it_allocates(self, policy, monkeypatch):
+        # 40|10 at n = 400 (dim 1225): besides H[:, S], diagnostics builds the
+        # data rows' feature matrix and observed_feature_bounds' two arrays
+        # of its size, 3.7 MiB each, past the slack of the terms' estimate
+        data, f = make_dataset(400, 40, 10, seed=19), FeatureMap.product()
+        index = build_pair_index(data.m)
+        flat = np.zeros(index.dim)
+        flat[::136] = 0.05
+        theta = ParamBlocks(flat, index)
+        checked = []
+        check = model_mod._check_memory
+        monkeypatch.setattr(model_mod, "_check_memory", lambda what, need: checked.append(need) or check(what, need))
+        tracemalloc.start()
+        try:
+            report = diagnostics(theta, data, f, theta.nonzero_pairs(), pair_policy=policy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.support_size == 10 and not report.degenerate
+        assert peak <= max(checked)
 
     def test_sample_keeps_no_feature_rows(self):
         # m = 50 (dim 1225), 2000 of 200 rows' ordered pairs: their feature
